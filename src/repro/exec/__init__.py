@@ -20,10 +20,14 @@ recovery path is exercisable deterministically via ``REPRO_FAULTS``
 (:mod:`repro.exec.faults`).
 
 Durability: multi-spec batches are backed by a crash-safe write-ahead
-journal (:mod:`repro.exec.journal`) when a journal directory is
-configured, ``--resume`` replays it, SIGINT/SIGTERM shut down
-gracefully through :class:`~repro.exec.shutdown.ShutdownManager`, and
-``python -m repro.exec fsck`` verifies store integrity.
+journal when a journal directory is configured, ``--resume`` replays
+it, SIGINT/SIGTERM shut down gracefully through
+:class:`~repro.exec.shutdown.ShutdownManager`, and ``python -m
+repro.exec fsck`` verifies store integrity.  :mod:`repro.exec.journal`
+also owns the one JSON-lines log format (append, replay, tail,
+last-record-wins fold) that the fleet WALs (:mod:`repro.serve.fleet`),
+fsck's audit trail and the benchmark ledger (:mod:`repro.obs.ledger`)
+are written in.
 """
 
 from __future__ import annotations

@@ -45,8 +45,8 @@ along with superseded snapshots (anything older than the newest sound
 one per spec).
 
 Every invocation appends its report as one ``fsck`` record to
-``<journal-dir>/fsck.jsonl`` — the same append-only, fsync'd discipline
-as the sweep journals — so repairs are themselves journaled.  Exit
+``<journal-dir>/fsck.jsonl`` — the log format of the sweep journals
+(:mod:`repro.exec.journal`) — so repairs are themselves journaled.  Exit
 status: 0 when the store is clean (or everything defective was pruned),
 1 when defects remain.
 """
@@ -57,7 +57,13 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.exec.journal import SweepJournal, scan_journals
+from repro.exec.journal import (
+    FSCK_LOG,
+    KIND_FSCK,
+    append_record,
+    scan_journals,
+    versioned,
+)
 from repro.exec.store import ResultStore
 
 
@@ -170,14 +176,14 @@ def _cmd_fsck(args: argparse.Namespace) -> int:
     fleet_defects = _audit_fleet(store, args.prune)
     ckpt_report = _audit_ckpts(store, args.prune)
 
-    # The repair is itself journaled: one fsck record, same append-only
-    # fsync'd discipline as the sweep journals it lives beside.
-    fsck_log = SweepJournal(store.journal_dir / "fsck.jsonl", sweep_id="fsck")
+    # The repair is itself journaled: one fsck record in the log format
+    # of the sweep journals it lives beside.
     payload = report.describe()
     payload["pruned_journals"] = pruned_journals
     payload["fleet_defects"] = fleet_defects
     payload["checkpoints"] = ckpt_report
-    fsck_log.append("fsck", report=payload)
+    append_record(store.journal_dir / FSCK_LOG,
+                  versioned(KIND_FSCK, sweep="fsck", report=payload))
 
     if report.problems and not args.prune:
         print(f"fsck: {len(report.problems)} defective entr"

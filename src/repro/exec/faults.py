@@ -32,11 +32,12 @@ Fault kinds (grammar: comma-separated ``kind:rate`` pairs plus ``seed=N``):
   per absorbed spec, so every resumed run is guaranteed to make
   progress before it can be killed again.  Driver-side only: worker
   processes never consult it.
-* ``corrupt-journal`` — the just-appended journal line is torn (its
-  tail dropped), as a crash mid-``write`` would leave it; exercises
-  the journal's corruption-tolerant replay.  Decided per (record kind,
-  spec, append sequence number), so a re-appended record after resume
-  lands on a fresh schedule slot.
+* ``corrupt-journal`` — a sweep-journal line lands torn (its tail
+  dropped), as a crash mid-``write`` would leave it; exercises the
+  corruption-tolerant replay of :mod:`repro.exec.journal`, which also
+  performs the tear.  Decided per (record kind, spec, append sequence
+  number), so a re-appended record after resume lands on a fresh
+  schedule slot.
 * ``kill-worker`` — a fleet worker (:mod:`repro.serve`) ``os._exit``\\ s
   after durably leasing a spec but before simulating it; exercises the
   lease-expiry/reclaim path.  Decided per spec on the *first* lease
@@ -46,10 +47,11 @@ Fault kinds (grammar: comma-separated ``kind:rate`` pairs plus ``seed=N``):
   ``kill-orchestrator``.
 * ``disk-full`` — a store or fleet-WAL write raises
   ``OSError(ENOSPC)`` mid-write, as a full disk would; exercises the
-  fail-clean discipline (no torn entry, no leaked temp) and the
-  fleet's release-and-reclaim path.  Fleet-side only, and consulted
-  only on a spec's *first* lease — the retry after reclaim always
-  writes through, so a chaos fleet provably converges.
+  fail-clean discipline (no torn entry, no leaked temp, a torn WAL
+  line rolled back by :mod:`repro.exec.journal`) and the fleet's
+  release-and-reclaim path.  Fleet-side only, and consulted only on a
+  spec's *first* lease — the retry after reclaim always writes
+  through, so a chaos fleet provably converges.
 * ``kill-midrun`` — the executing process ``os._exit``\\ s (or, in
   process, raises :class:`InjectedCrash`) from *inside the record
   loop*, immediately after a mid-run checkpoint lands on disk;
@@ -435,50 +437,42 @@ def maybe_corrupt_checkpoint(
     return True
 
 
-def maybe_disk_full(
+def should_fill_disk(
     plan: Optional[FaultPlan], key: str, attempt: int,
-) -> None:
-    """Raise ``OSError(ENOSPC)`` when the disk-full schedule says so.
+) -> bool:
+    """Whether the write keyed ``key`` draws ``OSError(ENOSPC)``.
 
     Consulted by fleet-side writers (the result store's ``put`` and the
     fleet WAL's resolution appends) with ``attempt`` = the spec's lease
     count; only first-lease writes consult the schedule, so the write
     after a release-and-reclaim always goes through and a chaos fleet
     provably converges — the same one-shot shape as ``kill-worker``.
+    The WAL tear itself is performed by
+    :func:`repro.exec.journal.append_record`.
     """
-    if plan is None or attempt != 1:
-        return
-    if not plan.decide("disk-full", key, 1):
-        return
-    raise OSError(errno.ENOSPC, f"injected disk-full (chaos) writing {key}")
+    return (plan is not None and attempt == 1
+            and plan.decide("disk-full", key, 1))
 
 
-def maybe_corrupt_journal_line(
-    plan: Optional[FaultPlan], path: Path, key: str, seq: int,
-    line_length: int,
+def maybe_disk_full(
+    plan: Optional[FaultPlan], key: str, attempt: int,
+) -> None:
+    """Raise ``OSError(ENOSPC)`` when :func:`should_fill_disk` says so."""
+    if should_fill_disk(plan, key, attempt):
+        raise OSError(errno.ENOSPC,
+                      f"injected disk-full (chaos) writing {key}")
+
+
+def should_corrupt_journal(
+    plan: Optional[FaultPlan], key: str, seq: int,
 ) -> bool:
-    """Tear the journal line just appended, when the schedule says so.
+    """Whether the journal append keyed ``key`` lands torn.
 
-    Drops the tail of the final line (as a crash mid-``write`` would)
-    but terminates what remains with a newline, so the reader skips
-    exactly one corrupt record and later appends stay parseable.
     ``seq`` is the file's append sequence number: a record re-appended
     after a resume lands on a different slot, so deterministic
-    corruption cannot pin one spec's ``done`` record forever.
+    corruption cannot pin one spec's ``done`` record forever.  The tear
+    itself (the line's tail dropped, the rest newline-terminated so the
+    reader skips exactly one record) is performed by
+    :func:`repro.exec.journal.append_record`.
     """
-    if plan is None or not plan.decide("corrupt-journal", key, seq):
-        return False
-    try:
-        with open(path, "r+b") as handle:
-            handle.seek(0, os.SEEK_END)
-            end = handle.tell()
-            # The line plus its newline occupy the file's tail; keep
-            # roughly half the line, then re-terminate it.
-            handle.truncate(max(0, end - 1 - line_length // 2))
-            handle.seek(0, os.SEEK_END)
-            handle.write(b"\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-    except OSError:
-        return False
-    return True
+    return plan is not None and plan.decide("corrupt-journal", key, seq)

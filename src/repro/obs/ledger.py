@@ -12,30 +12,24 @@ between any two entries.
 
 File format
 -----------
-One JSON object per line (JSON Lines), append-only.  Appends take an
-advisory ``flock`` (where the platform provides one) and are a single
-``write`` + ``fsync`` of one line, so concurrent writers — parallel CI
-shards, a chaos loop resuming while a benchmark finishes — serialise
-cleanly instead of relying on the kernel's append atomicity, and a
-killed process corrupts at most its own last line.  Reads skip lines
-that fail to parse — a corrupt entry costs one record, never the
-ledger.
+The tree's one JSON-lines log format (:mod:`repro.exec.journal`): one
+record per line, appended under an exclusive ``flock`` with one
+``write`` + ``fsync`` and rolled back on a failed write, so concurrent
+writers — parallel CI shards, a chaos loop resuming while a benchmark
+finishes — serialise cleanly and a killed process corrupts at most its
+own last line.  Reads skip unreadable lines — a corrupt entry costs one
+record, never the ledger.  Ledger records carry no ``v``/``kind``:
+their layout is :class:`LedgerRecord`, versioned by ``schema``.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
-import json
 import os
 import platform
 import resource
 import sys
-
-try:
-    import fcntl
-except ImportError:  # non-POSIX: appends fall back to O_APPEND atomicity
-    fcntl = None  # type: ignore[assignment]
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -147,48 +141,23 @@ class Ledger:
     # -- writing --------------------------------------------------------------
 
     def append(self, record: LedgerRecord) -> LedgerRecord:
-        """Durably append one record as a single line.
+        """Durably append one record as a single line."""
+        # Deferred: repro.exec imports the simulator, which imports
+        # repro.obs — a module-level import here would be a cycle.
+        from repro.exec.journal import append_record
 
-        The advisory lock is held only for the write+fsync of this one
-        line: concurrent appenders queue for milliseconds, and a writer
-        killed while holding it releases the lock with its file handle.
-        """
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        line = json.dumps(dataclasses.asdict(record), sort_keys=True)
-        assert "\n" not in line  # one record is always exactly one line
-        with open(self.path, "a", encoding="utf-8") as handle:
-            if fcntl is not None:
-                fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
-            try:
-                handle.write(line + "\n")
-                handle.flush()
-                os.fsync(handle.fileno())
-            finally:
-                if fcntl is not None:
-                    fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
+        append_record(self.path, dataclasses.asdict(record))
         return record
 
     # -- reading --------------------------------------------------------------
 
     def scan(self) -> Tuple[List[LedgerRecord], List[str]]:
         """All readable records plus a note per skipped (corrupt) line."""
-        records: List[LedgerRecord] = []
-        problems: List[str] = []
-        try:
-            text = self.path.read_text("utf-8")
-        except OSError:
-            return records, problems
-        for lineno, line in enumerate(text.splitlines(), 1):
-            if not line.strip():
-                continue
-            try:
-                payload = json.loads(line)
-                if not isinstance(payload, dict):
-                    raise ValueError("record is not an object")
-                records.append(LedgerRecord.from_dict(payload))
-            except (ValueError, TypeError) as exc:
-                problems.append(f"{self.path}:{lineno}: skipped ({exc})")
-        return records, problems
+        from repro.exec.journal import replay
+
+        records, skipped = replay(self.path, LedgerRecord.from_dict)
+        return records, [f"{self.path}:{number}: skipped (unreadable "
+                         "record)" for number in skipped]
 
     def read(self) -> List[LedgerRecord]:
         return self.scan()[0]

@@ -12,14 +12,14 @@ system:
   metrics and progress back to every subscriber;
 * :mod:`repro.serve.fleet` / :mod:`repro.serve.worker` — N independent
   worker processes (any hosts sharing the cache directory) leasing
-  specs through flock-guarded WAL transactions, with expiry-based
-  reclaim so ``kill-worker`` chaos provably converges;
+  specs through flock-guarded transactions over queue/lease WALs kept
+  in the tree's one log format (:mod:`repro.exec.journal`), with
+  expiry-based reclaim so ``kill-worker`` chaos provably converges;
 * :mod:`repro.serve.client` — a blocking submitter and
   :class:`~repro.serve.client.ServeExecutor`, the drop-in executor
   behind ``python -m repro <exhibit> --serve SOCK``;
-* :mod:`repro.serve.protocol` / :mod:`repro.serve.wal` — the JSON-line
-  wire format (specs travel by hash-verified value) and the fsync'd,
-  corruption-tolerant log primitives everything above sits on.
+* :mod:`repro.serve.protocol` — the JSON-line wire format (specs
+  travel by hash-verified value).
 
 The headline is **multi-client in-flight dedupe**: overlapping sweeps
 submitted by different clients share work *while it runs* — each spec

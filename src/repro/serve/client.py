@@ -259,9 +259,10 @@ class ServeExecutor(Executor):
     Only ``_simulate`` differs from the parent: instead of fanning out
     over a local process pool, unresolved specs are submitted to the
     sweep service and the streamed results are absorbed into the same
-    memo/telemetry/journal structures the parent uses.  Everything
-    observable above this layer — result values, ordering, exhibit
-    stdout — is identical by construction.
+    memo/telemetry structures the parent uses.  Everything observable
+    above this layer — result values, ordering, exhibit stdout — is
+    identical by construction.  The client journals nothing: the
+    fleet's queue/lease WALs own durability.
     """
 
     def __init__(
@@ -326,9 +327,6 @@ class ServeExecutor(Executor):
         source = SOURCE_SIMULATED if fleet_simulated else SOURCE_STORE
         seconds = outcome.seconds.get(key, 0.0) if fleet_simulated else 0.0
         self._record(spec, source, seconds)
-        if self._journal is not None:
-            self._journal.done(key, spec.benchmark, spec.mechanism,
-                               source, seconds)
         self._note_progress(done, total, spec)
 
     def _absorb_failure(
@@ -340,8 +338,6 @@ class ServeExecutor(Executor):
         total: int,
     ) -> None:
         self.telemetry.failures += 1
-        if self._journal is not None:
-            self._journal.failed(failure)
         if self.policy.strict:
             raise SpecExhausted(failure)
         print(f"executor: giving up: {failure.summary()}", file=sys.stderr)

@@ -2,7 +2,9 @@
 
 Everything N independent worker processes (potentially on different
 hosts sharing the cache directory) need to coordinate lives in two
-JSON-lines WALs under ``<cache>/serve/`` plus one lock file:
+WALs under ``<cache>/serve/`` plus one lock file.  The WALs are in the
+tree's one JSON-lines log format (:mod:`repro.exec.journal`: fsync'd
+appends rolled back on failure, replay that skips unreadable lines):
 
 ``queue.jsonl``
     The work itself.  ``enqueue`` records carry the full spec payload
@@ -23,8 +25,7 @@ JSON-lines WALs under ``<cache>/serve/`` plus one lock file:
     ``expires`` deadline; ``renew`` extends a live lease (appended by
     the worker's heartbeat thread while it simulates, honoured only
     from the lease's own holder), ``release`` ends one deliberately,
-    ``expire`` records a reclaim.  Replay is last-record-wins per spec,
-    corruption-tolerant like every WAL in the tree.
+    ``expire`` records a reclaim.  Replay is last-record-wins per spec.
 
 ``fleet.lock``
     An advisory ``flock`` serialising every read-decide-append
@@ -64,15 +65,13 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple, Union
+from typing import (
+    Any, ContextManager, Dict, Iterable, List, Optional, Set, Tuple, Union,
+)
 
+from repro.exec import journal
+from repro.exec.faults import active_plan, should_fill_disk
 from repro.exec.policy import FailedRun, RetryPolicy
-from repro.serve import wal
-
-try:
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX platforms
-    fcntl = None  # type: ignore[assignment]
 
 #: Default lease TTL in seconds.  Workers renew their lease from a
 #: heartbeat thread at half the TTL while a simulation runs, so the TTL
@@ -110,16 +109,16 @@ class Claim:
     deadline: Optional[float] = None
 
 
+#: Queue kinds that resolve a spec as a FailedRun hole.
+FAILURE_KINDS = (KIND_FAILED, KIND_QUARANTINE, KIND_EXPIRED)
+
+
 @dataclass
-class FleetSnapshot:
+class FleetSnapshot(journal.Outcomes):
     """What the replayed WALs say about the fleet right now."""
 
     #: spec hash -> enqueue payload, in enqueue order (insertion-ordered).
     enqueued: Dict[str, Dict[str, Any]] = field(default_factory=dict)
-    #: spec hash -> its ``done`` record.
-    done: Dict[str, Dict[str, Any]] = field(default_factory=dict)
-    #: spec hash -> persisted FailedRun.
-    failures: Dict[str, FailedRun] = field(default_factory=dict)
     #: spec hash -> (worker, count, expires) for live leases.
     leases: Dict[str, Tuple[str, int, float]] = field(default_factory=dict)
     #: spec hash -> total leases ever granted (feeds the next count).
@@ -132,11 +131,6 @@ class FleetSnapshot:
     expired: Set[str] = field(default_factory=set)
     #: spec hash -> absolute deadline its submission travelled with.
     deadlines: Dict[str, float] = field(default_factory=dict)
-    corrupt_lines: int = 0
-
-    @property
-    def resolved(self) -> int:
-        return len(self.done) + len(self.failures)
 
     def pending(self) -> List[str]:
         """Unresolved spec hashes, in enqueue order."""
@@ -147,6 +141,16 @@ class FleetSnapshot:
     def drained(self) -> bool:
         """Every enqueued spec resolved and no lease still live."""
         return not self.pending() and not self.leases
+
+
+def _append(path: Path, kind: str, tear: Optional[str] = None,
+            **fields: Any) -> None:
+    """Durably append one fleet-WAL record.
+
+    The append's own lock covers one line; every mutator below also
+    holds ``fleet.lock`` across its read-decide-append transaction.
+    """
+    journal.append_record(path, journal.versioned(kind, **fields), tear)
 
 
 class Fleet:
@@ -171,8 +175,8 @@ class Fleet:
 
     # -- locking --------------------------------------------------------------
 
-    def _locked(self) -> "_FleetLock":
-        return _FleetLock(self.lock_path)
+    def _locked(self) -> ContextManager[int]:
+        return journal.locked(self.lock_path)
 
     # -- state ----------------------------------------------------------------
 
@@ -184,19 +188,23 @@ class Fleet:
         does); a bare snapshot is for observers (progress, tests,
         drain checks) and may be momentarily stale.
         """
-        snap = FleetSnapshot()
-        queue_records, queue_corrupt = wal.replay(self.queue_path)
+        queue_records, queue_skipped = journal.replay(self.queue_path)
+        lease_records, lease_skipped = journal.replay(self.lease_path)
+        snap = FleetSnapshot(
+            corrupt_lines=len(queue_skipped) + len(lease_skipped))
         for record in queue_records:
             kind = record.get("kind")
             spec = record.get("spec", "")
-            if kind == KIND_ENQUEUE and spec:
+            if not spec:
+                continue
+            if kind == KIND_ENQUEUE:
                 payload = record.get("payload")
                 if isinstance(payload, dict):
                     snap.enqueued.setdefault(spec, payload)
                     deadline = record.get("deadline")
                     if isinstance(deadline, (int, float)):
                         snap.deadlines.setdefault(spec, float(deadline))
-            elif kind == KIND_REQUEUE and spec:
+            elif kind == KIND_REQUEUE:
                 # A broken promise undone: the spec's resolution is
                 # erased so it becomes pending (and claimable) again.
                 # Requeued work carries no deadline — the original one
@@ -209,24 +217,14 @@ class Fleet:
                 snap.quarantined.discard(spec)
                 snap.expired.discard(spec)
                 snap.deadlines.pop(spec, None)
-            elif kind == KIND_DONE and spec:
-                snap.done[spec] = record
-                snap.failures.pop(spec, None)
-                snap.quarantined.discard(spec)
-                snap.expired.discard(spec)
-            elif kind in (KIND_FAILED, KIND_QUARANTINE, KIND_EXPIRED) and spec:
-                failure = record.get("failure")
-                if isinstance(failure, dict):
-                    try:
-                        snap.failures[spec] = FailedRun.from_dict(failure)
-                        snap.done.pop(spec, None)
-                        if kind == KIND_QUARANTINE:
-                            snap.quarantined.add(spec)
-                        elif kind == KIND_EXPIRED:
-                            snap.expired.add(spec)
-                    except TypeError:
-                        queue_corrupt += 1
-        lease_records, lease_corrupt = wal.replay(self.lease_path)
+            elif snap.fold(record, FAILURE_KINDS):
+                if kind == KIND_DONE:
+                    snap.quarantined.discard(spec)
+                    snap.expired.discard(spec)
+                elif kind == KIND_QUARANTINE:
+                    snap.quarantined.add(spec)
+                elif kind == KIND_EXPIRED:
+                    snap.expired.add(spec)
         for record in lease_records:
             kind = record.get("kind")
             spec = record.get("spec", "")
@@ -259,7 +257,6 @@ class Fleet:
                 # full budget again.
                 snap.leases.pop(spec, None)
                 snap.lease_counts.pop(spec, None)
-        snap.corrupt_lines = queue_corrupt + lease_corrupt
         return snap
 
     # -- transactions ----------------------------------------------------------
@@ -288,12 +285,11 @@ class Fleet:
                 if spec in snap.enqueued:
                     continue
                 if deadline is None:
-                    wal.append_record(self.queue_path, KIND_ENQUEUE,
-                                      spec=spec, payload=payload)
+                    _append(self.queue_path, KIND_ENQUEUE, spec=spec,
+                            payload=payload)
                 else:
-                    wal.append_record(self.queue_path, KIND_ENQUEUE,
-                                      spec=spec, payload=payload,
-                                      deadline=deadline)
+                    _append(self.queue_path, KIND_ENQUEUE, spec=spec,
+                            payload=payload, deadline=deadline)
                 appended.append(spec)
         return appended
 
@@ -316,8 +312,8 @@ class Fleet:
             for spec, payload in payloads.items():
                 if spec in pending:
                     continue
-                wal.append_record(self.queue_path, KIND_REQUEUE,
-                                  spec=spec, payload=payload)
+                _append(self.queue_path, KIND_REQUEUE,
+                        spec=spec, payload=payload)
                 reopened.append(spec)
         return reopened
 
@@ -350,8 +346,8 @@ class Fleet:
             now = time.time()
             for spec, (_owner, count, expires) in list(snap.leases.items()):
                 if expires <= now:
-                    wal.append_record(self.lease_path, KIND_EXPIRE,
-                                      spec=spec, count=count)
+                    _append(self.lease_path, KIND_EXPIRE,
+                            spec=spec, count=count)
                     del snap.leases[spec]
             for spec in snap.pending():
                 if spec in snap.leases:
@@ -365,10 +361,8 @@ class Fleet:
                     self._append_quarantine(snap, spec, count - 1)
                     continue
                 expires = now + self.ttl
-                wal.append_record(
-                    self.lease_path, KIND_LEASE, spec=spec, worker=worker,
-                    count=count, expires=expires,
-                )
+                _append(self.lease_path, KIND_LEASE, spec=spec,
+                        worker=worker, count=count, expires=expires)
                 return Claim(
                     spec_hash=spec,
                     payload=snap.enqueued[spec],
@@ -390,8 +384,8 @@ class Fleet:
                   "start this spec",
             kind="timeout",
         )
-        wal.append_record(self.queue_path, KIND_EXPIRED, spec=spec,
-                          failure=failure.describe())
+        _append(self.queue_path, KIND_EXPIRED, spec=spec,
+                failure=failure.describe())
         return failure
 
     def _append_quarantine(self, snap: FleetSnapshot, spec: str,
@@ -408,8 +402,8 @@ class Fleet:
                   "--retry-failed or `quarantine clear`",
             kind="poison",
         )
-        wal.append_record(self.queue_path, KIND_QUARANTINE, spec=spec,
-                          failure=failure.describe())
+        _append(self.queue_path, KIND_QUARANTINE, spec=spec,
+                failure=failure.describe())
         return failure
 
     def renew(self, spec_hash: str, worker: str) -> Optional[float]:
@@ -434,8 +428,8 @@ class Fleet:
                 # resolves the spec as expired.
                 return None
             expires = time.time() + self.ttl
-            wal.append_record(self.lease_path, KIND_RENEW, spec=spec_hash,
-                              worker=worker, expires=expires)
+            _append(self.lease_path, KIND_RENEW, spec=spec_hash,
+                    worker=worker, expires=expires)
         return expires
 
     def release(self, spec_hash: str, worker: str) -> None:
@@ -447,8 +441,8 @@ class Fleet:
         not after a TTL lapse.
         """
         with self._locked():
-            wal.append_record(self.lease_path, KIND_RELEASE, spec=spec_hash,
-                              worker=worker)
+            _append(self.lease_path, KIND_RELEASE, spec=spec_hash,
+                    worker=worker)
 
     def mark_done(self, spec_hash: str, worker: str, seconds: float,
                   lease_count: int = 0) -> None:
@@ -464,21 +458,21 @@ class Fleet:
         for a prompt reclaim.
         """
         with self._locked():
-            wal.append_record(self.queue_path, KIND_DONE, spec=spec_hash,
-                              worker=worker, seconds=round(seconds, 6),
-                              fault_key=f"done:{spec_hash}",
-                              fault_attempt=lease_count)
-            wal.append_record(self.lease_path, KIND_RELEASE, spec=spec_hash,
-                              worker=worker)
+            full = should_fill_disk(active_plan(), f"done:{spec_hash}",
+                                    lease_count)
+            _append(self.queue_path, KIND_DONE,
+                    "disk-full" if full else None, spec=spec_hash,
+                    worker=worker, seconds=round(seconds, 6))
+            _append(self.lease_path, KIND_RELEASE, spec=spec_hash,
+                    worker=worker)
 
     def mark_failed(self, failure: FailedRun, worker: str) -> None:
         """Resolve a spec as failed; subscribers receive the hole."""
         with self._locked():
-            wal.append_record(self.queue_path, KIND_FAILED,
-                              spec=failure.spec_hash,
-                              failure=failure.describe())
-            wal.append_record(self.lease_path, KIND_RELEASE,
-                              spec=failure.spec_hash, worker=worker)
+            _append(self.queue_path, KIND_FAILED, spec=failure.spec_hash,
+                    failure=failure.describe())
+            _append(self.lease_path, KIND_RELEASE,
+                    spec=failure.spec_hash, worker=worker)
 
     def mark_expired(self, spec_hash: str, worker: str) -> Optional[FailedRun]:
         """Resolve a claimed spec whose deadline passed before it ran.
@@ -493,8 +487,8 @@ class Fleet:
             failure = None
             if spec_hash in snap.pending():
                 failure = self._append_expired(snap, spec_hash)
-            wal.append_record(self.lease_path, KIND_RELEASE, spec=spec_hash,
-                              worker=worker)
+            _append(self.lease_path, KIND_RELEASE, spec=spec_hash,
+                    worker=worker)
         return failure
 
     def expire_deadlines(self, now: Optional[float] = None) -> List[str]:
@@ -539,9 +533,9 @@ class Fleet:
                 payload = snap.enqueued.get(spec)
                 if payload is None:
                     continue
-                wal.append_record(self.queue_path, KIND_REQUEUE,
-                                  spec=spec, payload=payload)
-                wal.append_record(self.lease_path, KIND_RESET, spec=spec)
+                _append(self.queue_path, KIND_REQUEUE,
+                        spec=spec, payload=payload)
+                _append(self.lease_path, KIND_RESET, spec=spec)
                 cleared.append(spec)
         return cleared
 
@@ -559,35 +553,7 @@ class Fleet:
             snap = self.snapshot()
             if spec_hash not in snap.quarantined:
                 return False
-            wal.append_record(self.queue_path, KIND_DONE, spec=spec_hash,
-                              worker="fsck", seconds=0.0)
-            wal.append_record(self.lease_path, KIND_RESET, spec=spec_hash)
+            _append(self.queue_path, KIND_DONE, spec=spec_hash,
+                    worker="fsck", seconds=0.0)
+            _append(self.lease_path, KIND_RESET, spec=spec_hash)
         return True
-
-
-class _FleetLock:
-    """Context manager holding an exclusive ``flock`` on the lock file.
-
-    Where the platform has no ``fcntl`` the lock degrades to a no-op —
-    single-host, single-worker use still works; a real fleet needs
-    POSIX semantics (and a shared filesystem whose ``flock`` is
-    honest).
-    """
-
-    def __init__(self, path: Path) -> None:
-        self.path = path
-        self._handle = None
-
-    def __enter__(self) -> "_FleetLock":
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._handle = open(self.path, "a+")
-        if fcntl is not None:
-            fcntl.flock(self._handle.fileno(), fcntl.LOCK_EX)
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        if self._handle is not None:
-            if fcntl is not None:
-                fcntl.flock(self._handle.fileno(), fcntl.LOCK_UN)
-            self._handle.close()
-            self._handle = None

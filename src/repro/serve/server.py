@@ -50,9 +50,9 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Set
 
 from repro.core.simulation import RunResult
+from repro.exec import journal
 from repro.exec.store import ResultStore
 from repro.obs.metrics import derive_metrics, harvest_result
-from repro.serve import wal
 from repro.serve.fleet import (
     KIND_DONE,
     KIND_EXPIRED,
@@ -472,7 +472,7 @@ class SweepServer:
         while True:
             await self._sweep_deadlines()
             records, self._queue_offset = await asyncio.to_thread(
-                wal.read_tail, self.fleet.queue_path, self._queue_offset
+                journal.read_tail, self.fleet.queue_path, self._queue_offset
             )
             for record in records:
                 kind = record.get("kind")

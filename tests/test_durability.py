@@ -12,6 +12,7 @@ import dataclasses
 import glob
 import json
 import os
+import resource
 import signal
 import subprocess
 import sys
@@ -35,12 +36,13 @@ from repro.exec import (
     scan_journals,
     sweep_identity,
 )
-from repro.exec.faults import maybe_corrupt_journal_line
+from repro.exec.faults import should_corrupt_journal
 from repro.exec.journal import journal_path
 from repro.exec.store import STORE_VERSION, result_checksum
 from repro.exec.telemetry import SOURCE_JOURNAL, RunRecord, Telemetry
 from repro.obs.ledger import Ledger, make_record
 from repro.obs.metrics import MetricsRegistry, executor_summary_line
+from repro.serve import Fleet
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -122,20 +124,6 @@ def test_read_state_missing_file_is_none(tmp_path):
     assert read_state(tmp_path / "absent.jsonl") is None
 
 
-def test_journal_reads_tolerate_corrupt_lines(tmp_path):
-    path = tmp_path / "sweep.jsonl"
-    journal = SweepJournal(path, "abc")
-    journal.done("h1", "swim", "Base", "simulated")
-    with open(path, "a") as handle:   # a torn append, as a crash leaves it
-        handle.write('{"kind": "done", "spec": "h2", "trunc\n')
-    journal.done("h3", "art", "TP", "simulated")
-
-    state = read_state(path)
-    assert set(state.done) == {"h1", "h3"}   # the torn record costs itself only
-    assert state.corrupt_lines == 1
-    assert state.lines == 3                  # corrupt lines still count (seq)
-
-
 def test_journal_replay_is_last_record_wins(tmp_path):
     path = tmp_path / "sweep.jsonl"
     journal = SweepJournal(path, "abc")
@@ -170,7 +158,8 @@ def test_corrupt_journal_fault_tears_the_tail_only(tmp_path):
     state = read_state(path)
     # Every append was torn, every tear cost exactly its own record.
     assert state.corrupt_lines == 2 and not state.done
-    assert maybe_corrupt_journal_line(None, path, "k", 1, 10) is False
+    assert state.lines == 2  # torn lines still count (the sequence)
+    assert should_corrupt_journal(None, "k", 1) is False
 
     # The sequence number continues across resumes, so the same record
     # re-appended later lands on a fresh schedule slot: with a seeded
@@ -179,6 +168,96 @@ def test_corrupt_journal_fault_tears_the_tail_only(tmp_path):
     decisions = {seq: half.decide("corrupt-journal", "done:h1", seq)
                  for seq in range(1, 40)}
     assert len(set(decisions.values())) == 2
+
+
+# -- one log format: every log, every kind of damage ---------------------------
+#
+# The sweep journal, the fleet WAL and the ledger share one append and
+# one replay (repro.exec.journal); each is driven here through its own
+# writer and reader.  A log is (path, append(key), read() -> (keys,
+# skipped lines)).
+
+def _journal_log(tmp_path):
+    path = tmp_path / "sweep.jsonl"
+    journal = SweepJournal(path, "abc")
+
+    def read():
+        state = read_state(path)
+        return list(state.done), state.corrupt_lines
+
+    return path, lambda key: journal.done(key, "swim", "Base",
+                                          "simulated"), read
+
+
+def _wal_log(tmp_path):
+    fleet = Fleet(tmp_path)
+
+    def read():
+        snap = fleet.snapshot()
+        return list(snap.enqueued), snap.corrupt_lines
+
+    return fleet.queue_path, lambda key: fleet.enqueue(
+        {key: {"benchmark": "swim"}}), read
+
+
+def _ledger_log(tmp_path):
+    ledger = Ledger(tmp_path / "BENCH_obs.json")
+
+    def read():
+        records, problems = ledger.scan()
+        return [r.label for r in records], len(problems)
+
+    return ledger.path, lambda key: ledger.append(
+        make_record(key, wall_seconds=1.0)), read
+
+
+LOGS = {"journal": _journal_log, "wal": _wal_log, "ledger": _ledger_log}
+
+
+def _newer_version(line):
+    record = json.loads(line)
+    record["v"] = 2
+    return json.dumps(record, sort_keys=True).encode()
+
+
+DAMAGE = {
+    "torn": lambda line: line[: len(line) // 2],   # cut mid-write
+    "non-object": lambda line: b"[1, 2, 3]",
+    "non-utf8": lambda line: line[:5] + b"\xff" + line[6:],  # bit rot
+    "newer-v": _newer_version,
+}
+
+
+@pytest.mark.parametrize("damage", sorted(DAMAGE))
+@pytest.mark.parametrize("log", sorted(LOGS))
+def test_every_log_skips_only_the_damaged_line(tmp_path, log, damage):
+    path, append, read = LOGS[log](tmp_path)
+    for key in ("a", "b", "c"):
+        append(key)
+    lines = path.read_bytes().splitlines()
+    lines[1] = DAMAGE[damage](lines[1])
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    assert read() == (["a", "c"], 1)
+
+
+@pytest.mark.parametrize("log", sorted(LOGS))
+def test_a_write_failing_mid_line_is_rolled_back(tmp_path, log):
+    path, append, read = LOGS[log](tmp_path)
+    append("a")
+    # A full disk, as the kernel reports one: past RLIMIT_FSIZE the next
+    # write lands part of its line, then fails with EFBIG.
+    soft, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
+    handler = signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+    resource.setrlimit(resource.RLIMIT_FSIZE,
+                       (path.stat().st_size + 16, hard))
+    try:
+        with pytest.raises(OSError):
+            append("b")
+    finally:
+        resource.setrlimit(resource.RLIMIT_FSIZE, (soft, hard))
+        signal.signal(signal.SIGXFSZ, handler)
+    append("c")
+    assert read() == (["a", "c"], 0)
 
 
 # -- executor integration: journal + resume ------------------------------------

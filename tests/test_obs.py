@@ -308,19 +308,6 @@ def test_ledger_records_carry_host_and_rss(tmp_path):
     assert record.timestamp  # ISO stamp applied
 
 
-def test_ledger_skips_corrupt_lines(tmp_path):
-    path = tmp_path / "BENCH_obs.json"
-    ledger = Ledger(path)
-    ledger.append(_record("a", 1.0))
-    with open(path, "a", encoding="utf-8") as handle:
-        handle.write('{"label": "truncat\n')      # cut mid-write
-        handle.write("[1, 2, 3]\n")               # not an object
-    ledger.append(_record("b", 2.0))
-    records, problems = ledger.scan()
-    assert [r.label for r in records] == ["a", "b"]
-    assert len(problems) == 2
-
-
 def test_ledger_ignores_unknown_fields():
     record = LedgerRecord.from_dict(
         {"label": "x", "wall_seconds": 1.0, "from_the_future": True}

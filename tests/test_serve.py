@@ -26,7 +26,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.exec import ResultStore, RunSpec
+from repro.exec import ResultStore, RunSpec, journal
 from repro.exec.faults import FaultPlan, should_kill_worker
 from repro.exec.telemetry import RunRecord, Telemetry
 from repro.serve import (
@@ -38,7 +38,6 @@ from repro.serve import (
     spec_from_payload,
     spec_payload,
 )
-from repro.serve import wal
 from repro.serve.fleet import (
     KIND_DONE,
     KIND_ENQUEUE,
@@ -118,42 +117,32 @@ def test_messages_are_versioned_json_lines():
 
 def test_wal_append_replay_round_trip(tmp_path):
     path = tmp_path / "queue.jsonl"
-    wal.append_record(path, "enqueue", spec="h1")
-    wal.append_record(path, "done", spec="h1", seconds=0.5)
-    records, corrupt = wal.replay(path)
+    journal.append_record(path, journal.versioned("enqueue", spec="h1"))
+    journal.append_record(path, journal.versioned("done", spec="h1",
+                                                  seconds=0.5))
+    records, skipped = journal.replay(path)
     assert [r["kind"] for r in records] == ["enqueue", "done"]
-    assert corrupt == 0
+    assert skipped == []
     # A missing file is an empty log, not an error.
-    assert wal.replay(tmp_path / "absent.jsonl") == ([], 0)
-
-
-def test_wal_replay_tolerates_corruption(tmp_path):
-    path = tmp_path / "queue.jsonl"
-    wal.append_record(path, "enqueue", spec="h1")
-    with open(path, "a") as handle:
-        handle.write("{torn garbage\n")
-    wal.append_record(path, "done", spec="h1")
-    records, corrupt = wal.replay(path)
-    assert [r["kind"] for r in records] == ["enqueue", "done"]
-    assert corrupt == 1
+    assert journal.replay(tmp_path / "absent.jsonl") == ([], [])
 
 
 def test_read_tail_consumes_only_complete_lines(tmp_path):
     path = tmp_path / "queue.jsonl"
-    wal.append_record(path, "enqueue", spec="h1")
+    journal.append_record(path, journal.versioned("enqueue", spec="h1"))
     # A worker mid-append: the final line has no newline yet.
     with open(path, "a") as handle:
         handle.write('{"v": 1, "kind": "done", "spec": "h1"')
-    records, offset = wal.read_tail(path, 0)
+    records, offset = journal.read_tail(path, 0)
     assert [r["kind"] for r in records] == ["enqueue"]
     # Completing the line makes it visible from the returned offset.
     with open(path, "a") as handle:
         handle.write(', "seconds": 0.5}\n')
-    records, offset2 = wal.read_tail(path, offset)
+    records, offset2 = journal.read_tail(path, offset)
     assert [r["kind"] for r in records] == ["done"]
     assert offset2 > offset
     # Nothing new: same offset back, no records.
-    assert wal.read_tail(path, offset2) == ([], offset2)
+    assert journal.read_tail(path, offset2) == ([], offset2)
 
 
 # -- fleet leases --------------------------------------------------------------
@@ -199,7 +188,7 @@ def test_expired_lease_is_reclaimed_with_higher_count(tmp_path):
     assert reclaimed.spec_hash == "a" * 64
     assert reclaimed.lease_count == 2
     # The reclaim is durable and auditable: an expire record was logged.
-    records, _ = wal.replay(fleet.lease_path)
+    records, _ = journal.replay(fleet.lease_path)
     kinds = [r["kind"] for r in records]
     assert KIND_EXPIRE in kinds
     assert kinds.count(KIND_LEASE) == 2
@@ -226,8 +215,8 @@ def test_renew_extends_only_the_holders_live_lease(tmp_path):
     assert holder == "w2"
     # Replay enforces the same rule for records already on disk: a
     # forged renew from the wrong worker changes nothing.
-    wal.append_record(fleet.lease_path, "renew", spec="a" * 64,
-                      worker="w1", expires=expires + 9999.0)
+    journal.append_record(fleet.lease_path, journal.versioned(
+        "renew", spec="a" * 64, worker="w1", expires=expires + 9999.0))
     assert fleet.snapshot().leases["a" * 64] == (holder, 2, expires)
 
 
@@ -363,7 +352,7 @@ def test_worker_heartbeat_outlasts_a_slow_simulation(tmp_path, monkeypatch):
     snap = fleet.snapshot()
     assert snap.drained and spec.content_hash in snap.done
     # Exactly one lease ever granted, kept alive by renew heartbeats.
-    records, _ = wal.replay(fleet.lease_path)
+    records, _ = journal.replay(fleet.lease_path)
     kinds = [r["kind"] for r in records]
     assert kinds.count(KIND_LEASE) == 1
     assert "renew" in kinds
@@ -448,7 +437,7 @@ def service(tmp_path):
 
 
 def _queue_kind_counts(fleet, kind):
-    records, _ = wal.replay(fleet.queue_path)
+    records, _ = journal.replay(fleet.queue_path)
     counts = {}
     for record in records:
         if record.get("kind") == kind:
@@ -548,7 +537,7 @@ def test_pruned_store_entry_behind_a_done_record_is_requeued(service):
     assert outcome.leased == 1 and outcome.shared == 0
     assert outcome.store_hits == 0
     # The WAL tells the full story: requeue, then a second done record.
-    records, _ = wal.replay(service.fleet.queue_path)
+    records, _ = journal.replay(service.fleet.queue_path)
     kinds = [r["kind"] for r in records]
     assert "requeue" in kinds
     assert kinds.count(KIND_DONE) == 2
@@ -653,7 +642,7 @@ def test_two_clients_share_inflight_work_exactly_once(service):
         {h: 1 for h in union}
     assert _queue_kind_counts(service.fleet, KIND_DONE) == \
         {h: 1 for h in union}
-    lease_records, _ = wal.replay(service.fleet.lease_path)
+    lease_records, _ = journal.replay(service.fleet.lease_path)
     leases = [r["spec"] for r in lease_records if r["kind"] == KIND_LEASE]
     assert sorted(leases) == sorted(union)
 

@@ -31,7 +31,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.exec import ResultStore, RunSpec
+from repro.exec import ResultStore, RunSpec, journal
 from repro.exec.faults import (
     FaultPlan,
     maybe_disk_full,
@@ -49,7 +49,6 @@ from repro.serve import (
     Worker,
     spec_payload,
 )
-from repro.serve import wal
 from repro.serve.fleet import (
     KIND_ENQUEUE,
     KIND_QUARANTINE,
@@ -141,8 +140,8 @@ def test_fleet_quarantines_a_spec_that_burns_its_leases(tmp_path):
 
     # The verdict is a durable queue-WAL record, not claimant memory:
     # a fresh replay (new Fleet object) reaches the same state.
-    records, corrupt = wal.replay(fleet.queue_path)
-    assert corrupt == 0
+    records, skipped = journal.replay(fleet.queue_path)
+    assert skipped == []
     assert [r["kind"] for r in records
             if r["kind"] == KIND_QUARANTINE] == [KIND_QUARANTINE]
     assert Fleet(tmp_path).snapshot().quarantined == {HASH_A}
@@ -169,7 +168,7 @@ def test_clear_quarantine_reopens_with_a_fresh_pedigree(tmp_path):
     claim = generous.claim("w2")
     assert claim is not None and claim.lease_count == 1
     # And the reset is on disk, not in this process.
-    records, _ = wal.replay(fleet.lease_path)
+    records, _ = journal.replay(fleet.lease_path)
     assert KIND_RESET in [r["kind"] for r in records]
 
 
@@ -237,24 +236,25 @@ def test_store_put_under_disk_full_leaves_no_torn_entry(tmp_path):
 
 
 def test_wal_append_under_disk_full_leaves_no_torn_line(tmp_path):
-    path = tmp_path / "queue.jsonl"
-    wal.append_record(path, KIND_ENQUEUE, spec=HASH_A, payload=_payload())
-    size_before = path.stat().st_size
+    fleet = Fleet(tmp_path, ttl=60.0)
+    fleet.enqueue({HASH_A: _payload()})
+    size_before = fleet.queue_path.stat().st_size
     set_active_plan(parse_fault_spec("disk-full:1.0,seed=1"))
     try:
+        # The first lease's done record is torn mid-line by ENOSPC...
         with pytest.raises(OSError):
-            wal.append_record(path, "done", spec=HASH_A,
-                              fault_key="done:" + HASH_A, fault_attempt=1)
-        # The log is exactly as it was: no torn tail to tolerate.
-        assert path.stat().st_size == size_before
-        records, corrupt = wal.replay(path)
-        assert corrupt == 0 and [r["kind"] for r in records] == [KIND_ENQUEUE]
-        wal.append_record(path, "done", spec=HASH_A,
-                          fault_key="done:" + HASH_A, fault_attempt=2)
+            fleet.mark_done(HASH_A, "w1", 0.5, lease_count=1)
+        # ...and rolled back: the log is exactly as it was, no torn
+        # tail to tolerate.
+        assert fleet.queue_path.stat().st_size == size_before
+        records, skipped = journal.replay(fleet.queue_path)
+        assert skipped == [] and [r["kind"] for r in records] == [KIND_ENQUEUE]
+        # The retry (a second lease never consults the schedule) lands.
+        fleet.mark_done(HASH_A, "w1", 0.5, lease_count=2)
     finally:
         set_active_plan(None)
-    records, corrupt = wal.replay(path)
-    assert corrupt == 0
+    records, skipped = journal.replay(fleet.queue_path)
+    assert skipped == []
     assert [r["kind"] for r in records] == [KIND_ENQUEUE, "done"]
 
 
@@ -451,7 +451,7 @@ def test_service_sheds_over_the_watermark_and_converges(tmp_path):
 
         # Shedding reserved nothing: each hash was enqueued exactly
         # once, by the submission that was actually admitted.
-        records, _ = wal.replay(svc.fleet.queue_path)
+        records, _ = journal.replay(svc.fleet.queue_path)
         enqueues = [r["spec"] for r in records if r["kind"] == KIND_ENQUEUE]
         assert sorted(enqueues) == sorted(
             [spec_a.content_hash, spec_b.content_hash])
