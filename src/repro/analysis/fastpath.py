@@ -287,6 +287,12 @@ def _detect_guards(frame: _Frame) -> List[_Guard]:
                     "queued-prefetch", node, ABORT_QUEUED_PREFETCH,
                     queue=queue, has_abort=_has_abort(node.body),
                 ))
+            elif ABORT_MISS in indices:
+                # The direct-mapped probe: one tag compare.
+                guards.append(_Guard(
+                    "resident", node, ABORT_MISS,
+                    has_abort=_has_abort(node.body),
+                ))
         elif isinstance(node, ast.Try):
             for handler in node.handlers:
                 indices = {index for index, _ in _counter_bumps(handler)}
@@ -393,6 +399,8 @@ _SLOW_WRITE_CHAINS = {
     "self._ready": "cache.ready",
     "self._touch": "cache.touch",
     "self._flags": "cache.flags",
+    # The kernel, whose clock the demand entry points drive.
+    "self.sim": "kernel.clock",
 }
 
 #: Slow-path calls → canonical states they mutate.
@@ -909,8 +917,9 @@ def iter_guard_mutations(source: str) -> Iterator[Tuple[str, str]]:
     """Yield ``(guard, mutated_source)`` with exactly one guard removed.
 
     Each variant is syntactically valid: guard ``if`` blocks are dropped
-    whole (with their tag comment), and the residency ``try``/``except``
-    is replaced by its dedented probe line.  For the generated run loop,
+    whole (with their tag comment), including the direct-mapped residency
+    compare, and the set-associative residency ``try``/``except`` is
+    replaced by its dedented probe line.  For the generated run loop,
     every inline occurrence yields its own mutation.
     """
     lines = source.split("\n")
@@ -930,6 +939,8 @@ def iter_guard_mutations(source: str) -> Iterator[Tuple[str, str]]:
             yield "event-drain", without(i, 3)
         elif re.match(r"^if (g_)?queue\d+:$", stripped):
             yield "queued-prefetch", without(i, 3)
+        elif re.match(r"^if (\w+_)?tags\[\w+\] != \w+:$", stripped):
+            yield "resident", without(i, 3)
         elif stripped == "try:" and i + 2 < len(lines) \
                 and lines[i + 2].strip().startswith("except ValueError"):
             probe = lines[i + 1]

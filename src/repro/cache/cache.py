@@ -27,11 +27,17 @@ Line metadata lives in four flat parallel lists indexed by
 ``set * assoc + way`` — ``_tags`` (block number, ``-1`` invalid),
 ``_ready``, ``_touch`` and ``_flags`` (bit 0 dirty, bit 1 prefetched) —
 instead of per-line objects.  Within a set's slice, valid ways are packed
-at the front in MRU→LRU order, so the hit scan is one C-level
-``list.index`` over the slice and an LRU promotion is a slice rotation.
-:class:`CacheLine` is a write-through *view* of one slot, which keeps the
-``peek``/``access``/``insert_prefetch``/``evict_block`` API (and every
+at the front in MRU→LRU order, so a probe is one compare (direct-mapped)
+or a C-level scan of the set's slice, and an LRU promotion is a slice
+rotation.  :class:`CacheLine` is a write-through *view* of one slot, which
+keeps the ``peek``/``insert_prefetch``/``evict_block`` API (and every
 mechanism built on it) unchanged.
+
+The miss path
+-------------
+A miss makes one MSHR expiry sweep (:meth:`MSHRFile.lookup`), builds no
+per-fill object (:meth:`Cache._install` takes the new line's flags) and
+raises no exception.
 """
 
 from __future__ import annotations
@@ -54,6 +60,10 @@ PREFETCHED = 2
 
 #: ``_tags`` sentinel for an empty way.
 INVALID = -1
+
+#: Window (cycles) within which an evicted line counts as "live"; matches
+#: the TK threshold of Table 3.
+LIVENESS_WINDOW = 1023
 
 
 class CacheLine:
@@ -136,8 +146,8 @@ class Cache(Component):
     SNAPSHOT_FIELDS = ("_tags", "_ready", "_touch", "_flags",
                        "ports", "pipeline", "mshr")
     SNAPSHOT_EXEMPT = ("config", "precise", "line_bits", "n_sets", "assoc",
-                       "_set_mask", "mechanism", "_mech_suspended",
-                       "fetch_next", "writeback_next")
+                       "_set_mask", "mechanism", "fetch_next",
+                       "writeback_next")
 
     def __init__(
         self,
@@ -167,7 +177,6 @@ class Cache(Component):
         mshr_capacity = None if infinite_mshr else config.mshr_entries
         self.mshr = MSHRFile(mshr_capacity, config.mshr_reads)
         self.mechanism: Optional["Mechanism"] = None
-        self._mech_suspended = False  # instruction fill in progress
         self.fetch_next: Optional[FetchFn] = None
         self.writeback_next: Optional[WritebackFn] = None
 
@@ -200,11 +209,12 @@ class Cache(Component):
 
     def _find(self, block: int) -> int:
         """Slot index of ``block``'s line, or -1 when not resident."""
-        base = (block & self._set_mask) * self.assoc
-        try:
-            return self._tags.index(block, base, base + self.assoc)
-        except ValueError:
-            return -1
+        assoc = self.assoc
+        base = (block & self._set_mask) * assoc
+        if assoc == 1:
+            return base if self._tags[base] == block else -1
+        ways = self._tags[base:base + assoc]
+        return base + ways.index(block) if block in ways else -1
 
     def peek(self, addr: int) -> Optional[CacheLine]:
         """Return the resident line for ``addr`` without touching LRU state."""
@@ -215,12 +225,6 @@ class Cache(Component):
 
     def contains(self, addr: int) -> bool:
         return self._find(addr >> self.line_bits) >= 0
-
-    def in_flight(self, addr: int, time: int) -> bool:
-        """True when a fill for ``addr``'s block is pending in the MSHR."""
-        return self.mshr.occupancy(time) > 0 and (
-            self.mshr._entries.get(self.block_of(addr)) is not None
-        )
 
     # -- the access path -------------------------------------------------------
 
@@ -249,11 +253,14 @@ class Cache(Component):
         # invisible to the attached *data*-cache mechanism, as in the
         # original study's wrappers.
         mech = self.mechanism if pc != -1 else None
-        # simlint: allow[SIM703] list.index raising ValueError IS the probe; an LBYL scan would be O(assoc) in Python
-        try:
-            slot = tags.index(block, base, base + assoc)
-        except ValueError:
-            slot = -1
+        # _find inlined.  A miss decides by compare (direct-mapped) or by
+        # a scan of the set's slice: a list.index miss raises ValueError,
+        # which costs more than the rest of the probe.
+        if assoc == 1:
+            slot = base if tags[base] == block else -1
+        else:
+            ways = tags[base:base + assoc]
+            slot = base + ways.index(block) if block in ways else -1
         if slot >= 0:
             ready_arr = self._ready
             touch = self._touch
@@ -292,25 +299,29 @@ class Cache(Component):
             self.st_write_misses.value += 1
         else:
             self.st_read_misses.value += 1
+        latency = self.config.latency
         if mech is not None:
             mech.on_access(pc, block, False, False, t)
             probe = mech.probe(block, t)
             if probe is not None:
                 self.st_aux_hits.value += 1
-                ready = t + self.config.latency + probe.latency
-                line = self._install(block, ready, t, prefetched=False)
-                line.dirty = probe.dirty or is_write
+                ready = t + latency + probe.latency
+                self._install(block, ready,
+                              DIRTY if probe.dirty or is_write else 0, mech)
                 return ready
 
-        # In-flight fill for this block?
-        rejects_before = self.mshr.merge_rejects
-        merged_ready = self.mshr.lookup(block, t)
+        # In-flight fill for this block?  (The miss's one MSHR sweep.)
+        mshr = self.mshr
+        rejects_before = mshr.merge_rejects
+        merged_ready = mshr.lookup(block, t)
         if merged_ready is not None:
-            if self.precise and self.mshr.merge_rejects > rejects_before:
+            if self.precise and mshr.merge_rejects > rejects_before:
                 # A same-line miss past the merge budget stalls the cache
                 # until the fill returns (Section 2.2, first bullet).
                 self.pipeline.stall_until(merged_ready)
-            ready = max(merged_ready, t + self.config.latency)
+            ready = t + latency
+            if merged_ready > ready:
+                ready = merged_ready
             # The merged read sees the line once filled; mark dirty on write.
             if is_write:
                 filled = self._find(block)
@@ -319,28 +330,21 @@ class Cache(Component):
             return ready
 
         # Genuine miss: allocate an MSHR (may stall when full) and fetch.
-        alloc_t = self.mshr.allocate_time(t)
+        alloc_t = mshr.allocate_time(t)
         if self.precise:
-            if alloc_t > t:
-                self.pipeline.stall_until(alloc_t)
-            # "upon receiving a request the MSHR is not available for one
-            # cycle" — the allocation bubble.
+            # Stall until the entry frees, plus "upon receiving a request
+            # the MSHR is not available for one cycle" — the allocation
+            # bubble.  One stall to alloc_t + 1 covers both.
             self.pipeline.stall_until(alloc_t + 1)
-        if self.fetch_next is None:
+        fetch_next = self.fetch_next
+        if fetch_next is None:
             raise RuntimeError(f"{self.path}: no next level bound")
-        fill_ready = self.fetch_next(
-            block << self.line_bits, alloc_t + self.config.latency, pc, False
+        fill_ready = fetch_next(
+            block << self.line_bits, alloc_t + latency, pc, False
         )
-        self.mshr.insert(block, fill_ready)
-        if pc == -1:
-            self._mech_suspended = True
-        # simlint: allow[SIM703] miss path only; the suspension flag must clear even if a hook raises
-        try:
-            line = self._install(block, fill_ready, alloc_t, prefetched=False)
-        finally:
-            self._mech_suspended = False
-        if is_write:
-            line.dirty = True
+        mshr.insert(block, fill_ready)
+        # Instruction fills (pc == -1, so mech is None) run no hooks.
+        self._install(block, fill_ready, DIRTY if is_write else 0, mech)
         if mech is not None:
             mech.on_miss(pc, block, alloc_t)
         return fill_ready
@@ -378,12 +382,18 @@ class Cache(Component):
             return False
         self.mshr.insert(block, ready)
         self.st_prefetch_fills.value += 1
-        self._install(block, ready, time, prefetched=True)
+        self._install(block, ready, PREFETCHED, self.mechanism)
         return True
 
     @hotpath
-    def _install(self, block: int, ready: int, time: int, prefetched: bool) -> CacheLine:
-        """Insert ``block`` at MRU, evicting the LRU victim if needed."""
+    def _install(self, block: int, ready: int, line_flags: int,
+                 mechanism: Optional["Mechanism"]) -> None:
+        """Insert ``block`` at MRU with ``line_flags``, evicting the LRU victim.
+
+        ``mechanism`` is the one whose ``on_evict``/``on_refill`` hooks
+        run, or None (instruction fills run none).  The new line's flags
+        are in place before ``on_refill`` runs.
+        """
         assoc = self.assoc
         base = (block & self._set_mask) * assoc
         limit = base + assoc
@@ -393,7 +403,6 @@ class Cache(Component):
         touch = self._touch
         flags = self._flags
         victim_block = None
-        mechanism = None if self._mech_suspended else self.mechanism
         if tags[last] != INVALID:
             # Set full: the LRU way (packed last) is the victim.  Remove it
             # before the hooks run, exactly as the list model popped it.
@@ -406,7 +415,7 @@ class Cache(Component):
             self.st_evictions.value += 1
             captured = False
             if mechanism is not None:
-                live = (ready - victim_touch) < self._liveness_window()
+                live = (ready - victim_touch) < LIVENESS_WINDOW
                 captured = mechanism.on_evict(
                     victim_tag, bool(victim_dirty), live, ready
                 )
@@ -428,14 +437,10 @@ class Cache(Component):
         tags[base] = block
         ready_arr[base] = ready
         touch[base] = ready
-        flags[base] = PREFETCHED if prefetched else 0
+        flags[base] = line_flags
         if mechanism is not None:
-            mechanism.on_refill(block, victim_block, ready, prefetched)
-        return CacheLine(self, base)
-
-    def _liveness_window(self) -> int:
-        """Window (cycles) within which an evicted line counts as "live"."""
-        return 1023  # matches the TK threshold of Table 3
+            mechanism.on_refill(block, victim_block, ready,
+                                bool(line_flags & PREFETCHED))
 
     # -- maintenance -----------------------------------------------------------
 

@@ -33,6 +33,7 @@ from repro.core.config import (
 )
 from repro.dram.constant import ConstantLatencyMemory
 from repro.dram.controller import SDRAMController
+from repro.hotpath import hotpath
 from repro.kernel.engine import Simulator
 from repro.kernel.module import Component
 from repro.kernel.resources import Bus
@@ -58,7 +59,8 @@ class MemoryHierarchy(Component):
     SNAPSHOT_FIELDS = ("sim", "l1d", "l1i", "l2", "l1_l2_bus", "l1_l2_cmd",
                        "memory_bus", "memory_cmd", "memory", "mechanism",
                        "image")
-    SNAPSHOT_EXEMPT = ("config", "_mech_queues", "_config_fingerprint")
+    SNAPSHOT_EXEMPT = ("config", "_mech_queues", "_throttle_limit",
+                       "_config_fingerprint")
 
     def __init__(
         self,
@@ -99,31 +101,37 @@ class MemoryHierarchy(Component):
         self.memory_bus = Bus(config.memory_bus.cpu_cycles_per_transfer)
         self.memory_cmd = Bus(1)
 
-        if config.memory_model == MEMORY_SDRAM:
-            self.memory = SDRAMController(
-                config.sdram, scheme=config.dram_interleave,
-                page_policy=config.dram_page_policy, parent=self,
-            )
-        elif config.memory_model == MEMORY_SDRAM_FAST:
-            self.memory = SDRAMController(
-                sdram70_config(), scheme=config.dram_interleave,
-                page_policy=config.dram_page_policy, parent=self,
-            )
-        elif config.memory_model == MEMORY_CONSTANT:
-            self.memory = ConstantLatencyMemory(
-                config.constant_memory_latency, parent=self
-            )
-        else:
-            raise ValueError(f"unknown memory model {config.memory_model!r}")
-
         self.l1d.fetch_next = self._fetch_from_l2
         self.l1d.writeback_next = self._writeback_to_l2
         # Instructions are read-only: fills from the unified L2, no
         # writebacks, and no mechanism slot (the study is data caches).
         self.l1i.fetch_next = self._fetch_from_l2
         self.l1i.writeback_next = None
-        self.l2.fetch_next = self._fetch_from_memory
-        self.l2.writeback_next = self._writeback_to_memory
+
+        # The memory model is chosen here, once: the L2 is wired straight
+        # to that model's plumbing.  ``throttle`` is how many controller
+        # request slots an L2 prefetch may find busy and still issue
+        # (see _drain_prefetches); constant memory has no queue.
+        if config.memory_model in (MEMORY_SDRAM, MEMORY_SDRAM_FAST):
+            sdram = (config.sdram if config.memory_model == MEMORY_SDRAM
+                     else sdram70_config())
+            self.memory = SDRAMController(
+                sdram, scheme=config.dram_interleave,
+                page_policy=config.dram_page_policy, parent=self,
+            )
+            self.l2.fetch_next = self._fetch_from_sdram
+            self.l2.writeback_next = self._writeback_to_sdram
+            throttle = (sdram.queue_entries * 3) // 4
+        elif config.memory_model == MEMORY_CONSTANT:
+            self.memory = ConstantLatencyMemory(
+                config.constant_memory_latency, parent=self
+            )
+            self.l2.fetch_next = self._fetch_from_constant
+            self.l2.writeback_next = self._writeback_to_constant
+            throttle = None
+        else:
+            raise ValueError(f"unknown memory model {config.memory_model!r}")
+        self._throttle_limit = throttle if config.prefetch_throttle else None
 
         self.mechanism = mechanism
         if mechanism is not None:
@@ -167,29 +175,46 @@ class MemoryHierarchy(Component):
 
     # -- demand interface (called by the core) ------------------------------------
 
+    @hotpath
     def load(self, pc: int, addr: int, time: int) -> int:
         """Issue a load; return the cycle its data is ready."""
-        self.advance(time)
+        # advance()'s clock drive inlined for when there is nothing to
+        # bring up to ``time``: no event due, no prefetch queue.
+        sim = self.sim
+        if self._mech_queues or (sim._times and sim._times[0] <= time):
+            self.advance(time)
+        elif time > sim.now:
+            sim.now = time
         self.st_loads.value += 1
-        return self.l1d.access(pc, addr, time, is_write=False)
+        return self.l1d.access(pc, addr, time, False)
 
     #: Sentinel PC marking instruction-side traffic: the data-cache
     #: mechanisms of the study never see it (their wrappers sat on the
     #: data path), even though the unified L2 carries it.
     INSTRUCTION_PC = -1
 
+    @hotpath
     def fetch_instruction(self, pc: int, time: int) -> int:
         """Front-end fetch of the line holding ``pc``; return ready cycle."""
-        self.advance(time)
-        return self.l1i.access(self.INSTRUCTION_PC, pc, time, is_write=False)
+        sim = self.sim  # as in load()
+        if self._mech_queues or (sim._times and sim._times[0] <= time):
+            self.advance(time)
+        elif time > sim.now:
+            sim.now = time
+        return self.l1i.access(self.INSTRUCTION_PC, pc, time, False)
 
+    @hotpath
     def store(self, pc: int, addr: int, value: int, time: int) -> int:
         """Issue a store (post-commit, from the write buffer)."""
-        self.advance(time)
+        sim = self.sim  # as in load()
+        if self._mech_queues or (sim._times and sim._times[0] <= time):
+            self.advance(time)
+        elif time > sim.now:
+            sim.now = time
         self.st_stores.value += 1
         if self.image is not None:
             self.image.write(addr, value)
-        return self.l1d.access(pc, addr, time, is_write=True)
+        return self.l1d.access(pc, addr, time, True)
 
     def advance(self, time: int) -> None:
         """Bring deferred work (decay events, queued prefetches) up to ``time``.
@@ -197,7 +222,9 @@ class MemoryHierarchy(Component):
         This runs once per demand access, so it reads the kernel's bucket
         heap directly (``run_until`` skips cancelled buckets itself) and
         only enters the drain routine when some prefetch queue is
-        non-empty.
+        non-empty.  The demand entry points call it only when there is
+        deferred work to bring up: a due event, or a mechanism with
+        prefetch queues.  Otherwise they just drive the clock.
         """
         sim = self.sim
         times = sim._times
@@ -211,46 +238,58 @@ class MemoryHierarchy(Component):
                 break
 
     # -- inter-level plumbing ---------------------------------------------------
+    #
+    # One function per hop, bound into the caches' fetch_next/writeback_next
+    # at construction.  A fill is a command grant, the next level's access
+    # and a data grant, with nothing decided per call.
 
+    @hotpath
     def _fetch_from_l2(self, addr: int, time: int, pc: int, is_prefetch: bool) -> int:
         """L1 miss: command to L2, L2 access, data back over the data bus."""
         tracing = TRACER.enabled
         if tracing:
             TRACER.begin("cache.l1_fill", cat="cache")
-        _, request_at = self.l1_l2_cmd.acquire(time)
-        ready = self.l2.access(pc, addr, request_at, is_write=False)
-        _, arrival = self.l1_l2_bus.acquire(ready)
+        ready = self.l2.access(pc, addr, self.l1_l2_cmd.acquire(time), False)
+        arrival = self.l1_l2_bus.acquire(ready)
         if tracing:
             TRACER.end(cycles=arrival - time, prefetch=is_prefetch)
         return arrival
 
+    @hotpath
     def _writeback_to_l2(self, addr: int, time: int) -> None:
         """Dirty L1 victim: one data-bus transfer, then an L2 write access."""
-        _, arrival = self.l1_l2_bus.acquire(time)
-        self.l2.access(0, addr, arrival, is_write=True)
+        self.l2.access(0, addr, self.l1_l2_bus.acquire(time), True)
 
-    def _fetch_from_memory(self, addr: int, time: int, pc: int, is_prefetch: bool) -> int:
+    @hotpath
+    def _fetch_from_sdram(self, addr: int, time: int, pc: int, is_prefetch: bool) -> int:
         """L2 miss: command over the memory bus, DRAM, data return transfer."""
         tracing = TRACER.enabled
         if tracing:
             TRACER.begin("cache.l2_fill", cat="cache")
-        if isinstance(self.memory, ConstantLatencyMemory):
-            # SimpleScalar-style memory: fixed latency, infinite bandwidth.
-            arrival = self.memory.access(addr, time)
-        else:
-            _, request_at = self.memory_cmd.acquire(time)
-            ready = self.memory.access(addr, request_at)
-            _, arrival = self.memory_bus.acquire(ready)
+        ready = self.memory.access(addr, self.memory_cmd.acquire(time))
+        arrival = self.memory_bus.acquire(ready)
         if tracing:
             TRACER.end(cycles=arrival - time, prefetch=is_prefetch)
         return arrival
 
-    def _writeback_to_memory(self, addr: int, time: int) -> None:
-        if isinstance(self.memory, ConstantLatencyMemory):
-            self.memory.access(addr, time, is_write=True)
-            return
-        _, arrival = self.memory_bus.acquire(time)
-        self.memory.access(addr, arrival, is_write=True)
+    @hotpath
+    def _writeback_to_sdram(self, addr: int, time: int) -> None:
+        self.memory.access(addr, self.memory_bus.acquire(time), True)
+
+    @hotpath
+    def _fetch_from_constant(self, addr: int, time: int, pc: int, is_prefetch: bool) -> int:
+        """L2 miss on SimpleScalar-style memory: fixed latency, no buses."""
+        tracing = TRACER.enabled
+        if tracing:
+            TRACER.begin("cache.l2_fill", cat="cache")
+        arrival = self.memory.access(addr, time)
+        if tracing:
+            TRACER.end(cycles=arrival - time, prefetch=is_prefetch)
+        return arrival
+
+    @hotpath
+    def _writeback_to_constant(self, addr: int, time: int) -> None:
+        self.memory.access(addr, time, True)
 
     # -- prefetch issue ------------------------------------------------------------
 
@@ -265,12 +304,8 @@ class MemoryHierarchy(Component):
         drain; a full queue meanwhile drops new requests.
         """
         throttle = None
-        if (
-            self.config.prefetch_throttle
-            and mech.LEVEL == "l2"
-            and isinstance(self.memory, SDRAMController)
-        ):
-            limit = (self.memory.config.queue_entries * 3) // 4
+        limit = self._throttle_limit
+        if limit is not None and mech.LEVEL == "l2":
             throttle = lambda: self.memory.occupancy(time) >= limit
         budget = 4
         drained = 0
@@ -299,7 +334,7 @@ class MemoryHierarchy(Component):
         if self.l2.contains(addr) or not self.l2.can_accept_prefetch(time):
             self.st_prefetches_redundant.add()
             return
-        ready = self._fetch_from_memory(addr, time, 0, True)
+        ready = self.l2.fetch_next(addr, time, 0, True)
         if mech.deliver_prefetch(addr, ready, time):
             self.st_prefetches_issued.add()
             mech.on_prefetch_fill(self.l2.block_of(addr), depth, ready)
@@ -452,7 +487,7 @@ class MemoryHierarchy(Component):
         self.l1d.reset()
         self.l1i.reset()
         self.l2.reset()
-        self.l1_l2_bus.reset()
-        self.memory_bus.reset()
+        for name in self._BUS_NAMES:
+            getattr(self, name).reset()
         self.memory.reset()
         self.reset_stats()

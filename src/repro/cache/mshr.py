@@ -61,6 +61,9 @@ class MSHRFile:
         merge budget is spent the read cannot merge; it still completes with
         the refill, but only after stalling the pipeline — the caller
         handles that via :attr:`merge_rejects`.
+
+        This is a miss's one expiry sweep: :meth:`allocate_time` at the
+        same cycle finds nothing left to expire unless the file is full.
         """
         self._expire(time)
         entry = self._entries.get(block)
@@ -74,11 +77,16 @@ class MSHRFile:
         return entry[0]
 
     def allocate_time(self, time: int) -> int:
-        """Earliest cycle a new entry can be allocated at/after ``time``."""
-        if self.capacity is None:
+        """Earliest cycle a new entry can be allocated at/after ``time``.
+
+        Expiry only removes entries, so a file with a free entry before
+        the sweep has one after it: the sweep runs only when it looks full.
+        """
+        capacity = self.capacity
+        if capacity is None or len(self._entries) < capacity:
             return time
         self._expire(time)
-        if len(self._entries) < self.capacity:
+        if len(self._entries) < capacity:
             return time
         # Wait for the earliest live completion.
         while self._completions:

@@ -182,7 +182,6 @@ def _emit_hit(cache, is_write, is_ifetch, hierarchy, queued, *, prefix,
         "event_times": hierarchy.sim._times,
         "run_until": hierarchy.sim.run_until,
         f"{p}tags": cache._tags,
-        f"{p}tags_index": cache._tags.index,
         f"{p}ready_arr": cache._ready,
         f"{p}touch": cache._touch,
         f"{p}flags": cache._flags,
@@ -217,10 +216,24 @@ def _emit_hit(cache, is_write, is_ifetch, hierarchy, queued, *, prefix,
     lines += [
         f"{i0}{p}block = {addr} >> {cache.line_bits}",
         f"{i0}{p}base = ({p}block & {cache._set_mask}) * {assoc}",
-        f"{i0}{_guard_tag(GUARDS[2])}",
-        f"{i0}try:",
-        f"{i1}{p}slot = {p}tags_index({p}block, {p}base, {p}base + {assoc})",
-        f"{i0}except ValueError:",
+    ]
+    if assoc == 1:
+        # Direct-mapped: one compare decides residency, where a list.index
+        # miss would raise ValueError on every abort to the miss path.
+        lines += [
+            f"{i0}{p}slot = {p}base",
+            f"{i0}{_guard_tag(GUARDS[2])}",
+            f"{i0}if {p}tags[{p}base] != {p}block:",
+        ]
+    else:
+        bindings[f"{p}tags_index"] = cache._tags.index
+        lines += [
+            f"{i0}{_guard_tag(GUARDS[2])}",
+            f"{i0}try:",
+            f"{i1}{p}slot = {p}tags_index({p}block, {p}base, {p}base + {assoc})",
+            f"{i0}except ValueError:",
+        ]
+    lines += [
         f"{i1}counts_[{ABORT_MISS}] += 1",
         *[i1 + s for s in on_abort()],
         # -- commit: replay the recorded sequence ------------------------------

@@ -37,8 +37,8 @@ class ConstantLatencyMemory(Component):
         tracing = TRACER.enabled
         if tracing:
             TRACER.begin("dram.access", cat="dram")
-        self.st_requests.add()
-        self.st_latency.add(self.latency)
+        self.st_requests.value += 1
+        self.st_latency.value += self.latency
         if tracing:
             TRACER.end(cycles=self.latency, write=is_write)
         return time + self.latency

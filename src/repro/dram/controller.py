@@ -66,12 +66,16 @@ class SDRAMController(Component):
         slots = self._slots
         admitted = time
         if len(slots) >= self._queue_entries:
-            earliest = heapq.heappop(slots)
+            # The earliest completion frees the slot this request takes.
+            earliest = slots[0]
             if earliest > admitted:
                 self.st_queue_stall.value += earliest - admitted
                 admitted = earliest
-        ready = self._device_access(addr, admitted)
-        heapq.heappush(slots, ready)
+            ready = self._device_access(addr, admitted)
+            heapq.heapreplace(slots, ready)
+        else:
+            ready = self._device_access(addr, admitted)
+            heapq.heappush(slots, ready)
         self.st_requests.value += 1
         self.st_latency.value += ready - time
         if tracing:

@@ -51,12 +51,17 @@ class AddressMapping:
             raise ValueError(f"bank count must be a power of two, got {self.banks}")
         self.row_bytes = ROW_BYTES
         self._bank_mask = self.banks - 1
+        # Both sizes are powers of two: divisions become shifts.
+        self._row_shift = ROW_BYTES.bit_length() - 1
+        self._bank_shift = self.banks.bit_length() - 1
+        self._rows = config.rows
+        self._permute = scheme == PERMUTATION_INTERLEAVE
 
     def map(self, addr: int) -> Tuple[int, int]:
         """Return ``(bank, row)`` for byte address ``addr``."""
-        block = addr // self.row_bytes
+        block = addr >> self._row_shift
         bank = block & self._bank_mask
-        row = (block // self.banks) % self.config.rows
-        if self.scheme == PERMUTATION_INTERLEAVE:
+        row = (block >> self._bank_shift) % self._rows
+        if self._permute:
             bank ^= row & self._bank_mask
         return bank, row

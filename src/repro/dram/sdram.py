@@ -50,7 +50,7 @@ class SDRAM(Component):
     CLOSED_PAGE = "closed"
 
     SNAPSHOT_FIELDS = ("banks", "_last_activate_any")
-    SNAPSHOT_EXEMPT = ("config", "page_policy", "mapping")
+    SNAPSHOT_EXEMPT = ("config", "page_policy", "_closed_page", "mapping")
 
     def __init__(
         self,
@@ -65,6 +65,7 @@ class SDRAM(Component):
             raise ValueError(f"unknown page policy {page_policy!r}")
         self.config = config
         self.page_policy = page_policy
+        self._closed_page = page_policy == self.CLOSED_PAGE
         self.mapping = AddressMapping(config, scheme)
         self.banks: List[BankState] = [BankState() for _ in range(config.banks)]
         self._last_activate_any = -(10 ** 9)
@@ -81,38 +82,43 @@ class SDRAM(Component):
         bank = self.banks[bank_idx]
         start = time if bank.ready <= time else bank.ready
         if bank.open_row == row:
-            self.st_row_hits.add()
+            self.st_row_hits.value += 1
             data_ready = start + cfg.cas_latency
             bank.ready = start + 1  # pipelined column accesses
         else:
+            # The activate waits for the RAS-to-RAS delay after the last
+            # activate to any bank.
+            activate_at = self._last_activate_any + cfg.ras_to_ras
             if bank.open_row is not None:
                 # Precharge: not before tRAS from the activate that opened
                 # the row, and the whole activate-to-activate pair respects
                 # tRC.
-                precharge_at = max(start, bank.activate_time + cfg.ras_active)
-                self.st_precharges.add()
-                activate_at = max(
-                    precharge_at + cfg.ras_precharge,
-                    bank.activate_time + cfg.ras_cycle,
-                    self._last_activate_any + cfg.ras_to_ras,
-                )
-            else:
-                activate_at = max(start, self._last_activate_any + cfg.ras_to_ras)
-            self.st_activates.add()
+                precharge_at = bank.activate_time + cfg.ras_active
+                if precharge_at < start:
+                    precharge_at = start
+                self.st_precharges.value += 1
+                if activate_at < precharge_at + cfg.ras_precharge:
+                    activate_at = precharge_at + cfg.ras_precharge
+                if activate_at < bank.activate_time + cfg.ras_cycle:
+                    activate_at = bank.activate_time + cfg.ras_cycle
+            elif activate_at < start:
+                activate_at = start
+            self.st_activates.value += 1
             bank.activate_time = activate_at
             self._last_activate_any = activate_at
             bank.open_row = row
             data_ready = activate_at + cfg.ras_to_cas + cfg.cas_latency
             bank.ready = activate_at + cfg.ras_to_cas + 1
-        if self.page_policy == self.CLOSED_PAGE:
+        if self._closed_page:
             # Eager auto-precharge: hidden behind the data transfer (the
             # bank respects tRAS through activate_time on the next access),
             # but every subsequent access pays the full activate again.
-            self.st_precharges.add()
+            self.st_precharges.value += 1
             bank.open_row = None
-            bank.ready = max(bank.ready, data_ready)
-        self.st_accesses.add()
-        self.st_latency.add(data_ready - time)
+            if bank.ready < data_ready:
+                bank.ready = data_ready
+        self.st_accesses.value += 1
+        self.st_latency.value += data_ready - time
         return data_ready
 
     @property

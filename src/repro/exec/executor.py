@@ -53,8 +53,9 @@ carries the conventional exit code up to the CLI.
 
 from __future__ import annotations
 
-import sys
 import os
+import signal
+import sys
 import time
 from collections import deque
 from concurrent.futures import (
@@ -175,6 +176,25 @@ def _execute_timed(
         TRACER.end(seconds=round(seconds, 6))
     ckpt_counts = (ckpt.cuts, ckpt.resumed) if ckpt is not None else (0, 0)
     return spec.content_hash, result, seconds, ckpt_counts
+
+
+def _worker_signals() -> None:
+    """Pool worker initializer: the parent's signal handling is not theirs.
+
+    A forked worker inherits the handlers the CLI installed for
+    :data:`SHUTDOWN`.  SIGTERM is how :func:`_terminate_pool` stops a
+    worker, so it must kill (``SIG_DFL``), not be taken as a first,
+    graceful request while an injected hang sleeps on.  SIGINT, which
+    Ctrl-C sends to the whole process group, is ignored: the parent
+    alone decides, and lets in-flight attempts finish while it drains.
+    """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
+def _new_pool(workers: int) -> ProcessPoolExecutor:
+    return ProcessPoolExecutor(max_workers=workers,
+                               initializer=_worker_signals)
 
 
 def _terminate_pool(pool: ProcessPoolExecutor) -> None:
@@ -541,7 +561,7 @@ class Executor:
         execution so the batch always finishes.
         """
         workers = min(self.jobs, total)
-        pool = ProcessPoolExecutor(max_workers=workers)
+        pool = _new_pool(workers)
         pending: Dict["Future[_WorkerReturn]",
                       Tuple[RunSpec, int, Optional[float]]] = {}
         delayed: List[Tuple[float, RunSpec, int]] = []
@@ -650,7 +670,7 @@ class Executor:
                         delayed.clear()
                         self._simulate_serial(queue, total, done)
                         return
-                    pool = ProcessPoolExecutor(max_workers=workers)
+                    pool = _new_pool(workers)
                     self._active_pool = pool
         except BaseException:
             # Fatal exit (strict-mode exhaustion, ^C, a bug): cancel

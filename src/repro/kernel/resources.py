@@ -12,7 +12,7 @@ produce, at a tiny fraction of the cost.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Tuple
+from typing import Any, Dict
 
 from repro.kernel.state import restore_fields, snapshot_fields
 
@@ -90,9 +90,11 @@ class MultiPortResource:
         if horizon <= self._floor:
             return
         ledger = self._ledger
-        stale = [cycle for cycle in ledger if cycle < horizon]
-        for cycle in stale:
-            del ledger[cycle]
+        # Most entries are stale by now: refilling with the few live ones
+        # is cheaper than deleting the rest one by one.
+        live = {cycle: n for cycle, n in ledger.items() if cycle >= horizon}
+        ledger.clear()
+        ledger.update(live)
         self._floor = max(self._floor, 0)
 
     def earliest_grant(self, time: int) -> int:
@@ -176,8 +178,8 @@ class PipelinedResource:
 class Bus:
     """A shared FIFO bus transferring one packet per ``transfer_cycles``.
 
-    ``acquire`` returns ``(start, arrival)``: the cycle the packet seizes the
-    bus and the cycle it is fully delivered.  ``idle_at`` lets prefetchers
+    ``acquire`` returns the cycle the packet is fully delivered; it seized
+    the bus ``transfer_cycles`` earlier.  ``idle_at`` lets prefetchers
     implement the "send prefetches only when the bus is idle" policy that the
     paper identifies as a critical unstated implementation choice
     (Section 3.4).
@@ -196,14 +198,14 @@ class Bus:
         self.busy_cycles = 0
         self.transfers = 0
 
-    def acquire(self, time: int) -> Tuple[int, int]:
-        """Reserve the bus at or after ``time``; return (start, arrival)."""
+    def acquire(self, time: int) -> int:
+        """Reserve the bus at or after ``time``; return the arrival cycle."""
         start = time if self._next_free <= time else self._next_free
         arrival = start + self.transfer_cycles
         self._next_free = arrival
         self.busy_cycles += self.transfer_cycles
         self.transfers += 1
-        return start, arrival
+        return arrival
 
     def idle_at(self, time: int) -> bool:
         """True when the bus has no pending transfer at ``time``."""

@@ -661,6 +661,38 @@ def test_cli_sigint_graceful_shutdown_and_resume(tmp_path):
     assert read_state(path).complete
 
 
+#: Pinned: at rate 0.5, seed 1 hangs exactly one fig10 attempt in a pool
+#: worker, and its retry succeeds.
+_HANG_ARGS = ("fig10", "--n", "1000", "--benchmarks", "swim", "--jobs", "2",
+              "--retries", "3", "--timeout", "1")
+
+
+def test_cli_pool_with_a_hung_worker_exits(tmp_path):
+    """The watchdog's SIGTERM stops a hung pool worker, so the CLI exits.
+
+    Forked workers used to inherit the CLI's graceful-shutdown handler,
+    take the SIGTERM as a polite request and sleep on in the injected
+    hang; interpreter exit then waited for them forever.
+    """
+    clean = _run_cli(_cli_env(tmp_path, cache="cache-clean"), *_HANG_ARGS)
+    assert clean.returncode == 0, clean.stderr
+    env = _cli_env(tmp_path, faults="hang:0.5,seed=1", cache="cache-hang")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", *_HANG_ARGS], stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True, env=env, cwd=REPO,
+        start_new_session=True)
+    try:
+        out, err = proc.communicate(timeout=90)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("the CLI did not exit after its hung worker was stopped")
+    assert proc.returncode == 0, err
+    assert "1 timeouts" in err
+    assert "received" not in err            # no worker took SIGTERM as a request
+    assert out == clean.stdout
+
+
 def test_cli_resume_requires_the_cache(tmp_path):
     proc = _run_cli(_cli_env(tmp_path), "fig10", "--n", "2000",
                     "--benchmarks", "swim", "--resume", "--no-cache")

@@ -131,3 +131,15 @@ def test_unknown_memory_model_rejected():
     config = dataclasses.replace(baseline_config(), memory_model="weird")
     with pytest.raises(ValueError):
         MemoryHierarchy(config)
+
+
+def test_reset_hierarchy_times_loads_like_a_fresh_one():
+    used = _hierarchy()
+    for i in range(50):
+        used.load(1, 0x100000 + i * 4096, i * 10)
+    used.reset()
+    fresh = _hierarchy()
+    sequence = [(0x4000 + i * 0x2040, i * 7) for i in range(50)]
+    assert ([used.load(1, addr, time) for addr, time in sequence]
+            == [fresh.load(1, addr, time) for addr, time in sequence])
+    assert used.stats_report() == fresh.stats_report()
