@@ -10,8 +10,9 @@ Examples::
     python -m repro all --n 8000 --jobs 4  # every exhibit, quick scale
 
 Every simulation goes through one shared :class:`repro.exec.Executor`:
-``--jobs N`` fans runs out over N worker processes (default: the CPU
-count; ``--jobs 1`` stays in-process for determinism debugging), and
+``--jobs N`` runs each batch on a local fleet of N forked worker
+processes leasing specs from a private queue (default: the CPU count;
+``--jobs 1`` stays in-process for determinism debugging), and
 results are content-addressed in an on-disk store (``--cache-dir``,
 default ``~/.cache/repro`` or ``$REPRO_CACHE_DIR``; ``--no-cache``
 disables it) so repeated and overlapping exhibits never re-simulate.
@@ -302,8 +303,9 @@ def main(argv=None) -> int:
     parser.add_argument("--benchmarks",
                         help="comma-separated benchmark subset for exhibits")
     parser.add_argument("--jobs", type=int, default=None,
-                        help="worker processes for simulations "
-                             "(default: CPU count; 1 = in-process)")
+                        help="forked worker processes for simulations, "
+                             "leasing from a private queue (default: CPU "
+                             "count; 1 = in-process)")
     parser.add_argument("--cache-dir", default=None,
                         help="result-store directory (default ~/.cache/repro "
                              "or $REPRO_CACHE_DIR)")
@@ -314,9 +316,9 @@ def main(argv=None) -> int:
                              "(default 0; retries are deterministic "
                              "re-executions, results stay bit-identical)")
     parser.add_argument("--timeout", type=float, default=None, metavar="SEC",
-                        help="per-simulation wall-clock budget; hung "
-                             "workers are killed and the spec retried "
-                             "(pool runs only, i.e. --jobs > 1)")
+                        help="per-attempt wall-clock budget; an attempt "
+                             "past it is stopped and retried (enforced in "
+                             "worker processes only, i.e. --jobs > 1)")
     parser.add_argument("--strict", action="store_true",
                         help="abort on the first simulation that fails "
                              "every attempt, instead of degrading to an "

@@ -8,7 +8,7 @@ all submit their runs through one shared executor, obtained from
 :func:`get_default_executor` unless a caller passes its own.
 
 The module-level default starts life serial (``jobs=1``) and memory-only
-— importing the library never spawns processes or writes to disk.  The
+— importing the library never forks processes or writes to disk.  The
 CLI upgrades it (``--jobs``, ``--cache-dir``) via
 :func:`set_default_executor`.
 
@@ -25,7 +25,7 @@ it, SIGINT/SIGTERM shut down gracefully through
 :class:`~repro.exec.shutdown.ShutdownManager`, and ``python -m
 repro.exec fsck`` verifies store integrity.  :mod:`repro.exec.journal`
 also owns the one JSON-lines log format (append, replay, tail,
-last-record-wins fold) that the fleet WALs (:mod:`repro.serve.fleet`),
+last-record-wins fold) that the fleet WALs (:mod:`repro.exec.fleet`),
 fsck's audit trail and the benchmark ledger (:mod:`repro.obs.ledger`)
 are written in.
 """

@@ -78,10 +78,7 @@ def _audit_fleet(store: ResultStore, prune: bool) -> int:
     queue_path = store.serve_dir / "queue.jsonl"
     if not queue_path.exists():
         return 0
-    # Imported here, not at module top: repro.exec must stay importable
-    # without repro.serve (the service depends on the executor, never
-    # the reverse).
-    from repro.serve.fleet import Fleet
+    from repro.exec.fleet import Fleet
 
     fleet = Fleet(store.serve_dir)
     snap = fleet.snapshot()

@@ -5,8 +5,8 @@ Resolution order per unique spec hash:
 1. **memo** — results already resolved by this executor (process memory);
 2. **store** — the on-disk content-addressed store, when configured;
 3. **simulate** — in-process when ``jobs == 1`` (deterministic
-   single-process debugging), else fanned out over a
-   :class:`concurrent.futures.ProcessPoolExecutor`.
+   single-process debugging), else on a private local fleet of forked
+   workers (:meth:`Executor._simulate_fleet`).
 
 Duplicate specs within a batch are simulated once and every caller
 position gets the same result object.  Freshly simulated results are
@@ -15,17 +15,18 @@ the same ``python -m repro all`` — never pays for the same cell twice.
 
 Fault tolerance
 ---------------
-Long fan-outs must survive partial failure: one worker exception, hang
-or pool death must not destroy a multi-hour sweep.  Execution is
-therefore governed by a :class:`~repro.exec.policy.RetryPolicy`:
+Long fan-outs must survive partial failure: one failing attempt, hang
+or worker death must not destroy a multi-hour sweep.  Execution is
+therefore governed by a :class:`~repro.exec.policy.RetryPolicy`,
+applied by the one attempt loop (:func:`run_attempts`) that in-process
+execution and every fleet worker share:
 
 * failing attempts are retried up to ``retries`` times with a
   deterministic exponential backoff (seeded jitter, no ``random``);
-* a watchdog enforces the per-attempt ``timeout`` on pool runs — hung
-  workers are killed, their specs requeued and charged an attempt;
-* a broken pool (a worker died mid-task) is rebuilt and its in-flight
-  specs resubmitted without charge; after ``max_pool_rebuilds``
-  consecutive deaths the executor degrades to in-process execution;
+* a fleet worker enforces the per-attempt ``timeout`` with a
+  ``SIGALRM`` timer (in-process, only injected hangs time out);
+* a dead worker's lease is released at once and the worker respawned;
+  a spec that keeps killing workers is quarantined as a poison hole;
 * a spec that exhausts every attempt becomes a
   :class:`~repro.exec.policy.FailedRun` hole in the batch (``strict``
   mode raises :class:`~repro.exec.policy.SpecExhausted` instead), so
@@ -39,38 +40,37 @@ Durability
 Workers failing is one half of the problem; the *driver* dying (OOM
 kill, SIGTERM, Ctrl-C, host reboot) is the other.  When ``journal_dir``
 is configured, every multi-spec batch is backed by a crash-safe
-write-ahead journal (:mod:`repro.exec.journal`): per-spec lifecycle
-transitions are fsync'd before and after each unit of work, so a killed
-driver leaves an exact record of what finished.  ``resume=True``
-replays that record — finished specs are served from the journal +
-store, persisted :class:`FailedRun` holes are honoured instead of
-silently re-running exhausted specs (``retry_failed=True`` opts back
-in) — and a ``shutdown`` manager turns SIGINT/SIGTERM into a graceful
-stop: dispatch halts, in-flight attempts drain within a deadline, the
-journal is flushed, and :class:`~repro.exec.shutdown.SweepInterrupted`
-carries the conventional exit code up to the CLI.
+write-ahead journal (:mod:`repro.exec.journal`): each spec's
+resolution is fsync'd as it lands, so a killed driver leaves an exact
+record of what finished.  ``resume=True`` replays that record —
+finished specs are served from the journal + store, persisted
+:class:`FailedRun` holes are honoured instead of silently re-running
+exhausted specs (``retry_failed=True`` opts back in) — and a
+``shutdown`` manager turns SIGINT/SIGTERM into a graceful stop: no new
+spec starts, in-flight ones drain within a deadline, the journal is
+flushed, and :class:`~repro.exec.shutdown.SweepInterrupted` carries the
+conventional exit code up to the CLI.
 """
 
 from __future__ import annotations
 
 import os
+import shutil
 import signal
 import sys
+import tempfile
 import time
-from collections import deque
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    Future,
-    ProcessPoolExecutor,
-    wait,
-)
-from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
+from dataclasses import dataclass
 from pathlib import Path
+from types import FrameType
 from typing import (
+    Any,
     Callable,
-    Deque,
     Dict,
+    Iterator,
     List,
+    Mapping,
     Optional,
     Sequence,
     Tuple,
@@ -80,9 +80,11 @@ from typing import (
 from repro.core.config import MachineConfig, baseline_config
 from repro.core.results import ResultSet
 from repro.core.simulation import DEFAULT_INSTRUCTIONS, RunResult
+from repro.exec import journal as log
 from repro.exec.checkpoint import Checkpointer, discard_checkpoints
 from repro.exec.faults import (
     KILL_ORCHESTRATOR_EXIT,
+    KILL_WORKER_EXIT,
     FaultPlan,
     InjectedHang,
     active_plan,
@@ -99,6 +101,7 @@ from repro.exec.journal import (
     sweep_identity,
 )
 from repro.exec.policy import (
+    ExecutionError,
     FailedRun,
     RetryPolicy,
     SpecExhausted,
@@ -126,102 +129,137 @@ ProgressFn = Callable[[int, int, RunSpec], None]
 #: One resolved batch entry: a result, or the hole a failed spec left.
 Resolved = Union[RunResult, FailedRun]
 
-#: What the worker entry point returns per attempt; the final element is
-#: ``(checkpoints cut, resumed-from-checkpoint)`` for the telemetry.
-_WorkerReturn = Tuple[str, RunResult, float, Tuple[int, int]]
-
-#: (spec, attempt number) waiting to run.
-_QueueItem = Tuple[RunSpec, int]
+#: The per-spec costs an attempt loop reports, named as the Telemetry
+#: fields they add to; a worker's ``done``/``failed`` record carries them.
+ATTEMPT_COUNTERS = ("retries", "timeouts", "checkpoints",
+                    "resumed_from_ckpt")
 
 
-def _execute_timed(
+@dataclass
+class Attempts:
+    """What one spec's attempt loop produced, and what it cost."""
+
+    outcome: Resolved
+    #: Wall seconds of the attempt that succeeded (0 for a hole).
+    seconds: float = 0.0
+    retries: int = 0
+    timeouts: int = 0
+    #: Snapshots cut / resumed by the attempt that succeeded.
+    checkpoints: int = 0
+    resumed_from_ckpt: int = 0
+
+    def counters(self) -> Dict[str, int]:
+        """The nonzero :data:`ATTEMPT_COUNTERS`."""
+        return {name: getattr(self, name) for name in ATTEMPT_COUNTERS
+                if getattr(self, name)}
+
+
+@contextmanager
+def _alarm(seconds: Optional[float], message: str) -> Iterator[None]:
+    """Raise :class:`SpecTimeout` in the main thread after ``seconds``
+    (a ``SIGALRM`` timer; ``None`` arms nothing)."""
+    if seconds is None:
+        yield
+        return
+
+    def expire(signum: int, frame: Optional[FrameType]) -> None:
+        raise SpecTimeout(message)
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def run_attempts(
     spec: RunSpec,
-    attempt: int = 1,
+    policy: RetryPolicy,
     plan: Optional[FaultPlan] = None,
-    in_process: bool = True,
     checkpoint_every: int = 0,
-    ckpt_root: Optional[str] = None,
-) -> _WorkerReturn:
-    """Worker entry point: run one spec attempt, report its wall time.
+    ckpt_root: Optional[Path] = None,
+    lease: int = 1,
+    in_worker: bool = False,
+) -> Attempts:
+    """Attempt ``spec`` until it succeeds or ``policy`` gives up.
 
-    Fault injection (when ``plan`` is armed) happens *before* the traced
-    region so a crashing attempt never leaves an unbalanced span.
+    In-process execution and every fleet worker call this one loop.
+    The last failure becomes the :class:`FailedRun` outcome; strictness
+    is the caller's business.  Faults are injected *before* the traced
+    region, so a crashing attempt never leaves an unbalanced span.
 
-    When checkpointing is on, later attempts of the same spec resume
-    from the newest sound mid-run snapshot under ``ckpt_root``.  The
-    ``kill-midrun`` chaos kind always takes the survivable
-    :class:`~repro.exec.faults.InjectedCrash` flavour here: a pool
-    worker's ``os._exit`` would break the whole pool, and the executor
-    requeues broken-pool casualties *without* charging an attempt — the
-    one-shot (spec, attempt 1) schedule would fire forever.  The raise
-    is charged, so the retry carries attempt 2, skips the schedule and
-    converges.  Real ``os._exit`` kills are exercised by the fleet
-    workers (:mod:`repro.serve.worker`), whose lease counts do advance.
+    ``in_worker`` selects the process-level flavours: a ``SIGALRM``
+    timer of ``policy.timeout`` per attempt, a hang that really sleeps,
+    and a ``kill-midrun`` that exits the process.  ``lease`` is the
+    worker's lease count: one-shot mid-run chaos fires only on the
+    first attempt of the first lease, and later ones resume from the
+    newest sound snapshot under ``ckpt_root``.
     """
-    inject_attempt_faults(plan, spec.content_hash, attempt, in_process)
-    ckpt = None
-    if checkpoint_every and ckpt_root is not None:
-        ckpt = Checkpointer(
-            Path(ckpt_root), spec.content_hash, checkpoint_every,
-            attempt=attempt, plan=plan, kill_exit=None,
+    key = spec.content_hash
+    started = time.monotonic()
+    retries = timeouts = 0
+    attempt = 1
+    while True:
+        ckpt = None
+        if checkpoint_every and ckpt_root is not None:
+            ckpt = Checkpointer(
+                Path(ckpt_root), key, checkpoint_every,
+                attempt=attempt + lease - 1, plan=plan,
+                kill_exit=KILL_WORKER_EXIT if in_worker else None,
+            )
+        timeout = policy.timeout if in_worker else None
+        try:
+            with _alarm(timeout, f"{spec.benchmark}/{spec.mechanism} attempt "
+                                 f"{attempt} exceeded {timeout or 0:g}s"):
+                inject_attempt_faults(plan, key, attempt,
+                                      in_process=not in_worker)
+                tracing = TRACER.enabled
+                if tracing:
+                    TRACER.begin("exec.simulate", cat="exec",
+                                 benchmark=spec.benchmark,
+                                 mechanism=spec.mechanism)
+                start = time.perf_counter()
+                # Only pass the kwarg when armed: spec doubles (and any
+                # older execute() signature) stay callable as-is.
+                result = (spec.execute(checkpoint=ckpt) if ckpt is not None
+                          else spec.execute())
+                seconds = time.perf_counter() - start
+                if tracing:
+                    TRACER.end(seconds=round(seconds, 6))
+        except Exception as exc:
+            timed_out = isinstance(exc, (SpecTimeout, InjectedHang))
+            timeouts += timed_out
+            if attempt < policy.max_attempts:
+                retries += 1
+                time.sleep(policy.backoff_delay(key, attempt))
+                attempt += 1
+                continue
+            failure = FailedRun(
+                spec_hash=key,
+                benchmark=spec.benchmark,
+                mechanism=spec.mechanism,
+                attempts=attempt,
+                error=repr(exc),
+                elapsed=round(time.monotonic() - started, 6),
+                kind="timeout" if timed_out else "error",
+            )
+            return Attempts(failure, retries=retries, timeouts=timeouts)
+        return Attempts(
+            result, seconds, retries=retries, timeouts=timeouts,
+            checkpoints=ckpt.cuts if ckpt is not None else 0,
+            resumed_from_ckpt=ckpt.resumed if ckpt is not None else 0,
         )
-    tracing = TRACER.enabled
-    if tracing:
-        TRACER.begin("exec.simulate", cat="exec",
-                     benchmark=spec.benchmark, mechanism=spec.mechanism)
-    start = time.perf_counter()
-    result = spec.execute(checkpoint=ckpt)
-    seconds = time.perf_counter() - start
-    if tracing:
-        TRACER.end(seconds=round(seconds, 6))
-    ckpt_counts = (ckpt.cuts, ckpt.resumed) if ckpt is not None else (0, 0)
-    return spec.content_hash, result, seconds, ckpt_counts
-
-
-def _worker_signals() -> None:
-    """Pool worker initializer: the parent's signal handling is not theirs.
-
-    A forked worker inherits the handlers the CLI installed for
-    :data:`SHUTDOWN`.  SIGTERM is how :func:`_terminate_pool` stops a
-    worker, so it must kill (``SIG_DFL``), not be taken as a first,
-    graceful request while an injected hang sleeps on.  SIGINT, which
-    Ctrl-C sends to the whole process group, is ignored: the parent
-    alone decides, and lets in-flight attempts finish while it drains.
-    """
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-
-
-def _new_pool(workers: int) -> ProcessPoolExecutor:
-    return ProcessPoolExecutor(max_workers=workers,
-                               initializer=_worker_signals)
-
-
-def _terminate_pool(pool: ProcessPoolExecutor) -> None:
-    """Tear a pool down *now*: kill workers, cancel queued work, no wait.
-
-    ``shutdown(wait=True)`` — what the ``with`` statement does — blocks
-    until every in-flight future completes, which for a hung worker is
-    forever.  Worker handles only exist on the private ``_processes``
-    map, so the access is guarded against interpreter variation.
-    """
-    processes = getattr(pool, "_processes", None)
-    if processes:
-        for proc in list(processes.values()):
-            try:
-                proc.terminate()
-            # simlint: allow[SIM601] the worker already died; nothing to kill
-            except (OSError, ValueError):
-                pass
-    pool.shutdown(wait=False, cancel_futures=True)
 
 
 class Executor:
     """Run batches of :class:`RunSpec`, deduplicated, cached and retried.
 
-    ``jobs=1`` executes in-process (no pool, bit-for-bit reproducible
-    stepping under a debugger); ``jobs>1`` uses a process pool of that
-    many workers.  ``jobs=None`` defaults to ``os.cpu_count()``.
+    ``jobs=1`` executes in-process (no fork, bit-for-bit reproducible
+    stepping under a debugger); ``jobs>1`` runs each batch on a local
+    fleet of that many forked workers.  ``jobs=None`` defaults to
+    ``os.cpu_count()``.
 
     ``policy`` defaults to the fail-fast library behaviour (no retries,
     no timeout, strict); the CLI's ``--retries/--timeout/--strict``
@@ -257,31 +295,30 @@ class Executor:
         self.journal_dir = (Path(journal_dir) if journal_dir is not None
                             else None)
         #: Serve finished/failed specs from an existing journal instead
-        #: of re-dispatching them (``--resume``).
+        #: of re-running them (``--resume``).
         self.resume = resume
         #: Re-run specs the journal recorded as exhausted (``--retry-failed``).
         self.retry_failed = retry_failed
-        #: Consulted between waves; the never-installed process singleton
+        #: Consulted between specs; the never-installed process singleton
         #: is inert, so library use pays nothing.
         self.shutdown = shutdown if shutdown is not None else SHUTDOWN
         #: Cut a durable mid-run snapshot every N trace records (0 = off,
         #: the default: the disabled path adds nothing to the record
         #: loop).  Checkpoints live under the store's ``ckpt/`` tree, so
         #: checkpointing requires a configured store.
-        self.checkpoint_every = max(0, int(checkpoint_every))
         self._ckpt_root = (store.ckpt_root
-                           if store is not None and self.checkpoint_every
+                           if store is not None and checkpoint_every
                            else None)
+        self.checkpoint_every = (max(0, int(checkpoint_every))
+                                 if self._ckpt_root is not None else 0)
         self._memo: Dict[str, Resolved] = {}
         self._sweep_memo: Dict[Tuple[str, ...], ResultSet] = {}
-        #: monotonic() at each spec's first attempt (for FailedRun.elapsed).
-        self._first_attempt_at: Dict[str, float] = {}
         self._store_corrupt_base = store.corrupt_reads if store else 0
         #: The current batch's write-ahead journal and its replayed state.
         self._journal: Optional[SweepJournal] = None
         self._journal_state: Optional[JournalState] = None
-        #: Live pool, killed by the shutdown manager's second-signal path.
-        self._active_pool: Optional[ProcessPoolExecutor] = None
+        #: Stops the live local fleet; run before a deliberate driver exit.
+        self._teardown: Optional[Callable[[], None]] = None
 
     # -- batch execution ------------------------------------------------------
 
@@ -322,10 +359,6 @@ class Executor:
                     self._journal_resolved(spec, SOURCE_STORE)
                     continue
                 to_simulate.append(spec)
-            if self.store is not None:
-                self.telemetry.store_corrupt = (
-                    self.store.corrupt_reads - self._store_corrupt_base
-                )
 
             if to_simulate:
                 self._simulate(to_simulate)
@@ -337,6 +370,10 @@ class Executor:
         finally:
             self._journal = None
             self._journal_state = None
+            if self.store is not None:
+                self.telemetry.store_corrupt = (
+                    self.store.corrupt_reads - self._store_corrupt_base
+                )
 
         self.telemetry.record_batch(
             len(specs), len(unique), time.perf_counter() - start
@@ -382,7 +419,7 @@ class Executor:
         """Resolve ``spec`` from the replayed journal, when it can be.
 
         A ``done`` record means the result is in the store under the
-        spec's hash — re-read it rather than re-dispatching.  A
+        spec's hash — re-read it rather than re-running the spec.  A
         persisted failure is served as its :class:`FailedRun` hole so a
         resumed lenient sweep never silently re-runs an exhausted spec
         (``retry_failed`` opts back in; strict mode always re-runs, an
@@ -409,7 +446,7 @@ class Executor:
         return False
 
     def _journal_resolved(self, spec: RunSpec, source: str) -> None:
-        """Journal a spec that resolved without dispatching (memo/store)."""
+        """Journal a spec that resolved without simulating (memo/store)."""
         if self._journal is None:
             return
         resolved = self._memo[spec.content_hash]
@@ -431,22 +468,14 @@ class Executor:
             self._journal.interrupted(signum)
         raise SweepInterrupted(signum)
 
-    def _emergency_kill_pool(self) -> None:
-        """Second-signal path: the shutdown manager kills the live pool."""
-        pool = self._active_pool
-        if pool is not None:
-            _terminate_pool(pool)
-
-    def _maybe_kill_orchestrator(
-        self, key: str, pool: Optional[ProcessPoolExecutor] = None
-    ) -> None:
-        """Chaos mode: die like an OOM-killed driver, between waves.
+    def _maybe_kill_orchestrator(self, key: str) -> None:
+        """Chaos mode: die like an OOM-killed driver, between specs.
 
         Runs driver-side only, right after ``key`` was absorbed —
         stored and journaled ``done`` — so the sweep provably advances
         by at least one spec per resumed run and the resume loop
-        converges.  The pool is torn down first so no workers outlive
-        the "kill".
+        converges.  A live local fleet is torn down first so no
+        workers outlive the "kill".
         """
         if not should_kill_orchestrator(self.faults, key):
             return
@@ -455,356 +484,204 @@ class Executor:
             "resume with --resume)",
             file=sys.stderr,
         )
-        if pool is not None:
-            _terminate_pool(pool)
+        if self._teardown is not None:
+            self._teardown()
         os._exit(KILL_ORCHESTRATOR_EXIT)
 
-    def _drain_and_stop(
-        self,
-        pool: ProcessPoolExecutor,
-        pending: Dict["Future[_WorkerReturn]",
-                      Tuple[RunSpec, int, Optional[float]]],
-        signum: int,
-    ) -> None:
-        """Graceful shutdown of a pool batch: drain, flush, raise.
-
-        Dispatching has stopped; in-flight attempts get the shutdown
-        manager's grace deadline to finish, whatever completes is
-        absorbed (stored and journaled) so the resume serves it, and
-        the rest are terminated with the pool.  Always raises
-        :class:`SweepInterrupted`.
-        """
-        grace = self.shutdown.grace if self.shutdown is not None else 0.0
-        if pending and grace > 0:
-            finished, _ = wait(set(pending), timeout=grace)
-            for future in finished:
-                spec, _attempt, _deadline = pending.pop(future)
-                try:
-                    key, result, seconds, ckpt_counts = future.result()
-                # simlint: allow[SIM601] shutting down: the resumed run re-dispatches and accounts this attempt
-                except BaseException:
-                    continue
-                self._count_checkpoints(ckpt_counts)
-                self._absorb(spec, key, result, seconds, 0, 0)
-        _terminate_pool(pool)
-        self._interrupt(signum)
-
-    # -- simulation fan-out ----------------------------------------------------
+    # -- simulation -----------------------------------------------------------
 
     def _simulate(self, specs: List[RunSpec]) -> None:
-        total = len(specs)
-        now = time.monotonic()
-        for spec in specs:
-            self._first_attempt_at.setdefault(spec.content_hash, now)
-        queue: Deque[_QueueItem] = deque((spec, 1) for spec in specs)
-        if self.jobs == 1 or total == 1:
-            self._simulate_serial(queue, total, 0)
+        if self.jobs == 1 or len(specs) == 1:
+            self._simulate_in_process(specs)
         else:
-            self._simulate_pool(queue, total)
+            self._simulate_fleet(specs)
 
-    # -- in-process execution -------------------------------------------------
-
-    def _simulate_serial(
-        self, queue: Deque[_QueueItem], total: int, done: int
-    ) -> int:
-        """Drain ``queue`` in-process; returns the completed count.
-
-        The per-attempt timeout cannot preempt in-process execution, so
-        only injected hangs surface as timeouts here; everything else of
-        the policy (retries, backoff, strict/lenient) applies as in the
-        pool path.
-        """
-        while queue:
+    def _simulate_in_process(self, specs: List[RunSpec]) -> None:
+        """Run ``specs`` one after another in this process."""
+        for done, spec in enumerate(specs, 1):
             signum = self._shutdown_signal()
             if signum is not None:
                 self._interrupt(signum)
-            spec, attempt = queue.popleft()
-            if self._journal is not None:
-                self._journal.dispatched(spec.content_hash, attempt)
-            try:
-                key, result, seconds, ckpt_counts = _execute_timed(
-                    spec, attempt, self.faults, in_process=True,
-                    checkpoint_every=self.checkpoint_every,
-                    ckpt_root=self._ckpt_str(),
-                )
-            except (KeyboardInterrupt, SystemExit):
-                raise
-            # simlint: allow[SIM601] retried or converted to a FailedRun by _attempt_failed
-            except BaseException as exc:
-                retry = self._attempt_failed(spec, attempt, exc)
-                if retry is None:
-                    done += 1
-                    self._note_progress(done, total, spec)
-                else:
-                    if retry > 0:
-                        time.sleep(retry)
-                    queue.append((spec, attempt + 1))
+            tally = run_attempts(spec, self.policy, self.faults,
+                                 checkpoint_every=self.checkpoint_every,
+                                 ckpt_root=self._ckpt_root)
+            self._count(tally.counters())
+            if isinstance(tally.outcome, FailedRun):
+                self._absorb_failure(spec, tally.outcome, done, len(specs))
                 continue
-            done += 1
-            self._count_checkpoints(ckpt_counts)
-            self._absorb(spec, key, result, seconds, done, total)
+            key = spec.content_hash
+            if self.store is not None:
+                path = self.store.put(spec, tally.outcome)
+                # Chaos mode: a "torn write" lands now, is discovered (and
+                # counted) by whoever reads the entry next.
+                maybe_corrupt_store_entry(self.faults, path, key, 1)
+                if self._ckpt_root is not None:
+                    # The result is durable; the spec's mid-run snapshots
+                    # are now pure disk waste.
+                    discard_checkpoints(self._ckpt_root / key)
+            self._absorb(spec, tally.outcome, SOURCE_SIMULATED,
+                         tally.seconds, done, len(specs))
             self._maybe_kill_orchestrator(key)
-        return done
 
-    # -- pool execution -------------------------------------------------------
+    def _simulate_fleet(self, specs: List[RunSpec]) -> None:
+        """Run ``specs`` on a private local fleet of forked workers.
 
-    def _simulate_pool(self, queue: Deque[_QueueItem], total: int) -> None:
-        """Drain ``queue`` over a process pool with watchdog and recovery.
-
-        At most ``workers`` submissions are in flight at a time, so a
-        submitted attempt starts (nearly) immediately and its deadline
-        is measured from submission.  Retries waiting out their backoff
-        sit in ``delayed`` and are promoted when due.  Any pool death —
-        spontaneous (``BrokenProcessPool``) or deliberate (the watchdog
-        killing hung workers) — requeues in-flight specs and rebuilds
-        the pool; repeated consecutive deaths degrade to in-process
-        execution so the batch always finishes.
+        The batch is enqueued on a :class:`~repro.exec.fleet.Fleet` in a
+        temporary directory; ``min(jobs, n)`` workers run
+        :func:`run_attempts` under this executor's policy and store each
+        result (in a private store there when there is none).  The
+        driver tails the queue WAL and absorbs every resolution; a
+        ``done`` whose entry does not read back is requeued, as the
+        sweep server's watcher does.  Workers and directory go with the
+        batch on every exit (see docs/executor.md).
         """
-        workers = min(self.jobs, total)
-        pool = _new_pool(workers)
-        pending: Dict["Future[_WorkerReturn]",
-                      Tuple[RunSpec, int, Optional[float]]] = {}
-        delayed: List[Tuple[float, RunSpec, int]] = []
-        done = 0
-        rebuilds = 0  # consecutive pool deaths without a completed attempt
-        self._active_pool = pool
+        from repro.exec.fleet import (
+            FAILURE_KINDS, KIND_DONE, KIND_QUARANTINE, Fleet,
+        )
+        from repro.exec.worker import POLL_SECONDS, Supervisor, Worker
+
+        root = Path(tempfile.mkdtemp(prefix="repro-jobs-"))
+        store = (self.store if self.store is not None
+                 else ResultStore(root / "store"))
+        fleet = Fleet(root, max_leases=self.policy.max_leases)
+        total = len(specs)
+        waiting = {spec.content_hash: spec for spec in specs}
+        fleet.enqueue({key: spec.describe() for key, spec in waiting.items()})
+        offset = fleet.queue_path.stat().st_size
+        supervisor = Supervisor(
+            fleet,
+            lambda worker_id: Worker(
+                fleet, store, worker_id, plan=self.faults,
+                policy=self.policy, checkpoint_every=self.checkpoint_every,
+            ),
+            size=min(self.jobs, total),
+        )
+
+        def absorb() -> bool:
+            """Absorb the resolutions past ``offset``; True if any."""
+            nonlocal offset
+            records, offset = log.read_tail(fleet.queue_path, offset)
+            for record in records:
+                key = str(record.get("spec", ""))
+                spec = waiting.get(key)
+                kind = record.get("kind")
+                if spec is None:
+                    continue
+                if kind == KIND_DONE:
+                    result = store.get(spec)
+                    if result is None:
+                        # A broken promise, not a verdict: the entry did
+                        # not read back, so the fleet simulates it afresh.
+                        fleet.requeue({key: spec.describe()})
+                        continue
+                    del waiting[key]
+                    self._count(record)
+                    self._absorb(spec, result, SOURCE_SIMULATED,
+                                 float(record.get("seconds", 0.0)),
+                                 total - len(waiting), total)
+                    self._maybe_kill_orchestrator(key)
+                elif (kind in FAILURE_KINDS
+                      and isinstance(record.get("failure"), dict)):
+                    del waiting[key]
+                    self._count(record)
+                    self.telemetry.quarantined += kind == KIND_QUARANTINE
+                    self._absorb_failure(
+                        spec, FailedRun.from_dict(record["failure"]),
+                        total - len(waiting), total)
+            return bool(records)
+
+        def teardown() -> None:
+            supervisor.stop()
+            shutil.rmtree(root, ignore_errors=True)
+
+        self._teardown = teardown
         if self.shutdown is not None:
-            self.shutdown.add_emergency(self._emergency_kill_pool)
+            self.shutdown.add_emergency(teardown)
         try:
-            while queue or pending or delayed:
+            supervisor.start()
+            while waiting:
                 signum = self._shutdown_signal()
                 if signum is not None:
-                    self._drain_and_stop(pool, pending, signum)
-                now = time.monotonic()
-                if delayed:
-                    due = [item for item in delayed if item[0] <= now]
-                    if due:
-                        delayed = [i for i in delayed if i[0] > now]
-                        for _, spec, attempt in due:
-                            queue.append((spec, attempt))
-                broken = False
-                while queue and len(pending) < workers:
-                    spec, attempt = queue.popleft()
-                    deadline = (now + self.policy.timeout
-                                if self.policy.timeout is not None else None)
-                    if self._journal is not None:
-                        self._journal.dispatched(spec.content_hash, attempt)
-                    try:
-                        future = pool.submit(
-                            _execute_timed, spec, attempt, self.faults, False,
-                            self.checkpoint_every, self._ckpt_str(),
-                        )
-                    except BrokenProcessPool:
-                        queue.appendleft((spec, attempt))
-                        broken = True
-                        break
-                    pending[future] = (spec, attempt, deadline)
-                if pending and not broken:
-                    finished, _ = wait(
-                        set(pending), timeout=self._wait_timeout(pending, delayed),
-                        return_when=FIRST_COMPLETED,
-                    )
-                    for future in finished:
-                        spec, attempt, _deadline = pending.pop(future)
-                        try:
-                            key, result, seconds, ckpt_counts = future.result()
-                        except BrokenProcessPool:
-                            # In flight when the pool died: requeue, no charge.
-                            queue.appendleft((spec, attempt))
-                            broken = True
-                            continue
-                        except (KeyboardInterrupt, SystemExit):
-                            raise
-                        # simlint: allow[SIM601] retried or converted to a FailedRun by _attempt_failed
-                        except BaseException as exc:
-                            rebuilds = 0
-                            done = self._resolve_failure(
-                                spec, attempt, exc, delayed, done, total
-                            )
-                            continue
-                        done += 1
-                        rebuilds = 0
-                        self._count_checkpoints(ckpt_counts)
-                        self._absorb(spec, key, result, seconds, done, total)
-                        self._maybe_kill_orchestrator(key, pool)
-                    # Watchdog: charge and requeue attempts past deadline,
-                    # then kill the pool — a hung worker cannot be cancelled.
-                    now = time.monotonic()
-                    expired = [f for f, (_s, _a, dl) in pending.items()
-                               if dl is not None and dl <= now]
-                    for future in expired:
-                        spec, attempt, _deadline = pending.pop(future)
-                        timeout = self.policy.timeout or 0.0
-                        exc: BaseException = SpecTimeout(
-                            f"{spec.benchmark}/{spec.mechanism} attempt "
-                            f"{attempt} exceeded {timeout:g}s"
-                        )
-                        done = self._resolve_failure(
-                            spec, attempt, exc, delayed, done, total,
-                            timed_out=True,
-                        )
-                    if expired:
-                        broken = True
-                elif not pending and not queue and delayed:
-                    # Only backoff sleepers remain; wait for the earliest.
-                    earliest = min(item[0] for item in delayed)
-                    pause = earliest - time.monotonic()
-                    if pause > 0:
-                        time.sleep(pause)
-                if broken:
-                    for spec, attempt, _deadline in pending.values():
-                        queue.appendleft((spec, attempt))
-                    pending.clear()
-                    _terminate_pool(pool)
-                    self.telemetry.pool_rebuilds += 1
-                    rebuilds += 1
-                    if rebuilds > self.policy.max_pool_rebuilds:
-                        print(
-                            f"executor: pool died {rebuilds} times in a row; "
-                            f"finishing {len(queue) + len(delayed)} spec(s) "
-                            "in-process",
-                            file=sys.stderr,
-                        )
-                        for _ready_at, spec, attempt in delayed:
-                            queue.append((spec, attempt))
-                        delayed.clear()
-                        self._simulate_serial(queue, total, done)
-                        return
-                    pool = _new_pool(workers)
-                    self._active_pool = pool
-        except BaseException:
-            # Fatal exit (strict-mode exhaustion, ^C, a bug): cancel
-            # queued work and kill workers rather than stranding a pool
-            # whose implicit shutdown would block on in-flight futures.
-            _terminate_pool(pool)
-            raise
+                    # Graceful stop: workers finish the spec they hold
+                    # and claim no more; whatever lands within the
+                    # grace period is absorbed, so a resume serves it.
+                    supervisor.request_stop()
+                    grace = time.monotonic() + (
+                        self.shutdown.grace if self.shutdown else 0.0)
+                    while (waiting and supervisor.alive
+                           and time.monotonic() < grace):
+                        time.sleep(POLL_SECONDS)
+                        supervisor.poll()
+                        absorb()
+                    absorb()
+                    self._interrupt(signum)
+                progressed = absorb()
+                supervisor.poll()
+                if waiting and not supervisor.alive:
+                    raise ExecutionError(
+                        f"every fleet worker exited with {len(waiting)} "
+                        "spec(s) unresolved")
+                if not progressed:
+                    time.sleep(POLL_SECONDS)
         finally:
-            self._active_pool = None
+            self._teardown = None
             if self.shutdown is not None:
-                self.shutdown.remove_emergency(self._emergency_kill_pool)
-        pool.shutdown(wait=True)
+                self.shutdown.remove_emergency(teardown)
+            teardown()
+            self.telemetry.pool_rebuilds += supervisor.respawns
 
-    def _wait_timeout(
-        self,
-        pending: Dict["Future[_WorkerReturn]",
-                      Tuple[RunSpec, int, Optional[float]]],
-        delayed: List[Tuple[float, RunSpec, int]],
-    ) -> Optional[float]:
-        """How long ``wait`` may block before the watchdog must look.
+    # -- accounting -----------------------------------------------------------
 
-        None (block until a future completes) when there are no
-        deadlines to enforce and no backoff retries to promote.
-        """
-        times = [deadline for (_s, _a, deadline) in pending.values()
-                 if deadline is not None]
-        times.extend(ready_at for ready_at, _s, _a in delayed)
-        if not times:
-            return None
-        return max(0.01, min(times) - time.monotonic())
+    def _count(self, counters: Mapping[str, Any]) -> None:
+        """Add an attempt loop's cost counters to the telemetry."""
+        for name in ATTEMPT_COUNTERS:
+            value = int(counters.get(name, 0))
+            if value:
+                setattr(self.telemetry, name,
+                        getattr(self.telemetry, name) + value)
 
-    # -- attempt accounting ---------------------------------------------------
+    def _note_progress(self, done: int, total: int, spec: RunSpec) -> None:
+        if self.progress is not None:
+            self.progress(done, total, spec)
 
-    def _resolve_failure(
+    def _absorb(
         self,
         spec: RunSpec,
-        attempt: int,
-        exc: BaseException,
-        delayed: List[Tuple[float, RunSpec, int]],
+        result: RunResult,
+        source: str,
+        seconds: float,
         done: int,
         total: int,
-        timed_out: bool = False,
-    ) -> int:
-        """Pool-side bookkeeping for one failed attempt; returns ``done``."""
-        retry = self._attempt_failed(spec, attempt, exc, timed_out=timed_out)
-        if retry is None:
-            done += 1
-            self._note_progress(done, total, spec)
-        else:
-            delayed.append((time.monotonic() + retry, spec, attempt + 1))
-        return done
+    ) -> None:
+        """Resolve ``spec`` to ``result``, already in the store if any."""
+        key = spec.content_hash
+        self._memo[key] = result
+        self._record(spec, source, seconds)
+        # Journal *after* the store write: a ``done`` record promises the
+        # result is re-readable, so the promise must land last.
+        if self._journal is not None:
+            self._journal.done(key, spec.benchmark, spec.mechanism,
+                               source, seconds)
+        self._note_progress(done, total, spec)
 
-    def _attempt_failed(
+    def _absorb_failure(
         self,
         spec: RunSpec,
-        attempt: int,
-        exc: BaseException,
-        timed_out: bool = False,
-    ) -> Optional[float]:
-        """Account for one failed attempt.
-
-        Returns the backoff delay in seconds when the spec should be
-        retried.  Returns None when the spec is exhausted — in strict
-        mode by raising :class:`SpecExhausted`, otherwise by recording a
-        :class:`FailedRun` hole in the memo.
-        """
-        key = spec.content_hash
-        timeout_like = timed_out or isinstance(exc, InjectedHang)
-        if timeout_like:
-            self.telemetry.timeouts += 1
-        if attempt < self.policy.max_attempts:
-            self.telemetry.retries += 1
-            return self.policy.backoff_delay(key, attempt)
-        started = self._first_attempt_at.pop(key, None)
-        elapsed = time.monotonic() - started if started is not None else 0.0
-        failure = FailedRun(
-            spec_hash=key,
-            benchmark=spec.benchmark,
-            mechanism=spec.mechanism,
-            attempts=attempt,
-            error=repr(exc),
-            elapsed=round(elapsed, 6),
-            kind="timeout" if timeout_like else "error",
-        )
+        failure: FailedRun,
+        done: int,
+        total: int,
+    ) -> None:
+        """Resolve ``spec`` to its hole; strict mode raises instead."""
         self.telemetry.failures += 1
         # Journal the exhaustion first: even a strict abort leaves a
         # record, and a resumed lenient sweep can honour the hole.
         if self._journal is not None:
             self._journal.failed(failure)
         if self.policy.strict:
-            raise SpecExhausted(failure) from exc
+            raise SpecExhausted(failure)
         print(f"executor: giving up: {failure.summary()}", file=sys.stderr)
-        self._memo[key] = failure
+        self._memo[spec.content_hash] = failure
         self._record(spec, SOURCE_FAILED, failure.elapsed)
-        return None
-
-    def _note_progress(self, done: int, total: int, spec: RunSpec) -> None:
-        if self.progress is not None:
-            self.progress(done, total, spec)
-
-    def _ckpt_str(self) -> Optional[str]:
-        """The checkpoint root as a plain string (picklable submit arg)."""
-        return str(self._ckpt_root) if self._ckpt_root is not None else None
-
-    def _count_checkpoints(self, counts: Tuple[int, int]) -> None:
-        self.telemetry.checkpoints += counts[0]
-        self.telemetry.resumed_from_ckpt += counts[1]
-
-    def _absorb(
-        self,
-        spec: RunSpec,
-        key: str,
-        result: RunResult,
-        seconds: float,
-        done: int,
-        total: int,
-    ) -> None:
-        self._memo[key] = result
-        self._first_attempt_at.pop(key, None)
-        if self.store is not None:
-            path = self.store.put(spec, result)
-            # Chaos mode: a "torn write" lands now, is discovered (and
-            # counted) by whoever reads the entry next.
-            maybe_corrupt_store_entry(self.faults, path, key, 1)
-            if self._ckpt_root is not None:
-                # The result is durable; the spec's mid-run snapshots are
-                # now pure disk waste.
-                discard_checkpoints(self._ckpt_root / key)
-        self._record(spec, SOURCE_SIMULATED, seconds)
-        # Journal *after* the store write: a ``done`` record promises the
-        # result is re-readable, so the promise must land last.
-        if self._journal is not None:
-            self._journal.done(key, spec.benchmark, spec.mechanism,
-                               SOURCE_SIMULATED, seconds)
         self._note_progress(done, total, spec)
 
     def _record(self, spec: RunSpec, source: str, seconds: float = 0.0) -> None:

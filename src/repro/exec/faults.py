@@ -1,7 +1,7 @@
 """Deterministic fault injection: ``REPRO_FAULTS=crash:0.1,hang:0.05,seed=7``.
 
-The executor's recovery machinery — retries, the watchdog, pool rebuild,
-graceful degradation — is exactly the kind of code that silently rots
+The executor's recovery machinery — retries, timeouts, worker respawn,
+quarantine, graceful degradation — is exactly the kind of code that silently rots
 because its paths never run.  This module makes every path exercisable
 on demand: a :class:`FaultPlan` carries a per-kind injection rate and a
 seed, and each worker attempt consults a *deterministic* schedule (a
@@ -15,13 +15,10 @@ Fault kinds (grammar: comma-separated ``kind:rate`` pairs plus ``seed=N``):
 
 * ``crash`` — the attempt raises :class:`InjectedCrash` before
   simulating; exercises the per-spec retry path.
-* ``hang`` — the attempt sleeps far past any sane deadline (pool
-  workers) or raises :class:`InjectedHang` (in-process execution, which
-  cannot be preempted); exercises the watchdog / timeout path.
-* ``die`` — the worker process exits with ``os._exit`` mid-task,
-  breaking the whole pool; exercises ``BrokenProcessPool`` recovery.
-  In-process it degrades to a crash (killing the caller would take the
-  test down with it).
+* ``hang`` — the attempt sleeps far past any sane deadline (fleet
+  workers, until their ``SIGALRM`` timeout fires) or raises
+  :class:`InjectedHang` (in-process execution, which cannot be
+  preempted); exercises the timeout path.
 * ``corrupt-store`` — the freshly written result-store entry is
   truncated after the fact, as a torn write would leave it; exercises
   the corrupt-entry accounting and re-simulation path.
@@ -38,13 +35,15 @@ Fault kinds (grammar: comma-separated ``kind:rate`` pairs plus ``seed=N``):
   performs the tear.  Decided per (record kind, spec, append sequence
   number), so a re-appended record after resume lands on a fresh
   schedule slot.
-* ``kill-worker`` — a fleet worker (:mod:`repro.serve`) ``os._exit``\\ s
-  after durably leasing a spec but before simulating it; exercises the
-  lease-expiry/reclaim path.  Decided per spec on the *first* lease
-  only (the worker consults it only when its lease record carries
-  count 1), so a reclaimed lease always runs to completion and a
-  chaos fleet provably converges — the same one-shot shape as
-  ``kill-orchestrator``.
+* ``kill-worker`` (alias ``die``) — a fleet worker (``--jobs N``, or
+  :mod:`repro.serve`) ``os._exit``\\ s after durably leasing a spec but
+  before simulating it; exercises the release-on-death (or
+  lease-expiry) and reclaim path.  Decided per spec on the *first*
+  lease only (the worker consults it only when its lease record
+  carries count 1), so a reclaimed lease always runs to completion and
+  a chaos fleet provably converges — the same one-shot shape as
+  ``kill-orchestrator``.  In-process execution has no worker to kill,
+  so ``--jobs 1`` never consults it.
 * ``disk-full`` — a store or fleet-WAL write raises
   ``OSError(ENOSPC)`` mid-write, as a full disk would; exercises the
   fail-clean discipline (no torn entry, no leaked temp, a torn WAL
@@ -99,17 +98,19 @@ FAULTS_ENV = "REPRO_FAULTS"
 #: Recognised fault kinds, in the order they are checked per attempt.
 #: ``poison`` is deliberately absent: it is a hash-prefix selector, not
 #: a rated kind (see :attr:`FaultPlan.poison`).
-FAULT_KINDS = ("die", "hang", "crash", "corrupt-store",
+FAULT_KINDS = ("hang", "crash", "corrupt-store",
                "kill-orchestrator", "corrupt-journal", "kill-worker",
                "disk-full", "kill-midrun", "corrupt-checkpoint")
 
+#: Older names the grammar still accepts, and the kinds they mean.
+FAULT_ALIASES = {"die": "kill-worker"}
+
 #: Exit code of an injected orchestrator kill (EX_TEMPFAIL: rerunnable,
-#: distinct from the watchdog's 70 and the signal exits 130/143).
+#: distinct from the signal exits 130/143).
 KILL_ORCHESTRATOR_EXIT = 75
 
 #: Exit code of an injected fleet-worker kill (distinct from the codes
-#: above so the fleet launcher can tell an injected death from a real
-#: one and respawn exactly those).
+#: above, so a supervisor's log tells an injected death from a real one).
 KILL_WORKER_EXIT = 76
 
 
@@ -139,7 +140,6 @@ class FaultPlan:
 
     crash: float = 0.0
     hang: float = 0.0
-    die: float = 0.0
     corrupt_store: float = 0.0
     kill_orchestrator: float = 0.0
     corrupt_journal: float = 0.0
@@ -151,8 +151,8 @@ class FaultPlan:
     #: fleet worker leasing a matching spec dies, on every lease.
     poison: str = ""
     seed: int = 0
-    #: How long an injected hang sleeps in a pool worker; far beyond any
-    #: reasonable ``--timeout`` so the watchdog always wins.
+    #: How long an injected hang sleeps in a fleet worker; far beyond any
+    #: reasonable ``--timeout`` so the worker's timer always wins.
     hang_seconds: float = 3600.0
 
     @property
@@ -164,7 +164,6 @@ class FaultPlan:
         return {
             "crash": self.crash,
             "hang": self.hang,
-            "die": self.die,
             "corrupt-store": self.corrupt_store,
             "kill-orchestrator": self.kill_orchestrator,
             "corrupt-journal": self.corrupt_journal,
@@ -199,8 +198,9 @@ class FaultPlan:
 def parse_fault_spec(text: str) -> Optional[FaultPlan]:
     """Parse the ``REPRO_FAULTS`` grammar into a plan (None when empty).
 
-    Grammar: comma-separated ``kind:rate`` pairs (rates in ``[0, 1]``)
-    with an optional ``seed=N`` and an optional ``poison:HASH_PREFIX``
+    Grammar: comma-separated ``kind:rate`` pairs (rates in ``[0, 1]``;
+    a kind may be spelled by its :data:`FAULT_ALIASES` name) with an
+    optional ``seed=N`` and an optional ``poison:HASH_PREFIX``
     (a lowercase-hex content-hash prefix, not a rate).  Unknown kinds,
     malformed rates and out-of-range rates raise ``ValueError`` — a
     silently ignored fault spec would defeat the whole point of a
@@ -227,7 +227,7 @@ def parse_fault_spec(text: str) -> Optional[FaultPlan]:
             raise ValueError(
                 f"bad fault token {token!r}; expected kind:rate or seed=N"
             )
-        kind = kind.strip()
+        kind = FAULT_ALIASES.get(kind.strip(), kind.strip())
         if kind == "poison":
             # A hash-prefix selector, not a rate: validated as hex so a
             # typo'd rate ("poison:0.5") cannot silently select nothing.
@@ -243,7 +243,8 @@ def parse_fault_spec(text: str) -> Optional[FaultPlan]:
         if kind not in rates:
             raise ValueError(
                 f"unknown fault kind {kind!r}; known: "
-                f"{', '.join(FAULT_KINDS)}, poison"
+                f"{', '.join(FAULT_KINDS)}, poison, "
+                f"{', '.join(FAULT_ALIASES)}"
             )
         try:
             rate = float(rate_text)
@@ -255,7 +256,6 @@ def parse_fault_spec(text: str) -> Optional[FaultPlan]:
     return FaultPlan(
         crash=rates["crash"],
         hang=rates["hang"],
-        die=rates["die"],
         corrupt_store=rates["corrupt-store"],
         kill_orchestrator=rates["kill-orchestrator"],
         corrupt_journal=rates["corrupt-journal"],
@@ -298,20 +298,13 @@ def inject_attempt_faults(
 ) -> None:
     """Run the pre-execution injections due for this spec attempt.
 
-    Called by the worker entry point before simulating.  ``in_process``
-    selects the survivable flavour of the process-level faults: an
-    in-process ``die`` raises instead of killing the caller, and an
-    in-process ``hang`` raises :class:`InjectedHang` (it will be
-    accounted as a timeout) instead of blocking forever.
+    Called by the attempt loop before simulating.  ``in_process``
+    selects the survivable flavour of ``hang``: in-process it raises
+    :class:`InjectedHang` (accounted as a timeout) instead of blocking
+    until a worker's timer fires.
     """
     if plan is None:
         return
-    if plan.decide("die", spec_hash, attempt):
-        if not in_process:
-            os._exit(70)  # EX_SOFTWARE: abrupt worker death, pool breaks
-        raise InjectedCrash(
-            f"injected worker death (attempt {attempt}, in-process)"
-        )
     if plan.decide("hang", spec_hash, attempt):
         if not in_process:
             time.sleep(plan.hang_seconds)
@@ -346,7 +339,7 @@ def should_kill_orchestrator(
     """Whether the driver dies after absorbing ``spec_hash``.
 
     Only the *decision* lives here; the executor performs the exit so
-    it can terminate a live process pool first.  Keyed on the absorbed
+    it can tear down a live local fleet first.  Keyed on the absorbed
     spec's hash (attempt 1): once the spec is journaled ``done`` a
     resumed run serves it without re-absorbing, so the same kill can
     never fire twice and every resume makes progress — the chaos loop
@@ -381,7 +374,7 @@ def should_poison(plan: Optional[FaultPlan], spec_hash: str) -> bool:
     A poison spec kills every fleet worker that leases it, on *every*
     lease (unlike ``kill-worker``'s first-lease-only shape) — that is
     what makes it a crash loop no retry can escape, and what the
-    quarantine machinery in :mod:`repro.serve.fleet` exists to bound.
+    quarantine machinery in :mod:`repro.exec.fleet` exists to bound.
     """
     if plan is None or not plan.poison:
         return False

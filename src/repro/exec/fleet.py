@@ -1,10 +1,14 @@
-"""The fleet's shared brain: a WAL-backed work queue and lease book.
+"""A WAL-backed work queue and lease book shared by worker processes.
 
-Everything N independent worker processes (potentially on different
-hosts sharing the cache directory) need to coordinate lives in two
-WALs under ``<cache>/serve/`` plus one lock file.  The WALs are in the
-tree's one JSON-lines log format (:mod:`repro.exec.journal`: fsync'd
-appends rolled back on failure, replay that skips unreadable lines):
+Everything N independent worker processes need to coordinate lives in
+two logs plus one lock file under one directory.  ``--jobs N`` runs its
+batch on a private fleet in a temporary directory
+(:meth:`repro.exec.executor.Executor._simulate_fleet`); the sweep
+service (:mod:`repro.serve`) keeps a long-lived one under
+``<cache>/serve/``, shared by any hosts that share the cache directory.
+The logs are in the tree's one JSON-lines format
+(:mod:`repro.exec.journal`: fsync'd appends rolled back on failure,
+replay that skips unreadable lines):
 
 ``queue.jsonl``
     The work itself.  ``enqueue`` records carry the full spec payload
@@ -14,18 +18,20 @@ appends rolled back on failure, replay that skips unreadable lines):
     spec whose promised store entry has gone missing; a ``quarantine``
     record resolves a poison spec fleet-wide (see below); an
     ``expired`` record resolves a spec whose deadline passed before any
-    worker could start it.  The server appends ``enqueue``/``requeue``/
-    ``expired``; workers append ``done``/``failed``; whichever claimant
-    trips the lease bound appends ``quarantine``; the server tails the
-    file to learn of resolutions.
+    worker could start it.  The submitter (the executor, or the
+    server) appends ``enqueue``/``requeue``/``expired``; workers append
+    ``done``/``failed``; whichever claimant trips the lease bound
+    appends ``quarantine``; the submitter tails the file to learn of
+    resolutions.
 
 ``leases.jsonl``
     Who is working on what.  ``lease`` records carry the worker id, a
     monotonically increasing per-spec lease ``count`` and a wall-clock
     ``expires`` deadline; ``renew`` extends a live lease (appended by
-    the worker's heartbeat thread while it simulates, honoured only
-    from the lease's own holder), ``release`` ends one deliberately,
-    ``expire`` records a reclaim.  Replay is last-record-wins per spec.
+    the worker's heartbeat thread while it simulates) and ``release``
+    ends one deliberately, both honoured only from the lease's own
+    holder; ``expire`` records a reclaim.  Replay is last-record-wins
+    per spec.
 
 ``fleet.lock``
     An advisory ``flock`` serialising every read-decide-append
@@ -37,17 +43,19 @@ appends rolled back on failure, replay that skips unreadable lines):
 The claim protocol is what makes ``kill-worker`` chaos provably
 converge: a worker's lease record is fsync'd *before* it starts
 simulating, so a worker killed at any point leaves either (a) no
-lease — the spec is simply free — or (b) a live lease that expires
-after its TTL and is reclaimed by the next claimant with ``count + 1``.
-The injected kill (:func:`repro.exec.faults.should_kill_worker`) fires
-only on a spec's first lease, so the reclaimed lease always runs to
-completion — the same one-shot schedule shape that makes
-``kill-orchestrator`` resume loops terminate.
+lease — the spec is simply free — or (b) a live lease.  A supervisor
+that sees the death (:class:`repro.exec.worker.Supervisor`) releases
+that lease at once; otherwise it expires after its TTL.  Either way
+the next claimant leases the spec with ``count + 1``.  The injected
+kill (:func:`repro.exec.faults.should_kill_worker`) fires only on a
+spec's first lease, so the reclaimed lease always runs to completion —
+the same one-shot schedule shape that makes ``kill-orchestrator``
+resume loops terminate.
 
 **Poison quarantine** closes the hole that one-shot schedules leave
 open in real life: a spec that *deterministically* kills every worker
 that leases it (a simulator bug, a pathological configuration) would
-crash-loop the fleet forever — lease, die, expire, reclaim, die, … .
+crash-loop the fleet forever — lease, die, release, reclaim, die, … .
 The lease book already counts every lease a spec has ever burned, so
 the claim transaction enforces a bound: a claimant that would grant a
 lease past ``max_leases`` (derived from
@@ -189,9 +197,10 @@ class Fleet:
         drain checks) and may be momentarily stale.
         """
         queue_records, queue_skipped = journal.replay(self.queue_path)
-        lease_records, lease_skipped = journal.replay(self.lease_path)
+        leases, lease_counts, lease_skipped = self._replay_leases()
         snap = FleetSnapshot(
-            corrupt_lines=len(queue_skipped) + len(lease_skipped))
+            corrupt_lines=len(queue_skipped) + lease_skipped,
+            leases=leases, lease_counts=lease_counts)
         for record in queue_records:
             kind = record.get("kind")
             spec = record.get("spec", "")
@@ -225,39 +234,56 @@ class Fleet:
                     snap.quarantined.add(spec)
                 elif kind == KIND_EXPIRED:
                     snap.expired.add(spec)
-        for record in lease_records:
+        return snap
+
+    def _replay_leases(
+        self,
+    ) -> Tuple[Dict[str, Tuple[str, int, float]], Dict[str, int], int]:
+        """Replay the lease book alone: live leases, lease counts, and
+        the number of unreadable lines."""
+        records, skipped = journal.replay(self.lease_path)
+        leases: Dict[str, Tuple[str, int, float]] = {}
+        counts: Dict[str, int] = {}
+        for record in records:
             kind = record.get("kind")
             spec = record.get("spec", "")
             if not spec:
                 continue
             if kind == KIND_LEASE:
                 count = int(record.get("count", 1))
-                snap.leases[spec] = (
-                    str(record.get("worker", "")),
-                    count,
-                    float(record.get("expires", 0.0)),
-                )
-                snap.lease_counts[spec] = max(
-                    snap.lease_counts.get(spec, 0), count
-                )
-            elif kind == KIND_RENEW and spec in snap.leases:
-                worker, count, _old = snap.leases[spec]
-                # Only the lease's own holder can extend it: a stale
-                # heartbeat from a worker that lost the lease must not
-                # stretch the reclaimant's deadline.
-                if str(record.get("worker", "")) == worker:
-                    snap.leases[spec] = (
-                        worker, count, float(record.get("expires", 0.0))
-                    )
-            elif kind in (KIND_RELEASE, KIND_EXPIRE):
-                snap.leases.pop(spec, None)
+                leases[spec] = (str(record.get("worker", "")), count,
+                                float(record.get("expires", 0.0)))
+                counts[spec] = max(counts.get(spec, 0), count)
+            elif kind in (KIND_RENEW, KIND_RELEASE) and spec in leases:
+                # Only the lease's own holder can extend or end it: a
+                # stale heartbeat or release from a worker that lost
+                # the lease must not touch the reclaimant's.
+                worker, count, _old = leases[spec]
+                if str(record.get("worker", "")) != worker:
+                    continue
+                if kind == KIND_RENEW:
+                    leases[spec] = (worker, count,
+                                    float(record.get("expires", 0.0)))
+                else:
+                    del leases[spec]
+            elif kind == KIND_EXPIRE:
+                leases.pop(spec, None)
             elif kind == KIND_RESET:
                 # ``quarantine clear`` absolution: the spec's lease
                 # pedigree restarts from zero so the cleared run gets a
                 # full budget again.
-                snap.leases.pop(spec, None)
-                snap.lease_counts.pop(spec, None)
-        return snap
+                leases.pop(spec, None)
+                counts.pop(spec, None)
+        return leases, counts, len(skipped)
+
+    def _release_if_held(self, spec_hash: str, worker: str) -> bool:
+        """Append ``worker``'s release of its lease on ``spec_hash``, if
+        it still holds one (caller holds the lock)."""
+        lease = self._replay_leases()[0].get(spec_hash)
+        if lease is None or lease[0] != worker:
+            return False
+        _append(self.lease_path, KIND_RELEASE, spec=spec_hash, worker=worker)
+        return True
 
     # -- transactions ----------------------------------------------------------
 
@@ -432,20 +458,37 @@ class Fleet:
                     worker=worker, expires=expires)
         return expires
 
-    def release(self, spec_hash: str, worker: str) -> None:
+    def release(self, spec_hash: str, worker: str) -> bool:
         """End ``worker``'s lease without resolving the spec.
 
         The clean way out of a failed *write* (a full disk, say): the
         simulation succeeded but neither store entry nor ``done``
         record could land, so the spec must go back on the market — now,
-        not after a TTL lapse.
+        not after a TTL lapse.  Only the holder's release counts: one
+        from a worker whose lease lapsed and was reclaimed appends
+        nothing and returns False.
         """
         with self._locked():
-            _append(self.lease_path, KIND_RELEASE, spec=spec_hash,
-                    worker=worker)
+            return self._release_if_held(spec_hash, worker)
+
+    def release_worker(self, worker: str) -> List[str]:
+        """Release every live lease ``worker`` holds; returns the hashes.
+
+        The supervisor calls this when a worker process dies: its specs
+        go back on the market at once instead of after a TTL lapse.
+        """
+        with self._locked():
+            leases = self._replay_leases()[0]
+            held = [spec for spec, (owner, _count, _expires)
+                    in leases.items() if owner == worker]
+            for spec in held:
+                _append(self.lease_path, KIND_RELEASE, spec=spec,
+                        worker=worker)
+        return held
 
     def mark_done(self, spec_hash: str, worker: str, seconds: float,
-                  lease_count: int = 0) -> None:
+                  lease_count: int = 0,
+                  counters: Optional[Dict[str, int]] = None) -> None:
         """Resolve a spec: durably record completion, release the lease.
 
         The caller stores the result **first** (same write order as the
@@ -455,24 +498,26 @@ class Fleet:
         ``lease_count`` opts the ``done`` append into the one-shot
         ``disk-full`` chaos schedule (first lease only); the append
         fails clean (no torn record) and the caller releases the lease
-        for a prompt reclaim.
+        for a prompt reclaim.  ``counters`` (retries, timeouts,
+        checkpoints, ...) ride along on the record for the submitter's
+        telemetry.
         """
         with self._locked():
             full = should_fill_disk(active_plan(), f"done:{spec_hash}",
                                     lease_count)
             _append(self.queue_path, KIND_DONE,
                     "disk-full" if full else None, spec=spec_hash,
-                    worker=worker, seconds=round(seconds, 6))
-            _append(self.lease_path, KIND_RELEASE, spec=spec_hash,
-                    worker=worker)
+                    worker=worker, seconds=round(seconds, 6),
+                    **(counters or {}))
+            self._release_if_held(spec_hash, worker)
 
-    def mark_failed(self, failure: FailedRun, worker: str) -> None:
+    def mark_failed(self, failure: FailedRun, worker: str,
+                    counters: Optional[Dict[str, int]] = None) -> None:
         """Resolve a spec as failed; subscribers receive the hole."""
         with self._locked():
             _append(self.queue_path, KIND_FAILED, spec=failure.spec_hash,
-                    failure=failure.describe())
-            _append(self.lease_path, KIND_RELEASE,
-                    spec=failure.spec_hash, worker=worker)
+                    failure=failure.describe(), **(counters or {}))
+            self._release_if_held(failure.spec_hash, worker)
 
     def mark_expired(self, spec_hash: str, worker: str) -> Optional[FailedRun]:
         """Resolve a claimed spec whose deadline passed before it ran.
@@ -487,8 +532,10 @@ class Fleet:
             failure = None
             if spec_hash in snap.pending():
                 failure = self._append_expired(snap, spec_hash)
-            _append(self.lease_path, KIND_RELEASE, spec=spec_hash,
-                    worker=worker)
+            lease = snap.leases.get(spec_hash)
+            if lease is not None and lease[0] == worker:
+                _append(self.lease_path, KIND_RELEASE, spec=spec_hash,
+                        worker=worker)
         return failure
 
     def expire_deadlines(self, now: Optional[float] = None) -> List[str]:

@@ -6,8 +6,9 @@ is the only code that reads or writes one:
 * the sweep journals, ``<cache>/journal/<sweep_id[:16]>.jsonl`` (below);
 * fsck's audit trail, ``<cache>/journal/fsck.jsonl``
   (``python -m repro.exec fsck``);
-* the fleet's queue and lease WALs, ``<cache>/serve/queue.jsonl`` and
-  ``leases.jsonl`` (:mod:`repro.serve.fleet`);
+* the fleet's queue and lease WALs, ``queue.jsonl`` and
+  ``leases.jsonl`` (:mod:`repro.exec.fleet`) — private to one batch
+  under ``--jobs N``, ``<cache>/serve/`` for the sweep service;
 * the benchmark ledger, ``BENCH_obs.json`` (:mod:`repro.obs.ledger`).
 
 Format and guarantees
@@ -29,7 +30,7 @@ every log but the ledger carry a version ``v`` and a ``kind``
   poller never half-reads a record a writer is mid-append on.
 * :class:`Outcomes` folds ``done`` and failure records
   last-record-wins per spec; ``--resume`` (:func:`read_state`) and
-  :meth:`~repro.serve.fleet.Fleet.snapshot` both read through it.
+  :meth:`~repro.exec.fleet.Fleet.snapshot` both read through it.
 
 The two log fault kinds are performed here; :mod:`repro.exec.faults`
 only decides when they fire.  ``disk-full`` writes half the line and
@@ -41,11 +42,11 @@ skips exactly that record.
 The sweep journal
 -----------------
 A long sweep's orchestrating driver is routinely killed (OOM killer, a
-scheduler's SIGTERM, Ctrl-C, a host reboot).  Before and after every
-unit of work the executor appends one record describing the transition,
-so a killed driver leaves a readable record of exactly which specs
-finished (``done``), which exhausted every attempt (``failed`` /
-``timeout``) and which were merely in flight.  ``--resume`` replays
+scheduler's SIGTERM, Ctrl-C, a host reboot).  As each spec resolves,
+the executor appends one record describing it, so a killed driver
+leaves a readable record of exactly which specs finished (``done``)
+and which exhausted every attempt (``failed`` / ``timeout``); the rest
+were merely planned or in flight.  ``--resume`` replays
 it: finished specs resolve from the journal + result store without
 re-dispatch, persisted failures are served as
 :class:`~repro.exec.policy.FailedRun` holes instead of silently
@@ -64,13 +65,16 @@ Record kinds (the ``kind`` field)::
 
     sweep-start      identity, spec counts, policy     (first line)
     planned          one per unique spec, in order
-    dispatched       one per attempt handed to a worker
     done             the spec resolved to a RunResult (source says how)
     failed|timeout   the spec exhausted every attempt; carries the
                      full FailedRun payload so resume can serve it
     interrupted      a graceful signal shutdown flushed and stopped
     sweep-complete   every spec resolved; the journal is finished
     fsck             a store repair report (in ``fsck.jsonl`` only)
+
+Journals written before the ``dispatched`` record (one per attempt) was
+retired still replay: replay folds only the kinds above and skips the
+rest.
 """
 
 from __future__ import annotations
@@ -106,7 +110,6 @@ FSCK_LOG = "fsck.jsonl"
 
 KIND_START = "sweep-start"
 KIND_PLANNED = "planned"
-KIND_DISPATCHED = "dispatched"
 KIND_DONE = "done"
 KIND_FAILED = "failed"
 KIND_TIMEOUT = "timeout"
@@ -392,9 +395,6 @@ class SweepJournal:
     def planned(self, spec_hash: str, benchmark: str, mechanism: str) -> None:
         self.append(KIND_PLANNED, spec=spec_hash, benchmark=benchmark,
                     mechanism=mechanism)
-
-    def dispatched(self, spec_hash: str, attempt: int) -> None:
-        self.append(KIND_DISPATCHED, spec=spec_hash, attempt=attempt)
 
     def done(self, spec_hash: str, benchmark: str, mechanism: str,
              source: str, seconds: float = 0.0) -> None:

@@ -83,10 +83,10 @@ class RetryPolicy:
 
     #: Re-attempts after the first try (0 = fail on the first error).
     retries: int = 0
-    #: Per-attempt wall-clock budget in seconds, enforced by the pool
-    #: watchdog.  None disables the watchdog.  In-process execution
-    #: (``jobs=1``) cannot be preempted, so the timeout applies only to
-    #: pool runs there; injected hangs still surface as timeouts.
+    #: Per-attempt wall-clock budget in seconds, enforced in each fleet
+    #: worker (``jobs > 1``) by a ``SIGALRM`` timer.  None disables it.
+    #: In-process execution (``jobs=1``) cannot be preempted, so there
+    #: only injected hangs surface as timeouts.
     timeout: Optional[float] = None
     #: True: raise :class:`SpecExhausted` on the first exhausted spec
     #: (fail-fast, the library default).  False: record a
@@ -98,9 +98,6 @@ class RetryPolicy:
     backoff_cap: float = 2.0
     #: Seed for the deterministic backoff jitter.
     seed: int = 0
-    #: Consecutive pool deaths tolerated before the executor gives up on
-    #: process pools and finishes the batch in-process.
-    max_pool_rebuilds: int = 3
 
     def __post_init__(self) -> None:
         if self.retries < 0:

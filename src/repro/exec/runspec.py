@@ -8,6 +8,10 @@ and warm-up fraction.  Two specs are the same run if and only if their
 values (the config is serialised field by field), never from a label a
 caller made up.  That property is what makes result caching across
 exhibits — and across processes, via :mod:`repro.exec.store` — sound.
+
+Specs cross process boundaries (the local fleet behind ``--jobs N``,
+the sweep service) *by value*: :meth:`RunSpec.describe` is the payload,
+and :func:`spec_from_payload` is its hash-verified inverse.
 """
 
 from __future__ import annotations
@@ -19,7 +23,14 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Dict, Mapping, Optional, Tuple
 
-from repro.core.config import MachineConfig, baseline_config
+from repro.core.config import (
+    BusConfig,
+    CacheConfig,
+    CoreConfig,
+    MachineConfig,
+    SDRAMConfig,
+    baseline_config,
+)
 from repro.core.simulation import (
     DEFAULT_INSTRUCTIONS,
     WARMUP_FRACTION,
@@ -116,10 +127,7 @@ class RunSpec:
     @cached_property
     def content_hash(self) -> str:
         """SHA-256 over the canonical serialisation of :meth:`describe`."""
-        payload = json.dumps(
-            self.describe(), sort_keys=True, separators=(",", ":")
-        )
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        return payload_hash(self.describe())
 
     # -- execution ------------------------------------------------------------
 
@@ -156,3 +164,77 @@ class RunSpec:
             fast=self.fast,
             checkpoint=checkpoint,
         )
+
+
+# -- specs by value ---------------------------------------------------------------
+
+class SpecPayloadError(ValueError):
+    """A describe-payload that is malformed, or that hashes differently
+    than the spec it reconstructs (a payload lying about its identity)."""
+
+
+def payload_hash(payload: Dict[str, Any]) -> str:
+    """The content hash a describe-payload denotes.
+
+    SHA-256 over the sorted, separator-free JSON serialisation — the
+    definition of :attr:`RunSpec.content_hash` — so identity can be
+    checked without re-materialising the spec.
+    """
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def _config_from_payload(payload: Dict[str, Any]) -> MachineConfig:
+    """Rebuild a :class:`MachineConfig` from its ``dataclasses.asdict``."""
+    fields = dict(payload)
+    nested = {
+        "core": CoreConfig,
+        "l1d": CacheConfig,
+        "l1i": CacheConfig,
+        "l2": CacheConfig,
+        "l1_l2_bus": BusConfig,
+        "memory_bus": BusConfig,
+        "sdram": SDRAMConfig,
+    }
+    for name, cls in nested.items():
+        if name in fields and isinstance(fields[name], dict):
+            fields[name] = cls(**fields[name])
+    return MachineConfig(**fields)
+
+
+def spec_from_payload(payload: Dict[str, Any]) -> RunSpec:
+    """The inverse of :meth:`RunSpec.describe`, hash-verified.
+
+    Raises :class:`SpecPayloadError` when the payload is malformed or
+    the reconstructed spec's content hash differs from the payload's —
+    a client (or a corrupted queue record) must never be able to file
+    work under a hash it does not actually describe.
+    """
+    if not isinstance(payload, dict):
+        raise SpecPayloadError("spec payload is not an object")
+    expected = payload_hash(payload)
+    try:
+        kwargs: Tuple[Tuple[str, Any], ...] = tuple(
+            (str(k), v) for k, v in payload.get("mechanism_kwargs") or ()
+        )
+        selection = payload.get("selection")
+        spec = RunSpec(
+            benchmark=payload["benchmark"],
+            mechanism=payload["mechanism"],
+            config=_config_from_payload(payload["config"]),
+            n_instructions=payload["n_instructions"],
+            mechanism_kwargs=kwargs,
+            trace_length=payload.get("trace_length"),
+            selection=tuple(selection) if selection else None,
+            warmup_fraction=payload["warmup_fraction"],
+            fast=payload["fast"],
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SpecPayloadError(f"bad spec payload: {exc!r}") from None
+    if spec.content_hash != expected:
+        raise SpecPayloadError(
+            f"spec payload hashes to {expected[:12]}… but reconstructs "
+            f"as {spec.content_hash[:12]}… (field drift between the "
+            "processes?)"
+        )
+    return spec

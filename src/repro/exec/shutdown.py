@@ -9,7 +9,7 @@ can print the telemetry summary, append the ledger record and exit
 with the conventional ``128 + signum`` code (130 for SIGINT, 143 for
 SIGTERM) plus a "resume with ``--resume``" pointer.  A *second* signal
 means the user is done waiting: registered emergency callbacks run
-(the executor registers pool termination) and the process exits
+(the executor registers its local fleet's teardown) and the process exits
 immediately.
 
 Signal handlers are process-global state, so nothing here installs one
@@ -114,7 +114,7 @@ class ShutdownManager:
     def add_emergency(self, callback: Callable[[], None]) -> None:
         """Run ``callback`` on a second signal, before the forced exit.
 
-        The executor registers termination of its live process pool
+        The executor registers the teardown of its live local fleet
         here so a forced exit never strands hung workers.
         """
         self._emergency.append(callback)

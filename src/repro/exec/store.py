@@ -55,7 +55,7 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.core.simulation import RunResult
 from repro.exec.faults import active_plan, maybe_disk_full
-from repro.exec.runspec import RunSpec
+from repro.exec.runspec import RunSpec, payload_hash
 
 #: Bump when the stored payload layout (or RunResult schema) changes;
 #: older entries then read as misses instead of crashing deserialisation.
@@ -418,9 +418,7 @@ class ResultStore:
             return "schema drift or hand-edited payload"
         spec_payload = payload.get("spec")
         if isinstance(spec_payload, dict):
-            canonical = json.dumps(spec_payload, sort_keys=True,
-                                   separators=(",", ":"))
-            expected = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+            expected = payload_hash(spec_payload)
             if path.stem != expected:
                 return (f"entry is filed under {path.stem[:12]}… but its "
                         f"spec hashes to {expected[:12]}… (renamed or "

@@ -42,8 +42,8 @@ class Telemetry:
     # -- fault tolerance (see repro.exec.policy / repro.exec.faults) ----------
     retries: int = 0            # re-attempts after a failed/hung attempt
     failures: int = 0           # specs that exhausted every attempt
-    timeouts: int = 0           # attempts killed or reported by the watchdog
-    pool_rebuilds: int = 0      # process pools rebuilt after breaking
+    timeouts: int = 0           # attempts stopped by the per-attempt timeout
+    pool_rebuilds: int = 0      # fleet workers respawned after dying holding a lease
     store_corrupt: int = 0      # defective store entries read as misses
     # -- fleet service (see repro.serve) --------------------------------------
     leased: int = 0             # specs this client's submission enqueued

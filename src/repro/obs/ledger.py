@@ -217,11 +217,18 @@ REGRESSION_THRESHOLD = 0.02
 
 @dataclass(frozen=True)
 class DiffRow:
-    """One metric compared across two ledger entries."""
+    """One metric compared across two ledger entries.
+
+    ``exact`` marks a simulated metric of two records of the same cell
+    (benchmark, mechanism, instruction count): simulation is
+    deterministic, so any change at all is a correctness alarm, not
+    noise.
+    """
 
     metric: str
     a: float
     b: float
+    exact: bool = False
 
     @property
     def delta(self) -> float:
@@ -235,6 +242,8 @@ class DiffRow:
 
     @property
     def regression(self) -> bool:
+        if self.exact:
+            return self.a != self.b
         if self.a == 0:
             return False
         rel = (self.b - self.a) / abs(self.a)
@@ -258,9 +267,13 @@ def diff_records(a: LedgerRecord, b: LedgerRecord) -> List[DiffRow]:
         rows.append(DiffRow("retries", float(a.retries), float(b.retries)))
     if a.failures or b.failures:
         rows.append(DiffRow("failures", float(a.failures), float(b.failures)))
+    same_cell = bool(a.benchmark) and (
+        (a.benchmark, a.mechanism, a.n_instructions)
+        == (b.benchmark, b.mechanism, b.n_instructions))
     for key in sorted(set(a.metrics) | set(b.metrics)):
         rows.append(DiffRow(
-            key, float(a.metrics.get(key, 0.0)), float(b.metrics.get(key, 0.0))
+            key, float(a.metrics.get(key, 0.0)),
+            float(b.metrics.get(key, 0.0)), exact=same_cell,
         ))
     return rows
 
@@ -288,6 +301,7 @@ def render_diff(a: LedgerRecord, b: LedgerRecord) -> str:
         )
     lines.append(
         f"  {regressions} regression{'' if regressions == 1 else 's'} "
-        f"(threshold {REGRESSION_THRESHOLD:.0%} on wall/rate/RSS)"
+        f"(threshold {REGRESSION_THRESHOLD:.0%} on wall/rate/RSS; any "
+        "change to a simulated metric of the same cell)"
     )
     return "\n".join(lines)

@@ -278,7 +278,7 @@ def executor_summary_line(telemetry: Any,
     series, so anything else reading the registry sees exactly the
     numbers the stderr line reports.
 
-    Fault-tolerance counters (retries, timeouts, pool rebuilds, failed
+    Fault-tolerance counters (retries, timeouts, worker respawns, failed
     specs, corrupt store entries) are appended only when nonzero — a
     clean run's line is byte-identical to what it always was.
     """
@@ -311,7 +311,7 @@ def executor_summary_line(telemetry: Any,
         ("executor.resumed_from_ckpt", "resumed-from-ckpt"),
         ("executor.retries", "retries"),
         ("executor.timeouts", "timeouts"),
-        ("executor.pool_rebuilds", "pool rebuilds"),
+        ("executor.pool_rebuilds", "worker respawns"),
         ("executor.failures", "FAILED"),
         ("executor.store_corrupt", "corrupt store entries"),
     ):

@@ -22,8 +22,8 @@ Armed invariants (see ``docs/analysis.md`` for the catalogue):
 The flag is read **once, at import**: the sim path must not consult the
 environment per-run (that is exactly what lint rule SIM203 forbids), and
 a once-at-import read keeps worker processes consistent with the parent
-because ``ProcessPoolExecutor`` children inherit the environment before
-they import anything.
+because fleet workers are forked from it (and service workers inherit
+the environment before they import anything).
 """
 
 from __future__ import annotations

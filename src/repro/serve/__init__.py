@@ -10,11 +10,12 @@ system:
   (``python -m repro.serve``) accepting sweep submissions over a unix
   socket (and optional TCP) and streaming per-spec results, derived
   metrics and progress back to every subscriber;
-* :mod:`repro.serve.fleet` / :mod:`repro.serve.worker` — N independent
-  worker processes (any hosts sharing the cache directory) leasing
-  specs through flock-guarded transactions over queue/lease WALs kept
-  in the tree's one log format (:mod:`repro.exec.journal`), with
-  expiry-based reclaim so ``kill-worker`` chaos provably converges;
+* the worker fleet — N independent worker processes (any hosts sharing
+  the cache directory) leasing specs through flock-guarded
+  transactions over queue/lease WALs (:mod:`repro.exec.fleet`,
+  :mod:`repro.exec.worker`: the same fleet ``--jobs N`` runs on a
+  private queue), with release-on-death and expiry-based reclaim so
+  ``kill-worker`` chaos provably converges;
 * :mod:`repro.serve.client` — a blocking submitter and
   :class:`~repro.serve.client.ServeExecutor`, the drop-in executor
   behind ``python -m repro <exhibit> --serve SOCK``;
@@ -35,21 +36,10 @@ from repro.serve.client import (
     SubmitOutcome,
     SweepClient,
 )
-from repro.serve.fleet import DEFAULT_LEASE_TTL, Claim, Fleet, FleetSnapshot
-from repro.serve.protocol import (
-    PROTOCOL_VERSION,
-    ProtocolError,
-    spec_from_payload,
-    spec_payload,
-)
+from repro.serve.protocol import PROTOCOL_VERSION, ProtocolError, spec_payload
 from repro.serve.server import SweepServer
-from repro.serve.worker import Worker
 
 __all__ = [
-    "Claim",
-    "DEFAULT_LEASE_TTL",
-    "Fleet",
-    "FleetSnapshot",
     "PROTOCOL_VERSION",
     "ProtocolError",
     "ServeExecutor",
@@ -57,7 +47,5 @@ __all__ = [
     "SubmitOutcome",
     "SweepClient",
     "SweepServer",
-    "Worker",
-    "spec_from_payload",
     "spec_payload",
 ]

@@ -6,7 +6,7 @@ Examples::
     python -m repro.serve server --host 127.0.0.1 --port 7841   # + TCP
     python -m repro.serve server --max-queue 64 --max-client-inflight 32
     python -m repro.serve worker --drain      # one worker, exit when drained
-    python -m repro.serve fleet --workers 4   # four workers, respawn chaos kills
+    python -m repro.serve fleet --workers 4   # four forked workers, supervised
     python -m repro.serve client --benchmark swim --mechanism TP --n 2000
     python -m repro.serve quarantine          # list quarantined specs
     python -m repro.serve quarantine clear    # re-open them, fresh lease budget
@@ -17,12 +17,14 @@ or ``$REPRO_CACHE_DIR``): the sharded result store, and the fleet's
 queue/lease WALs under ``<cache>/serve/``.  Workers can therefore run
 on different hosts than the server, as long as the directory is shared.
 
-The ``fleet`` subcommand is a local convenience launcher: it spawns N
-``worker`` subprocesses and supervises them — a worker dying with the
-injected-kill status (``kill-worker`` and ``poison`` chaos, exit 76) is
-respawned so chaos runs converge, any other nonzero exit is propagated.
-With ``--drain`` the fleet exits 0 once its workers report the queue
-fully resolved.
+The ``fleet`` subcommand is a local convenience launcher: it forks N
+workers through the :class:`~repro.exec.worker.Supervisor` that
+``python -m repro --jobs N`` also uses.  A worker that dies holding a
+lease (``kill-worker`` and ``poison`` chaos, a crash, an OOM kill) has
+the lease released at once and is respawned, so chaos runs converge; a
+worker that exits non-zero holding none makes the fleet exit 1.  With
+``--drain`` the fleet exits 0 once its workers report the queue fully
+resolved.
 
 ``soak`` (see :mod:`repro.serve.soak`) is the composed-chaos proof CI
 runs: server + fleet + concurrent clients under every serve-relevant
@@ -35,16 +37,14 @@ from __future__ import annotations
 import argparse
 import asyncio
 import os
-import subprocess
 import sys
 import time
 from typing import List, Optional
 
-from repro.exec.faults import KILL_WORKER_EXIT
+from repro.exec.fleet import DEFAULT_LEASE_TTL, Fleet
 from repro.exec.store import ResultStore
-from repro.serve.fleet import DEFAULT_LEASE_TTL, Fleet
+from repro.exec.worker import Supervisor, Worker
 from repro.serve.server import SweepServer
-from repro.serve.worker import Worker
 
 
 def _store_and_fleet(args: argparse.Namespace) -> "tuple[ResultStore, Fleet]":
@@ -93,63 +93,18 @@ def _cmd_worker(args: argparse.Namespace) -> int:
     return status
 
 
-def _spawn_worker(args: argparse.Namespace, index: int,
-                  generation: int) -> "subprocess.Popen[bytes]":
-    cmd = [
-        sys.executable, "-m", "repro.serve", "worker",
-        "--worker-id", f"w{index}-g{generation}",
-        "--ttl", str(args.ttl),
-    ]
-    if args.max_leases is not None:
-        cmd.extend(["--max-leases", str(args.max_leases)])
-    if args.cache_dir:
-        cmd.extend(["--cache-dir", args.cache_dir])
-    if args.drain:
-        cmd.append("--drain")
-    if args.idle_timeout is not None:
-        cmd.extend(["--idle-timeout", str(args.idle_timeout)])
-    if args.checkpoint_every:
-        cmd.extend(["--checkpoint-every", str(args.checkpoint_every)])
-    return subprocess.Popen(cmd)
-
-
 def _cmd_fleet(args: argparse.Namespace) -> int:
-    generations = [1] * args.workers
-    procs: List[Optional["subprocess.Popen[bytes]"]] = [
-        _spawn_worker(args, i, 1) for i in range(args.workers)
-    ]
-    failures = 0
+    store, fleet = _store_and_fleet(args)
+    supervisor = Supervisor(
+        fleet,
+        lambda worker_id: Worker(fleet, store, worker_id,
+                                 checkpoint_every=args.checkpoint_every),
+        size=args.workers, drain=args.drain, idle_timeout=args.idle_timeout,
+    )
     try:
-        while any(proc is not None for proc in procs):
-            for i, proc in enumerate(procs):
-                if proc is None:
-                    continue
-                status = proc.poll()
-                if status is None:
-                    continue
-                if status == KILL_WORKER_EXIT:
-                    # Injected chaos kill: the lease it held will
-                    # expire; a fresh worker picks up the reclaim.
-                    generations[i] += 1
-                    print(
-                        f"fleet: worker {i} died from injected chaos; "
-                        f"respawning (generation {generations[i]})",
-                        file=sys.stderr,
-                    )
-                    procs[i] = _spawn_worker(args, i, generations[i])
-                    continue
-                if status != 0:
-                    failures += 1
-                    print(f"fleet: worker {i} exited {status}",
-                          file=sys.stderr)
-                procs[i] = None
-            time.sleep(0.05)
+        return supervisor.run()
     except KeyboardInterrupt:
-        for proc in procs:
-            if proc is not None and proc.poll() is None:
-                proc.terminate()
         return 130
-    return 1 if failures else 0
 
 
 def _cmd_client(args: argparse.Namespace) -> int:

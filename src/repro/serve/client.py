@@ -23,7 +23,6 @@ when nonzero.
 from __future__ import annotations
 
 import socket
-import sys
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
@@ -31,13 +30,9 @@ from typing import Dict, List, Optional, Sequence
 from repro.core.simulation import RunResult
 from repro.exec.executor import Executor
 from repro.exec.faults import stable_fraction
-from repro.exec.policy import FailedRun, SpecExhausted
+from repro.exec.policy import FailedRun
 from repro.exec.runspec import RunSpec
-from repro.exec.telemetry import (
-    SOURCE_FAILED,
-    SOURCE_SIMULATED,
-    SOURCE_STORE,
-)
+from repro.exec.telemetry import SOURCE_SIMULATED, SOURCE_STORE
 from repro.serve.protocol import (
     MSG_ACCEPTED,
     MSG_COMPLETE,
@@ -256,10 +251,10 @@ class SweepClient:
 class ServeExecutor(Executor):
     """An :class:`Executor` whose simulations run on the fleet.
 
-    Only ``_simulate`` differs from the parent: instead of fanning out
-    over a local process pool, unresolved specs are submitted to the
-    sweep service and the streamed results are absorbed into the same
-    memo/telemetry structures the parent uses.  Everything observable
+    Only ``_simulate`` differs from the parent: instead of running a
+    local fleet, unresolved specs are submitted to the sweep service
+    and the streamed results are absorbed through the same path the
+    parent uses for results another process stored.  Everything observable
     above this layer — result values, ordering, exhibit stdout — is
     identical by construction.  The client journals nothing: the
     fleet's queue/lease WALs own durability.
@@ -294,13 +289,16 @@ class ServeExecutor(Executor):
         self.telemetry.quarantined += outcome.quarantined
         self.telemetry.expired += outcome.expired
         total = len(specs)
-        done = 0
-        for spec in specs:
+        for done, spec in enumerate(specs, 1):
             key = spec.content_hash
             result = outcome.results.get(key)
             if result is not None:
-                done += 1
-                self._absorb_remote(spec, key, result, outcome, done, total)
+                fleet_simulated = outcome.sources.get(key) != "store"
+                self._absorb(
+                    spec, result,
+                    SOURCE_SIMULATED if fleet_simulated else SOURCE_STORE,
+                    outcome.seconds.get(key, 0.0) if fleet_simulated else 0.0,
+                    done, total)
                 continue
             failure = outcome.failures.get(key)
             if failure is None:
@@ -309,38 +307,4 @@ class ServeExecutor(Executor):
                     mechanism=spec.mechanism, attempts=1,
                     error="submission completed without resolving this spec",
                 )
-            done += 1
-            self._absorb_failure(spec, key, failure, done, total)
-
-    def _absorb_remote(
-        self,
-        spec: RunSpec,
-        key: str,
-        result: RunResult,
-        outcome: SubmitOutcome,
-        done: int,
-        total: int,
-    ) -> None:
-        self._memo[key] = result
-        self._first_attempt_at.pop(key, None)
-        fleet_simulated = outcome.sources.get(key) != "store"
-        source = SOURCE_SIMULATED if fleet_simulated else SOURCE_STORE
-        seconds = outcome.seconds.get(key, 0.0) if fleet_simulated else 0.0
-        self._record(spec, source, seconds)
-        self._note_progress(done, total, spec)
-
-    def _absorb_failure(
-        self,
-        spec: RunSpec,
-        key: str,
-        failure: FailedRun,
-        done: int,
-        total: int,
-    ) -> None:
-        self.telemetry.failures += 1
-        if self.policy.strict:
-            raise SpecExhausted(failure)
-        print(f"executor: giving up: {failure.summary()}", file=sys.stderr)
-        self._memo[key] = failure
-        self._record(spec, SOURCE_FAILED, failure.elapsed)
-        self._note_progress(done, total, spec)
+            self._absorb_failure(spec, failure, done, total)

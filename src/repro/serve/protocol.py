@@ -11,11 +11,10 @@ Specs travel **by value**: a submission carries each
 :class:`~repro.exec.runspec.RunSpec`'s full :meth:`describe` payload —
 the exact dict its content hash is computed over — so the server can
 verify the hash it was quoted, re-materialise the spec for a worker on
-any host, and never has to trust a client-chosen label.
-:func:`spec_from_payload` is the inverse of :meth:`RunSpec.describe`
-and is pinned by test to round-trip the content hash bit-for-bit; a
-payload whose reconstruction hashes differently is rejected
-(:class:`ProtocolError`) before it can poison the fleet queue.
+any host, and never has to trust a client-chosen label.  The worker
+decodes payloads with :func:`repro.exec.runspec.spec_from_payload`,
+which is pinned by test to round-trip the content hash bit-for-bit and
+rejects a payload whose reconstruction hashes differently.
 
 Message kinds
 -------------
@@ -52,18 +51,10 @@ specs instead of replaying their recorded failures.
 
 from __future__ import annotations
 
-import hashlib
 import json
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
-from repro.core.config import (
-    BusConfig,
-    CacheConfig,
-    CoreConfig,
-    MachineConfig,
-    SDRAMConfig,
-)
-from repro.exec.runspec import RunSpec
+from repro.exec.runspec import RunSpec, payload_hash
 
 #: Bump on incompatible message-layout changes; both ends reject newer.
 PROTOCOL_VERSION = 1
@@ -115,73 +106,6 @@ def decode_message(line: bytes) -> Dict[str, Any]:
 def spec_payload(spec: RunSpec) -> Dict[str, Any]:
     """The JSON-ready identity payload a spec travels as."""
     return spec.describe()
-
-
-def payload_hash(payload: Dict[str, Any]) -> str:
-    """The content hash a describe-payload denotes.
-
-    Same canonicalisation as :attr:`RunSpec.content_hash` — SHA-256
-    over the sorted, separator-free JSON serialisation — so server and
-    client agree on identity without re-materialising the spec.
-    """
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
-def _config_from_payload(payload: Dict[str, Any]) -> MachineConfig:
-    """Rebuild a :class:`MachineConfig` from its ``dataclasses.asdict``."""
-    fields = dict(payload)
-    nested = {
-        "core": CoreConfig,
-        "l1d": CacheConfig,
-        "l1i": CacheConfig,
-        "l2": CacheConfig,
-        "l1_l2_bus": BusConfig,
-        "memory_bus": BusConfig,
-        "sdram": SDRAMConfig,
-    }
-    for name, cls in nested.items():
-        if name in fields and isinstance(fields[name], dict):
-            fields[name] = cls(**fields[name])
-    return MachineConfig(**fields)
-
-
-def spec_from_payload(payload: Dict[str, Any]) -> RunSpec:
-    """The inverse of :meth:`RunSpec.describe`, hash-verified.
-
-    Raises :class:`ProtocolError` when the payload is malformed or the
-    reconstructed spec's content hash differs from the payload's — a
-    client (or a corrupted queue record) must never be able to file
-    work under a hash it does not actually describe.
-    """
-    if not isinstance(payload, dict):
-        raise ProtocolError("spec payload is not an object")
-    expected = payload_hash(payload)
-    try:
-        kwargs: Tuple[Tuple[str, Any], ...] = tuple(
-            (str(k), v) for k, v in payload.get("mechanism_kwargs") or ()
-        )
-        selection = payload.get("selection")
-        spec = RunSpec(
-            benchmark=payload["benchmark"],
-            mechanism=payload["mechanism"],
-            config=_config_from_payload(payload["config"]),
-            n_instructions=payload["n_instructions"],
-            mechanism_kwargs=kwargs,
-            trace_length=payload.get("trace_length"),
-            selection=tuple(selection) if selection else None,
-            warmup_fraction=payload["warmup_fraction"],
-            fast=payload["fast"],
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ProtocolError(f"bad spec payload: {exc!r}") from None
-    if spec.content_hash != expected:
-        raise ProtocolError(
-            f"spec payload hashes to {expected[:12]}… but reconstructs "
-            f"as {spec.content_hash[:12]}… (field drift between client "
-            "and server?)"
-        )
-    return spec
 
 
 def submit_message(specs: List[RunSpec], client: str,

@@ -51,15 +51,15 @@ from typing import Any, Dict, List, Optional, Set
 
 from repro.core.simulation import RunResult
 from repro.exec import journal
-from repro.exec.store import ResultStore
-from repro.obs.metrics import derive_metrics, harvest_result
-from repro.serve.fleet import (
+from repro.exec.fleet import (
     KIND_DONE,
     KIND_EXPIRED,
     KIND_FAILED,
     KIND_QUARANTINE,
     Fleet,
 )
+from repro.exec.store import ResultStore
+from repro.obs.metrics import derive_metrics, harvest_result
 from repro.serve.protocol import (
     MSG_ACCEPTED,
     MSG_COMPLETE,

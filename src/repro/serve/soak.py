@@ -51,8 +51,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.exec.fleet import Fleet
 from repro.exec.store import ResultStore
-from repro.serve.fleet import Fleet
 
 #: Wall-clock ceiling for any single subprocess in the soak, seconds.
 SUBPROCESS_TIMEOUT = 600.0

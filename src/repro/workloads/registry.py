@@ -79,7 +79,7 @@ def build(
 
     Builds are memoised twice: in process by ``lru_cache``, and on disk by
     :mod:`repro.workloads.store` so fresh processes (CLI runs, ledger
-    records, pool workers) skip generation entirely.
+    records, fleet workers) skip generation entirely.
     """
     spec = get_spec(name)  # validates the name before any cache probe
     cached = store.load(name, n_instructions)

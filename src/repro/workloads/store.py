@@ -3,7 +3,7 @@
 Building a synthetic trace is deterministic but not free: the seeded RNG
 draws and image writes for an 8k-instruction benchmark cost more wall time
 than simulating it on the fast path.  Every fresh process (each CLI run,
-each ``repro.obs record``, each pool worker) used to pay that cost again.
+each ``repro.obs record``, each fleet worker) used to pay that cost again.
 This store memoises the finished ``(trace, image)`` pair on disk, keyed by
 benchmark, length and a digest of the generator sources, so a build is paid
 once per machine instead of once per process.

@@ -296,6 +296,27 @@ def test_executor_kill_midrun_resumes_bit_identical(tmp_path):
     assert list((tmp_path / "ckpt").rglob("*.ckpt")) == []
 
 
+def test_fleet_kill_midrun_resumes_from_the_dead_workers_snapshot(
+        tmp_path, leftovers):
+    """At --jobs 2 the kill is a real worker death: the respawned
+    worker's lease 2 resumes from the snapshot the dead one cut."""
+    specs = [RunSpec("swim", m, n_instructions=_N) for m in ("GHB", "TK")]
+    clean = Executor(jobs=1).run(specs)
+    executor = Executor(
+        jobs=2, store=ResultStore(tmp_path / "cache"), checkpoint_every=1000,
+        faults=FaultPlan(kill_midrun=1.0, seed=5),
+    )
+    results = executor.run(specs)
+    for resumed, baseline in zip(results, clean):
+        _assert_same(resumed, baseline, "worker death + resume")
+    telemetry = executor.telemetry
+    assert telemetry.pool_rebuilds == 2    # every first lease died mid-run
+    assert telemetry.resumed_from_ckpt == 2
+    assert telemetry.retries == 0          # a death is not an attempt
+    assert list((tmp_path / "cache" / "ckpt").rglob("*.ckpt")) == []
+    leftovers()
+
+
 def test_clean_summary_line_has_no_checkpoint_counters():
     executor = Executor(jobs=1)
     executor.run([RunSpec("swim", n_instructions=2000)])
@@ -315,15 +336,14 @@ def _worker_cmd(cache, every):
 
 
 def test_serve_worker_resumes_anothers_snapshot(tmp_path):
-    from repro.serve.fleet import Fleet
-    from repro.serve.protocol import spec_payload
+    from repro.exec.fleet import Fleet
 
     spec = RunSpec("swim", "GHB", n_instructions=_N)
     clean = Executor(jobs=1).run([spec])[0]
 
     store = ResultStore(tmp_path)
     Fleet(store.serve_dir, ttl=0.5).enqueue(
-        {spec.content_hash: spec_payload(spec)})
+        {spec.content_hash: spec.describe()})
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO / "src")
     env["REPRO_FAULTS"] = "kill-midrun:1.0,seed=11"

@@ -8,6 +8,7 @@ so the subprocess chaos loops here provably terminate and the resumed
 output is asserted byte-identical, not merely "close".
 """
 
+import contextlib
 import dataclasses
 import glob
 import json
@@ -37,14 +38,19 @@ from repro.exec import (
     sweep_identity,
 )
 from repro.exec.faults import should_corrupt_journal
-from repro.exec.journal import journal_path
+from repro.exec.journal import append_record, journal_path, replay, versioned
 from repro.exec.store import STORE_VERSION, result_checksum
 from repro.exec.telemetry import SOURCE_JOURNAL, RunRecord, Telemetry
 from repro.obs.ledger import Ledger, make_record
 from repro.obs.metrics import MetricsRegistry, executor_summary_line
-from repro.serve import Fleet
+from repro.exec.fleet import Fleet
+
+from tests.conftest import live_group_members
 
 REPO = Path(__file__).resolve().parent.parent
+
+needs_proc = pytest.mark.skipif(not Path("/proc/self/stat").exists(),
+                                reason="reads the process table from /proc")
 
 N = 2000
 GRID_BENCHMARKS = ("swim", "gzip")
@@ -99,7 +105,10 @@ def test_journal_round_trips_lifecycle(tmp_path):
     journal.start(2, 3, RetryPolicy())
     journal.planned("h1", "swim", "Base")
     journal.planned("h2", "gzip", "TP")
-    journal.dispatched("h1", 1)
+    # A record kind the journal no longer writes (older journals carry
+    # one per attempt) replays as noise, not damage.
+    append_record(path, versioned("dispatched", sweep="abc", spec="h1",
+                                  attempt=1))
     journal.done("h1", "swim", "Base", "simulated", 0.25)
     failure = FailedRun(spec_hash="h2", benchmark="gzip", mechanism="TP",
                         attempts=2, error="boom", kind="error")
@@ -340,6 +349,24 @@ def test_pool_runs_journal_and_resume_identically(tmp_path):
     results = resumed.run(specs)
     assert resumed.telemetry.journal_served == len(specs)
     assert _as_dicts(results) == _as_dicts(originals)
+
+
+def test_journals_hold_the_same_record_kinds_at_any_job_count(tmp_path):
+    specs = _grid_specs()
+    kinds = {}
+    for jobs in (1, 2):
+        store = ResultStore(tmp_path / f"cache-{jobs}")
+        _executor(store, jobs=jobs).run(specs)
+        ((path, _state),) = scan_journals(store.journal_dir)
+        per_spec = {}
+        for record in replay(path)[0]:
+            per_spec.setdefault(record.get("spec", ""),
+                                []).append(record["kind"])
+        kinds[jobs] = per_spec
+    assert kinds[1] == kinds[2]
+    assert kinds[1][""] == ["sweep-start", "sweep-complete"]
+    assert all(kinds[1][s.content_hash] == ["planned", "done"]
+               for s in specs)
 
 
 def test_corrupt_journal_chaos_degrades_to_store_hits(tmp_path):
@@ -661,18 +688,88 @@ def test_cli_sigint_graceful_shutdown_and_resume(tmp_path):
     assert read_state(path).complete
 
 
-#: Pinned: at rate 0.5, seed 1 hangs exactly one fig10 attempt in a pool
-#: worker, and its retry succeeds.
+_MATRIX_ARGS = [sys.executable, "-m", "repro", "matrix", "--n", "20000",
+                "--benchmarks", "swim,gzip", "--jobs", "2"]
+
+
+def _wait_for(predicate, proc, what, timeout=120.0):
+    deadline = time.time() + timeout
+    while not predicate():
+        if time.time() > deadline or proc.poll() is not None:
+            pytest.fail(f"{what} never happened")
+        time.sleep(0.05)
+
+
+@needs_proc
+def test_cli_sigint_stops_the_local_fleet_gracefully(tmp_path):
+    """Ctrl-C at --jobs 2: the driver asks its workers to finish the
+    spec in hand, journals what landed, and leaves nothing behind."""
+    env = _cli_env(tmp_path)
+    env["TMPDIR"] = str(tmp_path / "tempdir")
+    os.mkdir(env["TMPDIR"])
+    proc = subprocess.Popen(_MATRIX_ARGS, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True, env=env,
+                            cwd=REPO, start_new_session=True)
+    journal_glob = os.path.join(env["REPRO_CACHE_DIR"], "journal", "*.jsonl")
+    try:
+        _wait_for(lambda: any('"kind": "done"' in Path(p).read_text()
+                              for p in glob.glob(journal_glob)),
+                  proc, "a journaled done")
+        os.kill(proc.pid, signal.SIGINT)    # the driver alone: it forwards
+        _out, err = proc.communicate(timeout=120)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+    assert proc.returncode == 130, err
+    assert "SIGINT received" in err
+    assert not live_group_members(proc.pid)
+    assert os.listdir(env["TMPDIR"]) == []
+    ((path, state),) = [
+        (Path(p), read_state(p)) for p in glob.glob(journal_glob)
+    ]
+    assert state.interrupts == [signal.SIGINT]
+    assert len(state.done) >= 1 and not state.complete
+
+    resumed = subprocess.run(_MATRIX_ARGS + ["--resume"], capture_output=True,
+                             text=True, env=env, cwd=REPO)
+    assert resumed.returncode == 0, resumed.stderr
+    assert f"{len(state.done)} journal-served" in resumed.stderr
+    assert read_state(path).complete
+
+
+@needs_proc
+def test_cli_fleet_workers_die_with_their_killed_driver(tmp_path):
+    proc = subprocess.Popen(_MATRIX_ARGS, stdout=subprocess.DEVNULL,
+                            stderr=subprocess.DEVNULL, env=_cli_env(tmp_path),
+                            cwd=REPO, start_new_session=True)
+    try:
+        # The driver and both forked workers are up.
+        _wait_for(lambda: len(live_group_members(proc.pid)) >= 3, proc,
+                  "the fleet start")
+        os.kill(proc.pid, signal.SIGKILL)
+        proc.wait(timeout=30)
+        deadline = time.time() + 10
+        while live_group_members(proc.pid):
+            assert time.time() < deadline, \
+                "fleet workers outlived their SIGKILLed driver"
+            time.sleep(0.05)
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+
+
+#: Pinned: at rate 0.5, seed 1 hangs exactly one fig10 attempt in a
+#: fleet worker, and its retry succeeds.
 _HANG_ARGS = ("fig10", "--n", "1000", "--benchmarks", "swim", "--jobs", "2",
               "--retries", "3", "--timeout", "1")
 
 
 def test_cli_pool_with_a_hung_worker_exits(tmp_path):
-    """The watchdog's SIGTERM stops a hung pool worker, so the CLI exits.
+    """The worker's timer stops a hung attempt, so the CLI exits.
 
-    Forked workers used to inherit the CLI's graceful-shutdown handler,
-    take the SIGTERM as a polite request and sleep on in the injected
-    hang; interpreter exit then waited for them forever.
+    The hung attempt is charged as a timeout and retried; no worker
+    takes a signal for a graceful-shutdown request on the way.
     """
     clean = _run_cli(_cli_env(tmp_path, cache="cache-clean"), *_HANG_ARGS)
     assert clean.returncode == 0, clean.stderr

@@ -44,11 +44,12 @@ def test_duplicates_are_deduplicated():
     assert executor.telemetry.deduped == 2
 
 
-def test_serial_and_parallel_results_are_byte_identical():
+def test_serial_and_parallel_results_are_byte_identical(leftovers):
     serial = Executor(jobs=1).run(_grid_specs())
     parallel = Executor(jobs=2).run(_grid_specs())
     assert json.dumps(_as_dicts(serial), sort_keys=True) == \
         json.dumps(_as_dicts(parallel), sort_keys=True)
+    leftovers()   # the batch's workers and private queue went with it
 
 
 def test_second_executor_gets_full_store_hits(tmp_path):

@@ -11,6 +11,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -30,12 +31,14 @@ from repro.exec import (
     set_active_plan,
 )
 from repro.exec.faults import (
+    FAULT_KINDS,
     InjectedCrash,
     InjectedHang,
     inject_attempt_faults,
     maybe_corrupt_store_entry,
     stable_fraction,
 )
+from repro.exec.fleet import DEFAULT_LEASE_TTL
 from repro.exec.telemetry import SOURCE_FAILED, Telemetry
 from repro.harness.experiments import fig10_second_guessing
 from repro.harness.matrix import speedup_matrix
@@ -92,11 +95,16 @@ def test_empty_spec_parses_to_none():
 
 
 def test_full_grammar_round_trips():
+    # ``die`` is the older name of ``kill-worker``: it parses to that
+    # kind and describes itself by its current name.
     plan = parse_fault_spec("crash:0.1,hang:0.05,die:0.2,corrupt-store:0.02,seed=9")
-    assert plan == FaultPlan(crash=0.1, hang=0.05, die=0.2,
+    assert plan == FaultPlan(crash=0.1, hang=0.05, kill_worker=0.2,
                              corrupt_store=0.02, seed=9)
     assert plan.armed
-    assert plan.describe() == "die:0.2,hang:0.05,crash:0.1,corrupt-store:0.02,seed=9"
+    assert plan.describe() == \
+        "hang:0.05,crash:0.1,corrupt-store:0.02,kill-worker:0.2,seed=9"
+    assert parse_fault_spec(plan.describe()) == plan
+    assert "die" not in FAULT_KINDS
 
 
 @pytest.mark.parametrize("text", [
@@ -151,8 +159,9 @@ def test_injection_flavours():
     inject_attempt_faults(None, "h", 1, in_process=True)  # no plan, no-op
     with pytest.raises(InjectedCrash):
         inject_attempt_faults(FaultPlan(crash=1.0), "h", 1, in_process=True)
-    with pytest.raises(InjectedCrash):  # in-process die degrades to a crash
-        inject_attempt_faults(FaultPlan(die=1.0), "h", 1, in_process=True)
+    # kill-worker (alias die) kills a fleet worker after it leases a
+    # spec; the attempt itself has nothing to inject.
+    inject_attempt_faults(FaultPlan(kill_worker=1.0), "h", 1, in_process=True)
     with pytest.raises(InjectedHang):   # in-process hang degrades to a raise
         inject_attempt_faults(FaultPlan(hang=1.0), "h", 1, in_process=True)
 
@@ -230,7 +239,9 @@ def test_serial_crash_retries_are_bit_identical_to_clean(capsys):
     assert faulted_ex.telemetry.failures == 0
 
 
-def test_pool_crash_retries_are_bit_identical_to_clean():
+def test_pool_crash_retries_are_bit_identical_to_clean(leftovers):
+    """At --jobs 2 the retries run inside the fleet workers, and their
+    counts still reach the driver's telemetry."""
     specs = _grid_specs()
     hashes = [s.content_hash for s in specs]
     retries = 2
@@ -256,6 +267,7 @@ def test_pool_crash_retries_are_bit_identical_to_clean():
         json.dumps(_as_dicts(clean), sort_keys=True)
     assert faulted_ex.telemetry.retries == \
         _expected_retries(plan, "crash", hashes, retries + 1)
+    leftovers()
 
 
 # -- exhaustion: strict raises, lenient leaves annotated holes -----------------
@@ -269,13 +281,14 @@ def test_strict_mode_raises_spec_exhausted_serial():
     assert "InjectedCrash" in failure.error
 
 
-def test_strict_mode_raises_spec_exhausted_pool():
+def test_strict_mode_raises_spec_exhausted_pool(leftovers):
     executor = Executor(
         jobs=2, policy=RetryPolicy(retries=0, strict=True, **_NO_WAIT),
         faults=FaultPlan(crash=1.0),
     )
     with pytest.raises(SpecExhausted):
         executor.run(_grid_specs())
+    leftovers()   # the abort tore the fleet down on its way out
 
 
 def test_lenient_mode_resolves_failures_in_position(capsys):
@@ -309,9 +322,9 @@ def test_serial_hang_is_accounted_as_timeout():
     assert executor.telemetry.timeouts == 1
 
 
-# -- the watchdog and pool recovery --------------------------------------------
+# -- the local fleet: timeouts, worker deaths, poison, torn entries ------------
 
-def test_watchdog_kills_hung_workers_and_records_timeouts():
+def test_worker_timeout_turns_hangs_into_timeout_holes(leftovers):
     specs = _grid_specs()[:2]
     executor = Executor(
         jobs=2,
@@ -321,23 +334,22 @@ def test_watchdog_kills_hung_workers_and_records_timeouts():
     results = executor.run(specs)
     assert all(isinstance(r, FailedRun) for r in results)
     assert all(r.kind == "timeout" for r in results)
+    assert "SpecTimeout" in results[0].error
     assert executor.telemetry.timeouts == len(specs)
-    assert executor.telemetry.pool_rebuilds >= 1
+    assert executor.telemetry.pool_rebuilds == 0   # nobody died
+    leftovers()
 
 
-def test_pool_death_recovers_and_stays_bit_identical():
+def test_pool_death_recovers_and_stays_bit_identical(leftovers):
     specs = _grid_specs()
     hashes = [s.content_hash for s in specs]
 
-    def one_death_then_clean(seed):
-        plan = FaultPlan(die=0.5, seed=seed)
-        died = [plan.decide("die", h, 1) for h in hashes]
-        return sum(died) == 1 and not any(
-            plan.decide("die", h, 2) for h in hashes
-        )
+    def one_death(seed):
+        plan = FaultPlan(kill_worker=0.5, seed=seed)
+        return sum(plan.decide("kill-worker", h, 1) for h in hashes) == 1
 
-    seed = _find_seed(one_death_then_clean)
-    plan = FaultPlan(die=0.5, seed=seed)
+    seed = _find_seed(one_death)
+    plan = FaultPlan(kill_worker=0.5, seed=seed)
     clean = Executor(jobs=1).run(specs)
     executor = Executor(
         jobs=2, policy=RetryPolicy(retries=1, strict=False, **_NO_WAIT),
@@ -347,20 +359,68 @@ def test_pool_death_recovers_and_stays_bit_identical():
     assert not any(isinstance(r, FailedRun) for r in results)
     assert json.dumps(_as_dicts(results), sort_keys=True) == \
         json.dumps(_as_dicts(clean), sort_keys=True)
-    assert executor.telemetry.pool_rebuilds >= 1
+    assert executor.telemetry.pool_rebuilds == 1   # one death, one respawn
+    leftovers()
 
 
-def test_repeated_pool_deaths_degrade_to_in_process(capsys):
+def test_kill_worker_chaos_converges_without_waiting_out_the_ttl(leftovers):
+    """Dead workers' leases are released at once, not after the TTL."""
     specs = _grid_specs()
-    policy = RetryPolicy(retries=0, strict=False, **_NO_WAIT)
-    executor = Executor(jobs=2, policy=policy, faults=FaultPlan(die=1.0))
+    hashes = [s.content_hash for s in specs]
+    plan = FaultPlan(kill_worker=0.5, seed=7)
+    kills = sum(plan.decide("kill-worker", h, 1) for h in hashes)
+    assert kills >= 1
+    clean = Executor(jobs=1).run(specs)
+    executor = Executor(jobs=2, faults=plan)   # default 60 s lease TTL
+    start = time.monotonic()
     results = executor.run(specs)
-    # Every attempt kills its worker, so the pool dies until the rebuild
-    # cap trips; the serial fallback then converts the die into a crash
-    # and, with no retries left, every spec resolves to a FailedRun.
-    assert all(isinstance(r, FailedRun) for r in results)
-    assert executor.telemetry.pool_rebuilds == policy.max_pool_rebuilds + 1
-    assert "in-process" in capsys.readouterr().err
+    assert time.monotonic() - start < DEFAULT_LEASE_TTL / 2
+    assert json.dumps(_as_dicts(results), sort_keys=True) == \
+        json.dumps(_as_dicts(clean), sort_keys=True)
+    assert executor.telemetry.pool_rebuilds == kills
+    assert f"{kills} worker respawns" in executor.telemetry.summary_line()
+    leftovers()
+
+
+def test_poison_specs_resolve_as_poison_holes(leftovers, capsys):
+    """A spec that kills every worker leasing it is quarantined."""
+    specs = _grid_specs()
+    victim = specs[1]
+    policy = RetryPolicy(retries=0, strict=False, **_NO_WAIT)
+    clean = Executor(jobs=1).run(specs)
+    executor = Executor(jobs=2, policy=policy,
+                        faults=FaultPlan(poison=victim.content_hash[:12]))
+    results = executor.run(specs)
+    hole = results[1]
+    assert isinstance(hole, FailedRun) and hole.kind == "poison"
+    assert hole.spec_hash == victim.content_hash
+    others = [r for i, r in enumerate(results) if i != 1]
+    assert _as_dicts(others) == _as_dicts(
+        [r for i, r in enumerate(clean) if i != 1])
+    # Every lease up to the bound died and was replaced; the claim past
+    # it quarantined the spec instead of granting another.
+    assert executor.telemetry.pool_rebuilds == policy.max_leases
+    assert executor.telemetry.quarantined == 1
+    assert executor.telemetry.failures == 1
+    assert "poison" in capsys.readouterr().err
+    leftovers()
+
+
+def test_torn_store_entries_are_requeued_until_sound(tmp_path, leftovers):
+    store = ResultStore(tmp_path / "cache")
+    specs = _grid_specs()
+    clean = Executor(jobs=1).run(specs)
+    executor = Executor(jobs=2, store=store,
+                        faults=FaultPlan(corrupt_store=1.0))
+    results = executor.run(specs)
+    assert json.dumps(_as_dicts(results), sort_keys=True) == \
+        json.dumps(_as_dicts(clean), sort_keys=True)
+    # Every first write was torn, read back as a miss and re-simulated.
+    assert executor.telemetry.store_corrupt == len(specs)
+    replay = Executor(jobs=1, store=ResultStore(tmp_path / "cache"))
+    assert _as_dicts(replay.run(specs)) == _as_dicts(clean)
+    assert replay.telemetry.store_hits == len(specs)
+    leftovers()
 
 
 # -- degraded grids ------------------------------------------------------------
@@ -539,7 +599,7 @@ def test_corrupt_store_injection_is_counted_and_resimulated(tmp_path, capsys):
 
 def test_summary_line_appends_fault_counters_only_when_nonzero():
     clean = executor_summary_line(Telemetry(), MetricsRegistry())
-    for noun in ("retries", "timeouts", "pool rebuilds", "FAILED", "corrupt"):
+    for noun in ("retries", "timeouts", "respawns", "FAILED", "corrupt"):
         assert noun not in clean
     noisy = executor_summary_line(
         Telemetry(retries=2, failures=1, timeouts=3, pool_rebuilds=4,
@@ -549,7 +609,7 @@ def test_summary_line_appends_fault_counters_only_when_nonzero():
     assert noisy.startswith("executor: 0 results")
     assert "2 retries" in noisy
     assert "3 timeouts" in noisy
-    assert "4 pool rebuilds" in noisy
+    assert "4 worker respawns" in noisy
     assert "1 FAILED" in noisy
     assert "5 corrupt store entries" in noisy
 
@@ -622,6 +682,24 @@ def test_cli_chaos_run_is_bit_identical_and_ledgered(tmp_path):
     assert records[0].label == "cli-fig10"
     assert records[0].retries == _CHAOS_RETRIES
     assert records[0].failures == 0
+
+
+def test_cli_kill_worker_chaos_at_jobs_2_matches_jobs_1(tmp_path):
+    """The CI chaos leg: workers die mid-lease under the default 60 s
+    TTL, their supervisor releases the leases and respawns them, and
+    the exhibit comes out byte-identical to the in-process run."""
+    args = ("fig10", "--n", "2000", "--benchmarks", "swim,art")
+    clean = _run_cli(_cli_env(tmp_path), *args, "--jobs", "1")
+    assert clean.returncode == 0, clean.stderr
+    start = time.monotonic()
+    chaos = _run_cli(_cli_env(tmp_path, faults="kill-worker:0.5,seed=7"),
+                     *args, "--jobs", "2")
+    assert time.monotonic() - start < DEFAULT_LEASE_TTL / 2
+    assert chaos.returncode == 0, chaos.stderr
+    assert chaos.stdout == clean.stdout
+    assert "injected worker kill" in chaos.stderr
+    assert "respawning" in chaos.stderr
+    assert "worker respawns" in chaos.stderr
 
 
 def test_cli_strict_chaos_run_exits_nonzero(tmp_path):

@@ -13,6 +13,7 @@ Covers the tentpole contracts:
   ``python -m repro.obs`` records and diffs ledger entries.
 """
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -24,6 +25,7 @@ import pytest
 
 from repro.core.simulation import run_benchmark
 from repro.exec.telemetry import RunRecord, Telemetry
+from repro.obs.__main__ import main as obs_main
 from repro.obs.ledger import (
     Ledger,
     LedgerRecord,
@@ -325,6 +327,29 @@ def test_diff_flags_regressions():
     report = render_diff(before, after)
     assert "<< regression" in report
     assert "wall_seconds" in report
+
+
+def test_diff_fails_any_simulated_metric_change_on_the_same_cell(tmp_path):
+    cell = dict(benchmark="swim", mechanism="GHB", n_instructions=8000,
+                wall_seconds=1.0, events_per_second=8000.0)
+    before = LedgerRecord(label="before", metrics={"ipc": 1.0,
+                                                   "l1_mpki": 3.0}, **cell)
+    after = LedgerRecord(label="after", metrics={"ipc": 1.36,
+                                                 "l1_mpki": 3.0}, **cell)
+    rows = {row.metric: row for row in diff_records(before, after)}
+    assert rows["ipc"].regression          # deterministic: any delta is one
+    assert not rows["l1_mpki"].regression
+    assert not any(row.regression for row in diff_records(before, before))
+    # Another cell's simulated metrics are not comparable.
+    other = dataclasses.replace(after, benchmark="art")
+    assert not any(row.regression for row in diff_records(before, other))
+    ledger = tmp_path / "BENCH_obs.json"
+    Ledger(ledger).append(before)
+    Ledger(ledger).append(after)
+    assert obs_main(["--ledger", str(ledger), "diff", "before", "after",
+                     "--fail-on-regression"]) == 1
+    assert obs_main(["--ledger", str(ledger), "diff", "after", "after",
+                     "--fail-on-regression"]) == 0
 
 
 def test_diff_accepts_improvements():

@@ -29,26 +29,20 @@ import pytest
 from repro.exec import ResultStore, RunSpec, journal
 from repro.exec.faults import FaultPlan, should_kill_worker
 from repro.exec.telemetry import RunRecord, Telemetry
-from repro.serve import (
-    Fleet,
-    ProtocolError,
-    SweepClient,
-    SweepServer,
-    Worker,
-    spec_from_payload,
-    spec_payload,
-)
-from repro.serve.fleet import (
+from repro.exec.fleet import (
     KIND_DONE,
     KIND_ENQUEUE,
     KIND_EXPIRE,
     KIND_LEASE,
+    Fleet,
 )
+from repro.exec.runspec import SpecPayloadError, payload_hash, spec_from_payload
+from repro.exec.worker import Worker
+from repro.serve import ProtocolError, SweepClient, SweepServer, spec_payload
 from repro.serve.protocol import (
     PROTOCOL_VERSION,
     decode_message,
     encode_message,
-    payload_hash,
 )
 
 REPO = Path(__file__).resolve().parent.parent
@@ -85,15 +79,15 @@ def test_spec_payload_round_trips_content_hash():
 
 
 def test_bad_spec_payloads_are_rejected():
-    with pytest.raises(ProtocolError):
+    with pytest.raises(SpecPayloadError):
         spec_from_payload("not an object")
-    with pytest.raises(ProtocolError):
+    with pytest.raises(SpecPayloadError):
         spec_from_payload({"benchmark": "swim"})  # missing everything else
     # A payload whose reconstruction hashes differently is a lie about
     # identity: smuggle in a field the hash was not computed over.
     payload = spec_payload(_spec())
     payload["smuggled"] = True
-    with pytest.raises(ProtocolError):
+    with pytest.raises(SpecPayloadError):
         spec_from_payload(payload)
 
 
@@ -220,6 +214,43 @@ def test_renew_extends_only_the_holders_live_lease(tmp_path):
     assert fleet.snapshot().leases["a" * 64] == (holder, 2, expires)
 
 
+def test_a_stale_release_cannot_drop_the_reclaimants_lease(tmp_path):
+    fleet = Fleet(tmp_path, ttl=0.5)   # default max_leases = 2
+    fleet.enqueue(_payloads("a" * 64))
+    assert fleet.claim("A").lease_count == 1
+    time.sleep(0.6)                    # A's lease lapses...
+    assert fleet.claim("B").lease_count == 2   # ...and B reclaims it
+    # A's failed-write path releases "its" lease: nothing happens.
+    assert fleet.release("a" * 64, "A") is False
+    assert fleet.snapshot().leases["a" * 64][0] == "B"
+    # So the next claimant finds the spec leased, not burnt past its
+    # bound: it is not quarantined while B simulates it.
+    assert fleet.claim("C") is None
+    assert fleet.snapshot().quarantined == set()
+    assert fleet.renew("a" * 64, "B") is not None
+    # Replay holds the same rule for a release already on disk, and a
+    # stale worker's resolution does not release the holder's lease.
+    journal.append_record(fleet.lease_path, journal.versioned(
+        "release", spec="a" * 64, worker="A"))
+    fleet.mark_done("a" * 64, "A", 0.1)
+    assert fleet.snapshot().leases["a" * 64][0] == "B"
+    fleet.mark_done("a" * 64, "B", 0.1)
+    assert fleet.snapshot().drained
+
+
+def test_release_worker_frees_only_that_workers_leases(tmp_path):
+    fleet = Fleet(tmp_path, ttl=60.0)
+    fleet.enqueue(_payloads("a" * 64, "b" * 64))
+    mine = fleet.claim("w1").spec_hash
+    theirs = fleet.claim("w2").spec_hash
+    assert fleet.release_worker("w1") == [mine]
+    assert fleet.release_worker("w1") == []
+    assert set(fleet.snapshot().leases) == {theirs}
+    # Released, not resolved: the spec is leased again, count 2.
+    again = fleet.claim("w3")
+    assert (again.spec_hash, again.lease_count) == (mine, 2)
+
+
 def test_requeue_reopens_resolved_specs_but_not_pending_ones(tmp_path):
     fleet = Fleet(tmp_path, ttl=30.0)
     fleet.enqueue(_payloads("a" * 64, "b" * 64))
@@ -294,7 +325,7 @@ def test_worker_resolves_unreconstructible_payload_as_failure(tmp_path):
     snap = fleet.snapshot()
     assert snap.drained
     failure = snap.failures["f" * 64]
-    assert "ProtocolError" in failure.error
+    assert "SpecPayloadError" in failure.error
 
 
 def test_kill_worker_schedule_is_deterministic_and_first_lease_only(tmp_path):
@@ -309,7 +340,7 @@ def test_kill_worker_schedule_is_deterministic_and_first_lease_only(tmp_path):
     # Convergence is the worker's gate, not the schedule's: a reclaimed
     # lease (count > 1) never consults the plan, so _maybe_die returns
     # instead of dying even at rate 1.0.
-    from repro.serve.fleet import Claim
+    from repro.exec.fleet import Claim
     store = ResultStore(tmp_path / "cache")
     worker = Worker(Fleet(store.serve_dir), store, "w1", plan=plan)
     worker._maybe_die(Claim(spec_hash="a" * 64, payload={},
@@ -335,7 +366,7 @@ def test_worker_heartbeat_outlasts_a_slow_simulation(tmp_path, monkeypatch):
             return self._inner.execute()
 
     monkeypatch.setattr(
-        "repro.serve.worker.spec_from_payload",
+        "repro.exec.worker.spec_from_payload",
         lambda payload: Slow(spec_from_payload(payload)),
     )
     worker = Worker(fleet, store, "w1", plan=FaultPlan())

@@ -41,18 +41,18 @@ from repro.exec.faults import (
 )
 from repro.exec.policy import FailedRun, RetryPolicy
 from repro.exec.telemetry import RunRecord, Telemetry
-from repro.serve import (
-    Fleet,
-    ServeUnavailable,
-    SweepClient,
-    SweepServer,
-    Worker,
-    spec_payload,
-)
-from repro.serve.fleet import (
+from repro.exec.fleet import (
     KIND_ENQUEUE,
     KIND_QUARANTINE,
     KIND_RESET,
+    Fleet,
+)
+from repro.exec.worker import Worker
+from repro.serve import (
+    ServeUnavailable,
+    SweepClient,
+    SweepServer,
+    spec_payload,
 )
 from repro.serve.protocol import decode_message, submit_message
 
