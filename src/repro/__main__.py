@@ -11,7 +11,7 @@ Examples::
 
 Every simulation goes through one shared :class:`repro.exec.Executor`:
 ``--jobs N`` runs each batch on a local fleet of N forked worker
-processes leasing specs from a private queue (default: the CPU count;
+processes leasing specs from the sweep's queue (default: the CPU count;
 ``--jobs 1`` stays in-process for determinism debugging), and
 results are content-addressed in an on-disk store (``--cache-dir``,
 default ``~/.cache/repro`` or ``$REPRO_CACHE_DIR``; ``--no-cache``
@@ -26,14 +26,15 @@ the exhibit instead of aborting the whole run; ``--strict`` restores
 fail-fast (first exhausted spec exits non-zero).  Chaos runs are driven
 by ``REPRO_FAULTS`` (see :mod:`repro.exec.faults`).
 
-Durability: multi-spec sweeps are backed by a crash-safe write-ahead
-journal under ``<cache-dir>/journal`` (:mod:`repro.exec.journal`).  A
-killed run resumes with ``--resume`` — finished specs are served from
-the journal + store without re-simulation, and the resumed output is
+Durability: each multi-spec sweep runs on a crash-safe fleet queue of
+its own under ``<cache-dir>/journal/<sweep_id[:16]>/``
+(:mod:`repro.exec.journal`), which is its write-ahead log.  A killed
+run resumes with ``--resume`` — finished specs are served from the
+queue + store without re-simulation, and the resumed output is
 bit-identical to an uninterrupted run.  SIGINT/SIGTERM shut down
-gracefully (drain in-flight work, flush the journal, exit ``130``/
+gracefully (drain in-flight work, record the stop, exit ``130``/
 ``143`` with a resume pointer; a second signal terminates immediately).
-``--retry-failed`` re-runs specs a resumed journal recorded as
+``--retry-failed`` re-runs specs a resumed queue recorded as
 exhausted.  ``--checkpoint-every N`` additionally cuts crash-safe
 *mid-run* snapshots so a killed attempt resumes mid-simulation instead
 of from instruction zero (:mod:`repro.exec.checkpoint`); restore is
@@ -325,14 +326,14 @@ def main(argv=None) -> int:
                              "annotated hole in the exhibit")
     parser.add_argument("--resume", action="store_true",
                         help="resume an interrupted sweep from its "
-                             "write-ahead journal: finished specs are "
+                             "queue: finished specs are "
                              "served without re-simulation (needs the "
                              "cache; output is bit-identical to an "
                              "uninterrupted run)")
     parser.add_argument("--retry-failed", action="store_true",
                         help="re-run specs recorded as having exhausted "
-                             "every attempt (with --resume: the local "
-                             "journal's holes; with --serve: the fleet's "
+                             "every attempt (with --resume: the sweep "
+                             "queue's holes; with --serve: the fleet's "
                              "recorded failures, quarantined poison specs "
                              "included) instead of serving them as "
                              "annotated holes")

@@ -19,15 +19,16 @@ exhausted specs surface as :class:`~repro.exec.policy.FailedRun` holes
 recovery path is exercisable deterministically via ``REPRO_FAULTS``
 (:mod:`repro.exec.faults`).
 
-Durability: multi-spec batches are backed by a crash-safe write-ahead
-journal when a journal directory is configured, ``--resume`` replays
-it, SIGINT/SIGTERM shut down gracefully through
+Durability: with a journal directory and a store, every multi-spec
+batch runs on its sweep's own crash-safe fleet queue
+(:mod:`repro.exec.fleet`), which ``--resume`` replays; SIGINT/SIGTERM
+shut down gracefully through
 :class:`~repro.exec.shutdown.ShutdownManager`, and ``python -m
-repro.exec fsck`` verifies store integrity.  :mod:`repro.exec.journal`
-also owns the one JSON-lines log format (append, replay, tail,
-last-record-wins fold) that the fleet WALs (:mod:`repro.exec.fleet`),
-fsck's audit trail and the benchmark ledger (:mod:`repro.obs.ledger`)
-are written in.
+repro.exec fsck`` verifies store integrity and audits every queue.
+:mod:`repro.exec.journal` owns the one JSON-lines log format (append,
+replay, tail) that the fleet WALs, fsck's audit trail and the
+benchmark ledger (:mod:`repro.obs.ledger`) are written in, and the
+driver's writer to a sweep queue.
 """
 
 from __future__ import annotations
@@ -41,13 +42,7 @@ from repro.exec.faults import (
     parse_fault_spec,
     set_active_plan,
 )
-from repro.exec.journal import (
-    JournalState,
-    SweepJournal,
-    read_state,
-    scan_journals,
-    sweep_identity,
-)
+from repro.exec.journal import SweepJournal, sweep_identity
 from repro.exec.policy import (
     ExecutionError,
     FailedRun,
@@ -70,7 +65,6 @@ __all__ = [
     "FailedRun",
     "FaultPlan",
     "FsckReport",
-    "JournalState",
     "ResultStore",
     "RetryPolicy",
     "RunRecord",
@@ -86,9 +80,7 @@ __all__ = [
     "default_cache_dir",
     "get_default_executor",
     "parse_fault_spec",
-    "read_state",
     "reset_default_executor",
-    "scan_journals",
     "set_active_plan",
     "set_default_executor",
     "sweep_identity",

@@ -10,11 +10,9 @@ Examples::
 ``fsck`` runs the offline integrity pass over every result-store entry
 (:meth:`~repro.exec.store.ResultStore.verify_entry` — parse, version,
 checksum, result schema, filename-vs-content addressing), reports stale
-temp files stranded by killed writers, and summarises the sweep
-journals found alongside the store.  ``--prune`` removes defective
-entries and stale temps, and retires journals whose sweeps completed
-(a finished journal serves nothing; an *incomplete* one is what
-``--resume`` needs and is never pruned).
+temp files stranded by killed writers, and audits every fleet queue
+found alongside the store (below).  ``--prune`` removes defective
+entries and stale temps.
 
 ``fsck`` also understands the sharded layout (``ab/<hash>.json``): it
 audits every shard, cross-checks each entry's shard prefix against its
@@ -24,15 +22,22 @@ right shard), and counts entries still in the flat pre-shard layout.
 atomic per entry (one ``os.replace`` each), so it is safe to interrupt
 and safe to run while readers are live.
 
-When a fleet has run against this cache (``<cache>/serve/`` WALs
-exist), ``fsck`` also audits the fleet's queue/lease books: it counts
-every record kind — ``quarantine`` and deadline-``expired`` resolutions
-included — and cross-checks each quarantined hash against the store.  A
-quarantined spec *should* be a store hole (that is what quarantine
-means); one with a sound store entry is a stale poison verdict, flagged
-as a defect.  ``--prune`` absolves it (a ``done`` record supersedes the
-quarantine, a lease ``reset`` retires its crash-loop pedigree) so the
-next submission reads the result instead of replaying the hole.
+Every fleet queue under the cache is audited the same way: the sweep
+service's (``<cache>/serve/``) and each sweep's
+(``<cache>/journal/<sweep_id[:16]>/``).  ``fsck`` counts every
+resolution — ``quarantine`` and deadline-``expired`` ones included —
+and the corrupt lines replay skipped, says whether the queue is
+complete (nothing pending), and cross-checks each quarantined hash
+against the store.  A quarantined spec *should* be a store hole (that
+is what quarantine means); one with a sound store entry is a stale
+poison verdict, flagged as a defect.  ``--prune`` absolves it (a
+``done`` record supersedes the quarantine, a lease ``reset`` retires
+its crash-loop pedigree) so the next submission reads the result
+instead of replaying the hole.  ``--prune`` also removes complete sweep
+directories (a finished sweep's queue serves nothing; an *incomplete*
+one is what ``--resume`` needs and is never pruned) and sweep journals
+in the format before sweep queues, ``journal/*.jsonl``, which no run
+can resume.
 
 When mid-run checkpointing has run against this cache
 (``<cache>/ckpt/`` exists), ``fsck`` audits every snapshot: header
@@ -45,7 +50,7 @@ along with superseded snapshots (anything older than the newest sound
 one per spec).
 
 Every invocation appends its report as one ``fsck`` record to
-``<journal-dir>/fsck.jsonl`` — the log format of the sweep journals
+``<journal-dir>/fsck.jsonl`` — the log format of the fleet queues
 (:mod:`repro.exec.journal`) — so repairs are themselves journaled.  Exit
 status: 0 when the store is clean (or everything defective was pruned),
 1 when defects remain.
@@ -54,43 +59,43 @@ status: 0 when the store is clean (or everything defective was pruned),
 from __future__ import annotations
 
 import argparse
+import shutil
 import sys
-from typing import List, Optional
+from pathlib import Path
+from typing import List, Optional, Tuple
 
-from repro.exec.journal import (
-    FSCK_LOG,
-    KIND_FSCK,
-    append_record,
-    scan_journals,
-    versioned,
-)
+from repro.exec.fleet import Fleet
+from repro.exec.journal import FSCK_LOG, KIND_FSCK, append_record, versioned
 from repro.exec.store import ResultStore
 
 
-def _audit_fleet(store: ResultStore, prune: bool) -> int:
-    """Cross-check the fleet WALs (when present) against the store.
+def _audit_queue(name: str, root: Path, store: ResultStore,
+                 prune: bool) -> Tuple[int, bool]:
+    """Audit the fleet queue under ``root``.
 
-    Returns the number of *unrepaired* defects: quarantined hashes
-    whose store entry is sound — a stale poison verdict that would make
-    every future submission replay a hole over a perfectly good result.
-    With ``prune`` those are absolved in place and don't count.
+    Prints the queue's counts, corrupt lines and completeness, and
+    returns the number of *unrepaired* defects plus whether the queue
+    is complete (it exists and has nothing pending).  A defect is a
+    quarantined hash whose store entry is sound — a stale poison
+    verdict that would make every future submission replay a hole over
+    a perfectly good result.  With ``prune`` those are absolved in
+    place and don't count.
     """
-    queue_path = store.serve_dir / "queue.jsonl"
-    if not queue_path.exists():
-        return 0
-    from repro.exec.fleet import Fleet
-
-    fleet = Fleet(store.serve_dir)
+    fleet = Fleet(root)
+    if not fleet.queue_path.exists():
+        return 0, False
     snap = fleet.snapshot()
+    pending = len(snap.pending())
     plain_failed = (len(snap.failures) - len(snap.quarantined)
                     - len(snap.expired))
-    line = (f"  fleet WAL: {len(snap.enqueued)} enqueued, "
+    line = (f"  queue {name}: {len(snap.enqueued)} enqueued, "
             f"{len(snap.done)} done, {plain_failed} failed, "
             f"{len(snap.quarantined)} quarantined, "
             f"{len(snap.expired)} deadline-expired")
     if snap.corrupt_lines:
         line += f", {snap.corrupt_lines} corrupt line(s) skipped"
-    print(line)
+    print(line + (f", incomplete ({pending} pending)" if pending
+                  else ", complete"))
     defects = 0
     for spec_hash in sorted(snap.quarantined):
         path = store.shard_path(spec_hash)
@@ -106,10 +111,10 @@ def _audit_fleet(store: ResultStore, prune: bool) -> int:
                       "its store entry is sound; done record appended)")
             continue
         defects += 1
-        print(f"  fleet WAL: {spec_hash[:12]}… is quarantined but its "
+        print(f"  queue {name}: {spec_hash[:12]}… is quarantined but its "
               "store entry is sound — stale poison verdict (re-run "
               "with --prune to absolve)")
-    return defects
+    return defects, not pending
 
 
 def _audit_ckpts(store: ResultStore, prune: bool) -> dict:
@@ -153,28 +158,32 @@ def _cmd_fsck(args: argparse.Namespace) -> int:
     report = store.fsck(prune=args.prune, migrate=args.migrate)
     print(report.render())
 
-    journals = scan_journals(store.journal_dir)
+    fleet_defects = _audit_queue("serve", store.serve_dir, store,
+                                 args.prune)[0]
     pruned_journals: List[str] = []
-    for path, state in journals:
-        status = ("complete" if state.complete
-                  else f"incomplete ({state.resolved} resolved)")
-        if state.corrupt_lines:
-            status += f", {state.corrupt_lines} corrupt line(s) skipped"
-        print(f"  journal {path.name}: {status}")
-        if args.prune and state.complete:
-            try:
+    sweeps = (sorted(store.journal_dir.iterdir())
+              if store.journal_dir.is_dir() else [])
+    for path in sweeps:
+        name = f"journal/{path.name}"
+        if path.is_dir():
+            defects, complete = _audit_queue(name, path, store, args.prune)
+            fleet_defects += defects
+            if args.prune and complete:
+                shutil.rmtree(path)
+                pruned_journals.append(name)
+                print(f"  pruned {name} (sweep finished; its queue serves "
+                      "nothing)")
+        elif path.suffix == ".jsonl" and path.name != FSCK_LOG:
+            print(f"  {name}: a sweep journal from before sweep queues; "
+                  "no run can resume it")
+            if args.prune:
                 path.unlink()
-                pruned_journals.append(path.name)
-                print(f"  pruned {path.name} (sweep finished; journal "
-                      "serves nothing)")
-            except OSError as exc:
-                print(f"  journal {path.name}: prune failed: {exc}")
-
-    fleet_defects = _audit_fleet(store, args.prune)
+                pruned_journals.append(name)
+                print(f"  pruned {name}")
     ckpt_report = _audit_ckpts(store, args.prune)
 
     # The repair is itself journaled: one fsck record in the log format
-    # of the sweep journals it lives beside.
+    # of the queues it lives beside.
     payload = report.describe()
     payload["pruned_journals"] = pruned_journals
     payload["fleet_defects"] = fleet_defects
@@ -210,7 +219,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                            "or $REPRO_CACHE_DIR)")
     fsck.add_argument("--prune", action="store_true",
                       help="remove defective entries, stale temps and "
-                           "finished sweep journals")
+                           "finished sweep queues")
     fsck.add_argument("--migrate", action="store_true",
                       help="move flat-layout entries into their hash-prefix "
                            "shards before scanning (idempotent, atomic per "

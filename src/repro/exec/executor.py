@@ -5,8 +5,8 @@ Resolution order per unique spec hash:
 1. **memo** — results already resolved by this executor (process memory);
 2. **store** — the on-disk content-addressed store, when configured;
 3. **simulate** — in-process when ``jobs == 1`` (deterministic
-   single-process debugging), else on a private local fleet of forked
-   workers (:meth:`Executor._simulate_fleet`).
+   single-process debugging), else on a local fleet of forked workers
+   (:meth:`Executor._simulate_fleet`).
 
 Duplicate specs within a batch are simulated once and every caller
 position gets the same result object.  Freshly simulated results are
@@ -39,17 +39,18 @@ Durability
 ----------
 Workers failing is one half of the problem; the *driver* dying (OOM
 kill, SIGTERM, Ctrl-C, host reboot) is the other.  When ``journal_dir``
-is configured, every multi-spec batch is backed by a crash-safe
-write-ahead journal (:mod:`repro.exec.journal`): each spec's
-resolution is fsync'd as it lands, so a killed driver leaves an exact
-record of what finished.  ``resume=True`` replays that record —
-finished specs are served from the journal + store, persisted
-:class:`FailedRun` holes are honoured instead of silently re-running
-exhausted specs (``retry_failed=True`` opts back in) — and a
-``shutdown`` manager turns SIGINT/SIGTERM into a graceful stop: no new
-spec starts, in-flight ones drain within a deadline, the journal is
-flushed, and :class:`~repro.exec.shutdown.SweepInterrupted` carries the
-conventional exit code up to the CLI.
+and a store are configured, every multi-spec batch runs on its sweep's
+own fleet queue, ``<journal_dir>/<sweep_id[:16]>/queue.jsonl``
+(:mod:`repro.exec.journal`): each spec's resolution is fsync'd as it
+lands, so a killed driver leaves an exact record of what finished.
+``resume=True`` replays that queue — finished specs are served from the
+queue + store, persisted :class:`FailedRun` holes are honoured instead
+of silently re-running exhausted specs (``retry_failed=True`` opts back
+in) — and a ``shutdown`` manager turns SIGINT/SIGTERM into a graceful
+stop: no new spec starts, in-flight ones drain within a deadline, the
+stop is recorded in the queue, and
+:class:`~repro.exec.shutdown.SweepInterrupted` carries the conventional
+exit code up to the CLI.
 """
 
 from __future__ import annotations
@@ -68,6 +69,7 @@ from typing import (
     Any,
     Callable,
     Dict,
+    Iterable,
     Iterator,
     List,
     Mapping,
@@ -92,12 +94,18 @@ from repro.exec.faults import (
     maybe_corrupt_store_entry,
     should_kill_orchestrator,
 )
+from repro.exec.fleet import (
+    FAILURE_KINDS,
+    KIND_QUARANTINE,
+    Fleet,
+    FleetSnapshot,
+)
 from repro.exec.journal import (
-    JournalState,
+    KIND_DONE,
+    KIND_ENQUEUE,
+    KIND_INTERRUPTED,
+    KIND_REQUEUE,
     SweepJournal,
-    hint_incomplete,
-    journal_path,
-    read_state,
     sweep_identity,
 )
 from repro.exec.policy import (
@@ -133,6 +141,11 @@ Resolved = Union[RunResult, FailedRun]
 #: fields they add to; a worker's ``done``/``failed`` record carries them.
 ATTEMPT_COUNTERS = ("retries", "timeouts", "checkpoints",
                     "resumed_from_ckpt")
+
+#: The lock a sweep's driver holds for the whole batch, in the sweep's
+#: directory: a second driver of the same sweep waits instead of
+#: discarding the queue the first one is tailing.
+SWEEP_LOCK = "sweep.lock"
 
 
 @dataclass
@@ -289,15 +302,16 @@ class Executor:
         self.progress = progress
         self.policy = policy if policy is not None else RetryPolicy()
         self.faults = faults if faults is not None else active_plan()
-        #: Where multi-spec batches journal their progress; None disables
-        #: the write-ahead journal (the library default — importing must
-        #: not write to disk).  The CLI wires it to ``store.journal_dir``.
+        #: Where multi-spec batches keep their sweep queues (given a
+        #: store); None disables them (the library default — importing
+        #: must not write to disk).  The CLI wires it to
+        #: ``store.journal_dir``.
         self.journal_dir = (Path(journal_dir) if journal_dir is not None
                             else None)
-        #: Serve finished/failed specs from an existing journal instead
-        #: of re-running them (``--resume``).
+        #: Serve finished/failed specs from an existing sweep queue
+        #: instead of re-running them (``--resume``).
         self.resume = resume
-        #: Re-run specs the journal recorded as exhausted (``--retry-failed``).
+        #: Re-run specs the queue recorded as exhausted (``--retry-failed``).
         self.retry_failed = retry_failed
         #: Consulted between specs; the never-installed process singleton
         #: is inert, so library use pays nothing.
@@ -314,9 +328,8 @@ class Executor:
         self._memo: Dict[str, Resolved] = {}
         self._sweep_memo: Dict[Tuple[str, ...], ResultSet] = {}
         self._store_corrupt_base = store.corrupt_reads if store else 0
-        #: The current batch's write-ahead journal and its replayed state.
+        #: The driver's writer to the current batch's sweep queue.
         self._journal: Optional[SweepJournal] = None
-        self._journal_state: Optional[JournalState] = None
         #: Stops the live local fleet; run before a deliberate driver exit.
         self._teardown: Optional[Callable[[], None]] = None
 
@@ -342,34 +355,17 @@ class Executor:
             if key not in unique:
                 unique[key] = spec
 
-        self._journal, self._journal_state = self._open_journal(order, unique)
+        to_simulate: List[RunSpec] = []
         try:
-            to_simulate: List[RunSpec] = []
-            for key, spec in unique.items():
-                if key in self._memo:
-                    self._record(spec, SOURCE_MEMO)
-                    self._journal_resolved(spec, SOURCE_MEMO)
-                    continue
-                if self._serve_from_journal(spec):
-                    continue
-                stored = self.store.get(spec) if self.store is not None else None
-                if stored is not None:
-                    self._memo[key] = stored
-                    self._record(spec, SOURCE_STORE)
-                    self._journal_resolved(spec, SOURCE_STORE)
-                    continue
-                to_simulate.append(spec)
-
-            if to_simulate:
-                self._simulate(to_simulate)
-
-            # Reaching here means every spec resolved (strict exhaustion
-            # and graceful shutdown raise past this): the journal is done.
-            if self._journal is not None:
-                self._journal.complete(len(unique))
+            with self._sweep(order, unique) as snap:
+                to_simulate = self._resolve_cached(unique, snap)
+                if to_simulate:
+                    self._simulate(to_simulate)
+        except BaseException:
+            # An interrupted or strict-failed batch took its time too.
+            self.telemetry.wall_time += time.perf_counter() - start
+            raise
         finally:
-            self._journal = None
-            self._journal_state = None
             if self.store is not None:
                 self.telemetry.store_corrupt = (
                     self.store.corrupt_reads - self._store_corrupt_base
@@ -382,79 +378,101 @@ class Executor:
             TRACER.end(unique=len(unique), simulated=len(to_simulate))
         return [self._memo[key] for key in order]
 
-    # -- durability (journal, resume, shutdown, driver kill) ------------------
+    # -- durability (sweep queue, resume, shutdown, driver kill) --------------
 
-    def _open_journal(
+    @contextmanager
+    def _sweep(
         self, order: List[str], unique: Dict[str, RunSpec]
-    ) -> Tuple[Optional[SweepJournal], Optional[JournalState]]:
-        """The write-ahead journal for this batch, plus any resume state.
+    ) -> Iterator[FleetSnapshot]:
+        """Open the batch's sweep queue; yields what it already holds.
 
-        Journaling covers every multi-spec batch when a journal
-        directory is configured.  Resuming reuses the existing file
-        (its replayed state serves finished specs); a fresh run
-        overwrites it, hinting on stderr first when the old journal
-        was left incomplete by a killed run.
+        A multi-spec batch with a journal directory and a store runs on
+        its sweep's own fleet queue, ``<journal_dir>/<sweep_id[:16]>/``,
+        with the sweep's lock held for the whole batch: a second driver
+        of the same sweep waits, then finds every result in the store.
+        Resuming replays the queue; a fresh run discards it, hinting on
+        stderr first when a killed run left it incomplete.  Each run
+        starts a fresh lease book, and every unique spec the queue lacks
+        is enqueued.
         """
-        if self.journal_dir is None or len(order) < 2:
-            return None, None
+        if self.journal_dir is None or self.store is None or len(order) < 2:
+            yield FleetSnapshot()
+            return
         sweep_id = sweep_identity(order, self.policy)
-        path = journal_path(self.journal_dir, sweep_id)
-        state = read_state(path)
-        if self.resume and state is not None:
-            return (
-                SweepJournal(path, sweep_id, plan=self.faults,
-                             seq=state.lines),
-                state,
-            )
-        if state is not None and not state.complete:
-            hint_incomplete(state)
-        path.unlink(missing_ok=True)
-        journal = SweepJournal(path, sweep_id, plan=self.faults)
-        journal.start(len(unique), len(order), self.policy)
-        for key, spec in unique.items():
-            journal.planned(key, spec.benchmark, spec.mechanism)
-        return journal, None
+        fleet = Fleet(self.journal_dir / sweep_id[:16])
+        with log.locked(fleet.root / SWEEP_LOCK):
+            # A dead run's leases must neither hold specs for a TTL nor
+            # count toward the poison bound.
+            fleet.lease_path.unlink(missing_ok=True)
+            snap = fleet.snapshot()
+            if not self.resume:
+                pending = snap.pending()
+                if pending:
+                    print(
+                        f"executor: found an unfinished queue for this sweep "
+                        f"({len(snap.done)} done, {len(snap.failures)} "
+                        f"failed, {len(pending)} pending); pass --resume to "
+                        "serve finished specs without re-simulation "
+                        "(starting fresh, the old queue is discarded)",
+                        file=sys.stderr,
+                    )
+                fleet.queue_path.unlink(missing_ok=True)
+                snap = FleetSnapshot()
+            self._journal = SweepJournal(fleet.queue_path, plan=self.faults,
+                                         seq=snap.lines)
+            try:
+                _enqueue(self._journal, (spec for key, spec in unique.items()
+                                         if key not in snap.enqueued))
+                yield snap
+            finally:
+                self._journal = None
 
-    def _serve_from_journal(self, spec: RunSpec) -> bool:
-        """Resolve ``spec`` from the replayed journal, when it can be.
+    def _resolve_cached(
+        self, unique: Dict[str, RunSpec], snap: FleetSnapshot
+    ) -> List[RunSpec]:
+        """Resolve what needs no simulation; returns the specs that do.
 
-        A ``done`` record means the result is in the store under the
-        spec's hash — re-read it rather than re-running the spec.  A
-        persisted failure is served as its :class:`FailedRun` hole so a
-        resumed lenient sweep never silently re-runs an exhausted spec
-        (``retry_failed`` opts back in; strict mode always re-runs, an
-        honoured failure would have to raise anyway).
+        Per spec: the memo; a persisted failure in the replayed queue,
+        served as its hole unless strict mode or ``retry_failed`` wants
+        it re-run; then the store, read at most once — a hit on a spec
+        the queue holds ``done`` is served with provenance ``journal``.
+        A spec the queue holds as resolved but that must run again is
+        requeued, so ``--jobs N`` workers can claim it.
         """
-        state = self._journal_state
-        if state is None:
-            return False
-        key = spec.content_hash
-        if key in state.done and self.store is not None:
-            stored = self.store.get(spec)
+        journal = self._journal
+        to_simulate: List[RunSpec] = []
+        for key, spec in unique.items():
+            memo = self._memo.get(key)
+            if memo is not None:
+                self._record(spec, SOURCE_MEMO)
+                if journal is not None:
+                    if isinstance(memo, FailedRun):
+                        journal.failed(memo)
+                    else:
+                        journal.done(key, SOURCE_MEMO)
+                continue
+            failure = snap.failures.get(key)
+            if (failure is not None and not self.policy.strict
+                    and not self.retry_failed):
+                self._memo[key] = failure
+                self._record(spec, SOURCE_JOURNAL)
+                continue
+            stored = self.store.get(spec) if self.store is not None else None
             if stored is not None:
                 self._memo[key] = stored
-                self._record(spec, SOURCE_JOURNAL)
-                return True
-            # Journaled done but the entry rotted away: fall through and
-            # re-simulate (the store's corrupt-read warning already fired).
-        failure = state.failures.get(key)
-        if (failure is not None and not self.policy.strict
-                and not self.retry_failed):
-            self._memo[key] = failure
-            self._record(spec, SOURCE_JOURNAL)
-            return True
-        return False
-
-    def _journal_resolved(self, spec: RunSpec, source: str) -> None:
-        """Journal a spec that resolved without simulating (memo/store)."""
-        if self._journal is None:
-            return
-        resolved = self._memo[spec.content_hash]
-        if isinstance(resolved, FailedRun):
-            self._journal.failed(resolved)
-        else:
-            self._journal.done(spec.content_hash, spec.benchmark,
-                               spec.mechanism, source)
+                if key in snap.done:
+                    self._record(spec, SOURCE_JOURNAL)
+                    continue
+                self._record(spec, SOURCE_STORE)
+                if journal is not None:
+                    journal.done(key, SOURCE_STORE)
+                continue
+            to_simulate.append(spec)
+            if journal is not None and (failure is not None
+                                        or key in snap.done):
+                journal.append(KIND_REQUEUE, spec=key,
+                               payload=spec.describe())
+        return to_simulate
 
     def _shutdown_signal(self) -> Optional[int]:
         """The pending shutdown signal, or None to keep going."""
@@ -463,24 +481,24 @@ class Executor:
         return self.shutdown.requested
 
     def _interrupt(self, signum: int) -> None:
-        """Journal the graceful stop and raise it out of the batch."""
+        """Record the graceful stop and raise it out of the batch."""
         if self._journal is not None:
-            self._journal.interrupted(signum)
+            self._journal.append(KIND_INTERRUPTED, signal=int(signum))
         raise SweepInterrupted(signum)
 
     def _maybe_kill_orchestrator(self, key: str) -> None:
         """Chaos mode: die like an OOM-killed driver, between specs.
 
         Runs driver-side only, right after ``key`` was absorbed —
-        stored and journaled ``done`` — so the sweep provably advances
-        by at least one spec per resumed run and the resume loop
-        converges.  A live local fleet is torn down first so no
+        stored, and ``done`` in the queue — so the sweep provably
+        advances by at least one spec per resumed run and the resume
+        loop converges.  A live local fleet is torn down first so no
         workers outlive the "kill".
         """
         if not should_kill_orchestrator(self.faults, key):
             return
         print(
-            "faults: injected orchestrator kill (journal flushed; "
+            "faults: injected orchestrator kill (sweep queue flushed; "
             "resume with --resume)",
             file=sys.stderr,
         )
@@ -507,6 +525,10 @@ class Executor:
                                  ckpt_root=self._ckpt_root)
             self._count(tally.counters())
             if isinstance(tally.outcome, FailedRun):
+                # Record the exhaustion first: even a strict abort
+                # leaves it, and a resumed lenient sweep can honour it.
+                if self._journal is not None:
+                    self._journal.failed(tally.outcome)
                 self._absorb_failure(spec, tally.outcome, done, len(specs))
                 continue
             key = spec.content_hash
@@ -519,34 +541,42 @@ class Executor:
                     # The result is durable; the spec's mid-run snapshots
                     # are now pure disk waste.
                     discard_checkpoints(self._ckpt_root / key)
+            # After the store write: a ``done`` record promises the
+            # result is re-readable, so the promise must land last.
+            if self._journal is not None:
+                self._journal.done(key, SOURCE_SIMULATED, tally.seconds)
             self._absorb(spec, tally.outcome, SOURCE_SIMULATED,
                          tally.seconds, done, len(specs))
             self._maybe_kill_orchestrator(key)
 
     def _simulate_fleet(self, specs: List[RunSpec]) -> None:
-        """Run ``specs`` on a private local fleet of forked workers.
+        """Run ``specs`` on a local fleet of forked workers.
 
-        The batch is enqueued on a :class:`~repro.exec.fleet.Fleet` in a
-        temporary directory; ``min(jobs, n)`` workers run
-        :func:`run_attempts` under this executor's policy and store each
-        result (in a private store there when there is none).  The
-        driver tails the queue WAL and absorbs every resolution; a
-        ``done`` whose entry does not read back is requeued, as the
-        sweep server's watcher does.  Workers and directory go with the
-        batch on every exit (see docs/executor.md).
+        The fleet serves the batch's sweep queue, where every spec is
+        already enqueued; a batch without one is enqueued on a private
+        queue in a temporary directory (with a private store there when
+        there is none).  ``min(jobs, n)`` workers run
+        :func:`run_attempts` under this executor's policy, store each
+        result and append its resolution to the queue.  The driver
+        tails the queue and absorbs every resolution; a ``done`` whose
+        entry does not read back is requeued, as the sweep server's
+        watcher does.  Workers, the lease book and any temporary
+        directory go with the batch on every exit through Python (see
+        docs/executor.md).
         """
-        from repro.exec.fleet import (
-            FAILURE_KINDS, KIND_DONE, KIND_QUARANTINE, Fleet,
-        )
         from repro.exec.worker import POLL_SECONDS, Supervisor, Worker
 
-        root = Path(tempfile.mkdtemp(prefix="repro-jobs-"))
+        private = self._journal is None
+        journal = (self._journal if self._journal is not None else
+                   SweepJournal(Path(tempfile.mkdtemp(prefix="repro-jobs-"))
+                                / "queue.jsonl", plan=self.faults))
+        if private:
+            _enqueue(journal, specs)
+        fleet = Fleet(journal.path.parent, max_leases=self.policy.max_leases)
         store = (self.store if self.store is not None
-                 else ResultStore(root / "store"))
-        fleet = Fleet(root, max_leases=self.policy.max_leases)
+                 else ResultStore(fleet.root / "store"))
         total = len(specs)
         waiting = {spec.content_hash: spec for spec in specs}
-        fleet.enqueue({key: spec.describe() for key, spec in waiting.items()})
         offset = fleet.queue_path.stat().st_size
         supervisor = Supervisor(
             fleet,
@@ -572,7 +602,8 @@ class Executor:
                     if result is None:
                         # A broken promise, not a verdict: the entry did
                         # not read back, so the fleet simulates it afresh.
-                        fleet.requeue({key: spec.describe()})
+                        journal.append(KIND_REQUEUE, spec=key,
+                                       payload=spec.describe())
                         continue
                     del waiting[key]
                     self._count(record)
@@ -592,7 +623,10 @@ class Executor:
 
         def teardown() -> None:
             supervisor.stop()
-            shutil.rmtree(root, ignore_errors=True)
+            if private:
+                shutil.rmtree(fleet.root, ignore_errors=True)
+            else:
+                fleet.lease_path.unlink(missing_ok=True)
 
         self._teardown = teardown
         if self.shutdown is not None:
@@ -654,14 +688,8 @@ class Executor:
         total: int,
     ) -> None:
         """Resolve ``spec`` to ``result``, already in the store if any."""
-        key = spec.content_hash
-        self._memo[key] = result
+        self._memo[spec.content_hash] = result
         self._record(spec, source, seconds)
-        # Journal *after* the store write: a ``done`` record promises the
-        # result is re-readable, so the promise must land last.
-        if self._journal is not None:
-            self._journal.done(key, spec.benchmark, spec.mechanism,
-                               source, seconds)
         self._note_progress(done, total, spec)
 
     def _absorb_failure(
@@ -673,10 +701,6 @@ class Executor:
     ) -> None:
         """Resolve ``spec`` to its hole; strict mode raises instead."""
         self.telemetry.failures += 1
-        # Journal the exhaustion first: even a strict abort leaves a
-        # record, and a resumed lenient sweep can honour the hole.
-        if self._journal is not None:
-            self._journal.failed(failure)
         if self.policy.strict:
             raise SpecExhausted(failure)
         print(f"executor: giving up: {failure.summary()}", file=sys.stderr)
@@ -747,3 +771,10 @@ class Executor:
                 grid.add(result)
         self._sweep_memo[key] = grid
         return grid
+
+
+def _enqueue(journal: SweepJournal, specs: Iterable[RunSpec]) -> None:
+    """Append one claimable ``enqueue`` record per spec."""
+    for spec in specs:
+        journal.append(KIND_ENQUEUE, spec=spec.content_hash,
+                       payload=spec.describe())

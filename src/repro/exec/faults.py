@@ -23,14 +23,15 @@ Fault kinds (grammar: comma-separated ``kind:rate`` pairs plus ``seed=N``):
   truncated after the fact, as a torn write would leave it; exercises
   the corrupt-entry accounting and re-simulation path.
 * ``kill-orchestrator`` — the *driver* process ``os._exit``\\ s between
-  batch waves (after absorbing — storing and journaling — a freshly
-  simulated spec), exactly as an OOM kill or SIGKILL would take it
-  down; exercises the write-ahead journal and ``--resume``.  Decided
+  batch waves (after absorbing a freshly simulated spec, stored and
+  ``done`` in the sweep queue), exactly as an OOM kill or SIGKILL would
+  take it down; exercises the sweep queue and ``--resume``.  Decided
   per absorbed spec, so every resumed run is guaranteed to make
   progress before it can be killed again.  Driver-side only: worker
   processes never consult it.
-* ``corrupt-journal`` — a sweep-journal line lands torn (its tail
-  dropped), as a crash mid-``write`` would leave it; exercises the
+* ``corrupt-journal`` — a ``done``, ``failed`` or ``interrupted`` line
+  a sweep's driver appends to its queue lands torn (its tail dropped),
+  as a crash mid-``write`` would leave it; exercises the
   corruption-tolerant replay of :mod:`repro.exec.journal`, which also
   performs the tear.  Decided per (record kind, spec, append sequence
   number), so a re-appended record after resume lands on a fresh
@@ -340,10 +341,10 @@ def should_kill_orchestrator(
 
     Only the *decision* lives here; the executor performs the exit so
     it can tear down a live local fleet first.  Keyed on the absorbed
-    spec's hash (attempt 1): once the spec is journaled ``done`` a
-    resumed run serves it without re-absorbing, so the same kill can
-    never fire twice and every resume makes progress — the chaos loop
-    in CI provably converges on ``sweep-complete``.
+    spec's hash (attempt 1): once the spec is ``done`` in the sweep
+    queue a resumed run serves it without re-absorbing, so the same
+    kill can never fire twice and every resume makes progress — the
+    chaos loop in CI provably converges on a complete queue.
     """
     if plan is None:
         return False

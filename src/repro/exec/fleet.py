@@ -2,8 +2,9 @@
 
 Everything N independent worker processes need to coordinate lives in
 two logs plus one lock file under one directory.  ``--jobs N`` runs its
-batch on a private fleet in a temporary directory
-(:meth:`repro.exec.executor.Executor._simulate_fleet`); the sweep
+batch on the sweep's own queue, ``<cache>/journal/<sweep_id[:16]>/``
+(a temporary directory when there is no result store; see
+:meth:`repro.exec.executor.Executor._simulate_fleet`); the sweep
 service (:mod:`repro.serve`) keeps a long-lived one under
 ``<cache>/serve/``, shared by any hosts that share the cache directory.
 The logs are in the tree's one JSON-lines format
@@ -15,14 +16,16 @@ replay that skips unreadable lines):
     (the :meth:`~repro.exec.runspec.RunSpec.describe` dict, hash-
     verified on read) and optionally a ``deadline``; ``done``/``failed``
     records resolve a spec; a ``requeue`` record re-opens a resolved
-    spec whose promised store entry has gone missing; a ``quarantine``
-    record resolves a poison spec fleet-wide (see below); an
-    ``expired`` record resolves a spec whose deadline passed before any
-    worker could start it.  The submitter (the executor, or the
-    server) appends ``enqueue``/``requeue``/``expired``; workers append
-    ``done``/``failed``; whichever claimant trips the lease bound
-    appends ``quarantine``; the submitter tails the file to learn of
-    resolutions.
+    spec that must run again (its promised store entry has gone
+    missing, or a failure is being retried); a ``quarantine`` record
+    resolves a poison spec fleet-wide (see below); an ``expired``
+    record resolves a spec whose deadline passed before any worker
+    could start it.  The submitter (a sweep's driver, or the server)
+    appends ``enqueue``/``requeue``/``expired``, plus the resolutions
+    it serves without a worker and a sweep driver's ``interrupted``;
+    workers append ``done``/``failed``; whichever claimant trips the
+    lease bound appends ``quarantine``; the submitter tails the file to
+    learn of resolutions.  Replay is last-record-wins per spec.
 
 ``leases.jsonl``
     Who is working on what.  ``lease`` records carry the worker id, a
@@ -31,7 +34,7 @@ replay that skips unreadable lines):
     the worker's heartbeat thread while it simulates) and ``release``
     ends one deliberately, both honoured only from the lease's own
     holder; ``expire`` records a reclaim.  Replay is last-record-wins
-    per spec.
+    per spec.  A sweep's lease book lives for one run of its driver.
 
 ``fleet.lock``
     An advisory ``flock`` serialising every read-decide-append
@@ -79,6 +82,12 @@ from typing import (
 
 from repro.exec import journal
 from repro.exec.faults import active_plan, should_fill_disk
+from repro.exec.journal import (
+    KIND_DONE,
+    KIND_ENQUEUE,
+    KIND_FAILED,
+    KIND_REQUEUE,
+)
 from repro.exec.policy import FailedRun, RetryPolicy
 
 #: Default lease TTL in seconds.  Workers renew their lease from a
@@ -90,10 +99,6 @@ from repro.exec.policy import FailedRun, RetryPolicy
 #: specs are pure — but the dedupe guarantee is per *healthy* fleet).
 DEFAULT_LEASE_TTL = 60.0
 
-KIND_ENQUEUE = "enqueue"
-KIND_REQUEUE = "requeue"
-KIND_DONE = "done"
-KIND_FAILED = "failed"
 KIND_QUARANTINE = "quarantine"
 KIND_EXPIRED = "expired"
 KIND_LEASE = "lease"
@@ -122,11 +127,15 @@ FAILURE_KINDS = (KIND_FAILED, KIND_QUARANTINE, KIND_EXPIRED)
 
 
 @dataclass
-class FleetSnapshot(journal.Outcomes):
+class FleetSnapshot:
     """What the replayed WALs say about the fleet right now."""
 
     #: spec hash -> enqueue payload, in enqueue order (insertion-ordered).
     enqueued: Dict[str, Dict[str, Any]] = field(default_factory=dict)
+    #: spec hash -> the ``done`` record that resolved it.
+    done: Dict[str, Dict[str, Any]] = field(default_factory=dict)
+    #: spec hash -> the persisted FailedRun of a spec resolved as a hole.
+    failures: Dict[str, FailedRun] = field(default_factory=dict)
     #: spec hash -> (worker, count, expires) for live leases.
     leases: Dict[str, Tuple[str, int, float]] = field(default_factory=dict)
     #: spec hash -> total leases ever granted (feeds the next count).
@@ -139,6 +148,12 @@ class FleetSnapshot(journal.Outcomes):
     expired: Set[str] = field(default_factory=set)
     #: spec hash -> absolute deadline its submission travelled with.
     deadlines: Dict[str, float] = field(default_factory=dict)
+    #: Lines skipped as unreadable (torn writes, bit rot, newer
+    #: versions) plus failure records whose payload would not load.
+    corrupt_lines: int = 0
+    #: Queue lines read or skipped (a sweep driver's append sequence
+    #: continues from here).
+    lines: int = 0
 
     def pending(self) -> List[str]:
         """Unresolved spec hashes, in enqueue order."""
@@ -200,6 +215,7 @@ class Fleet:
         leases, lease_counts, lease_skipped = self._replay_leases()
         snap = FleetSnapshot(
             corrupt_lines=len(queue_skipped) + lease_skipped,
+            lines=len(queue_records) + len(queue_skipped),
             leases=leases, lease_counts=lease_counts)
         for record in queue_records:
             kind = record.get("kind")
@@ -213,27 +229,41 @@ class Fleet:
                     deadline = record.get("deadline")
                     if isinstance(deadline, (int, float)):
                         snap.deadlines.setdefault(spec, float(deadline))
-            elif kind == KIND_REQUEUE:
-                # A broken promise undone: the spec's resolution is
-                # erased so it becomes pending (and claimable) again.
-                # Requeued work carries no deadline — the original one
-                # already had its chance to expire the spec.
-                payload = record.get("payload")
-                if isinstance(payload, dict):
-                    snap.enqueued.setdefault(spec, payload)
-                snap.done.pop(spec, None)
-                snap.failures.pop(spec, None)
-                snap.quarantined.discard(spec)
-                snap.expired.discard(spec)
-                snap.deadlines.pop(spec, None)
-            elif snap.fold(record, FAILURE_KINDS):
-                if kind == KIND_DONE:
-                    snap.quarantined.discard(spec)
-                    snap.expired.discard(spec)
-                elif kind == KIND_QUARANTINE:
+                continue
+            failure: Optional[FailedRun] = None
+            if kind in FAILURE_KINDS:
+                payload = record.get("failure")
+                if not isinstance(payload, dict):
+                    continue
+                try:
+                    failure = FailedRun.from_dict(payload)
+                except TypeError:
+                    snap.corrupt_lines += 1
+                    continue
+            elif kind not in (KIND_DONE, KIND_REQUEUE):
+                continue
+            # Last record wins: this one supersedes whatever resolved
+            # the spec before it.
+            snap.done.pop(spec, None)
+            snap.failures.pop(spec, None)
+            snap.quarantined.discard(spec)
+            snap.expired.discard(spec)
+            if kind == KIND_DONE:
+                snap.done[spec] = record
+            elif failure is not None:
+                snap.failures[spec] = failure
+                if kind == KIND_QUARANTINE:
                     snap.quarantined.add(spec)
                 elif kind == KIND_EXPIRED:
                     snap.expired.add(spec)
+            else:
+                # A requeue leaves the spec pending (and claimable)
+                # again.  Requeued work carries no deadline — the
+                # original one already had its chance to expire it.
+                payload = record.get("payload")
+                if isinstance(payload, dict):
+                    snap.enqueued.setdefault(spec, payload)
+                snap.deadlines.pop(spec, None)
         return snap
 
     def _replay_leases(
@@ -491,9 +521,9 @@ class Fleet:
                   counters: Optional[Dict[str, int]] = None) -> None:
         """Resolve a spec: durably record completion, release the lease.
 
-        The caller stores the result **first** (same write order as the
-        executor's journal): a ``done`` record promises the result is
-        re-readable from the store, so the promise must land last.
+        The caller stores the result **first**: a ``done`` record
+        promises the result is re-readable from the store, so the
+        promise must land last.
 
         ``lease_count`` opts the ``done`` append into the one-shot
         ``disk-full`` chaos schedule (first lease only); the append

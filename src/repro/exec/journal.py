@@ -1,14 +1,15 @@
-"""The one JSON-lines log format, and the sweep journal written in it.
+"""The one JSON-lines log format, and the driver's writer for sweep queues.
 
 Every durable log in the tree is a file in this format, and this module
 is the only code that reads or writes one:
 
-* the sweep journals, ``<cache>/journal/<sweep_id[:16]>.jsonl`` (below);
+* the fleet's queue and lease WALs, ``queue.jsonl`` and
+  ``leases.jsonl`` (:mod:`repro.exec.fleet`): a sweep's own queue under
+  ``<cache>/journal/<sweep_id[:16]>/`` (below), a temporary one for a
+  ``--jobs N`` batch without a result store, ``<cache>/serve/`` for the
+  sweep service;
 * fsck's audit trail, ``<cache>/journal/fsck.jsonl``
   (``python -m repro.exec fsck``);
-* the fleet's queue and lease WALs, ``queue.jsonl`` and
-  ``leases.jsonl`` (:mod:`repro.exec.fleet`) — private to one batch
-  under ``--jobs N``, ``<cache>/serve/`` for the sweep service;
 * the benchmark ledger, ``BENCH_obs.json`` (:mod:`repro.obs.ledger`).
 
 Format and guarantees
@@ -28,9 +29,6 @@ every log but the ledger carry a version ``v`` and a ``kind``
   that line only, and the numbers of the skipped lines are returned.
 * :func:`read_tail` reads only complete lines past a byte offset, so a
   poller never half-reads a record a writer is mid-append on.
-* :class:`Outcomes` folds ``done`` and failure records
-  last-record-wins per spec; ``--resume`` (:func:`read_state`) and
-  :meth:`~repro.exec.fleet.Fleet.snapshot` both read through it.
 
 The two log fault kinds are performed here; :mod:`repro.exec.faults`
 only decides when they fire.  ``disk-full`` writes half the line and
@@ -39,42 +37,36 @@ raises ``OSError(ENOSPC)``, which the rollback undoes.
 newline-terminated, as a crash mid-``write`` would leave it, so replay
 skips exactly that record.
 
-The sweep journal
------------------
-A long sweep's orchestrating driver is routinely killed (OOM killer, a
-scheduler's SIGTERM, Ctrl-C, a host reboot).  As each spec resolves,
-the executor appends one record describing it, so a killed driver
-leaves a readable record of exactly which specs finished (``done``)
-and which exhausted every attempt (``failed`` / ``timeout``); the rest
-were merely planned or in flight.  ``--resume`` replays
-it: finished specs resolve from the journal + result store without
-re-dispatch, persisted failures are served as
-:class:`~repro.exec.policy.FailedRun` holes instead of silently
-re-running exhausted specs, and the resumed grid is bit-identical to an
-uninterrupted run because results are the same content-addressed
-payloads either way.  A record that fails to replay simply re-runs its
-spec.
+The sweep queue
+---------------
+A long sweep's driver is routinely killed (OOM killer, a scheduler's
+SIGTERM, Ctrl-C, a host reboot).  So a multi-spec batch with a result
+store runs on a fleet queue of its own,
+``<cache>/journal/<sweep_id[:16]>/queue.jsonl``, and that queue is the
+sweep's write-ahead log.  The driver appends one ``enqueue`` per unique
+spec (carrying the spec payload, so ``--jobs N`` workers can claim it),
+then each spec's resolution as it lands: ``done`` (the result is in the
+store) or ``failed`` (every attempt was exhausted; the record carries
+the whole :class:`~repro.exec.policy.FailedRun`, a timeout keeping
+``failure.kind``).  Under ``--jobs N`` the fleet's workers append the
+resolutions they produce, and the driver only those it serves from its
+memo or the store.  A resolved spec that must run again is reopened
+with ``requeue``; a graceful signal stop appends ``interrupted``.  A
+sweep is complete when its queue has nothing pending.
 
-A journal belongs to one *sweep*: the SHA-256 of the ordered spec-hash
+``--resume`` replays the queue (:meth:`~repro.exec.fleet.Fleet.snapshot`):
+finished specs resolve from the queue + result store without
+re-simulation, persisted failures are served as holes instead of
+silently re-running exhausted specs, and the resumed grid is
+bit-identical to an uninterrupted run because results are the same
+content-addressed payloads either way.  A record that fails to replay
+simply re-runs its spec.
+
+A queue belongs to one *sweep*: the SHA-256 of the ordered spec-hash
 list plus the retry policy (:func:`sweep_identity`).  Re-submitting the
 same batch — same specs, same order, same policy — therefore finds the
-same journal file, which is what makes ``--resume`` safe: it can never
-replay a journal onto a different workload.
-
-Record kinds (the ``kind`` field)::
-
-    sweep-start      identity, spec counts, policy     (first line)
-    planned          one per unique spec, in order
-    done             the spec resolved to a RunResult (source says how)
-    failed|timeout   the spec exhausted every attempt; carries the
-                     full FailedRun payload so resume can serve it
-    interrupted      a graceful signal shutdown flushed and stopped
-    sweep-complete   every spec resolved; the journal is finished
-    fsck             a store repair report (in ``fsck.jsonl`` only)
-
-Journals written before the ``dispatched`` record (one per attempt) was
-retired still replay: replay folds only the kinds above and skips the
-rest.
+same queue, which is what makes ``--resume`` safe: it can never replay
+a queue onto a different workload.
 """
 
 from __future__ import annotations
@@ -84,9 +76,7 @@ import errno
 import hashlib
 import json
 import os
-import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
     Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
@@ -105,17 +95,21 @@ from repro.exec.policy import FailedRun, RetryPolicy
 #: with a newer ``v`` rather than mis-parsing them.
 JOURNAL_VERSION = 1
 
-#: fsck's audit trail: lives beside the sweep journals, is not one.
+#: fsck's audit trail: lives beside the sweep queues, is not one.
 FSCK_LOG = "fsck.jsonl"
 
-KIND_START = "sweep-start"
-KIND_PLANNED = "planned"
+#: The queue records a sweep's driver writes (the fleet adds its own).
+KIND_ENQUEUE = "enqueue"
+KIND_REQUEUE = "requeue"
 KIND_DONE = "done"
 KIND_FAILED = "failed"
-KIND_TIMEOUT = "timeout"
 KIND_INTERRUPTED = "interrupted"
-KIND_COMPLETE = "sweep-complete"
 KIND_FSCK = "fsck"
+
+#: The kinds ``corrupt-journal`` may tear.  Never an ``enqueue`` or a
+#: ``requeue``: a spec whose claimable record is lost would strand a
+#: ``--jobs N`` batch waiting for it.
+TEARABLE_KINDS = (KIND_DONE, KIND_FAILED, KIND_INTERRUPTED)
 
 
 # -- the log format -----------------------------------------------------------
@@ -243,53 +237,7 @@ def _parse(
     return records, skipped
 
 
-@dataclass
-class Outcomes:
-    """Per-spec resolutions, folded last-record-wins from a log."""
-
-    #: spec hash -> the ``done`` record that resolved it.
-    done: Dict[str, Dict[str, Any]] = field(default_factory=dict)
-    #: spec hash -> the persisted FailedRun of an exhausted spec.
-    failures: Dict[str, FailedRun] = field(default_factory=dict)
-    #: Lines skipped as unreadable (torn writes, bit rot, newer
-    #: versions) plus failure records whose payload would not load.
-    corrupt_lines: int = 0
-
-    @property
-    def resolved(self) -> int:
-        """Specs resolved either way."""
-        return len(self.done) + len(self.failures)
-
-    def fold(self, record: Dict[str, Any],
-             failure_kinds: Sequence[str]) -> bool:
-        """Apply ``record`` if it resolves a spec; True when it did.
-
-        A ``done`` record supersedes an earlier failure and a failure
-        record (any of ``failure_kinds``, carrying a FailedRun payload)
-        an earlier ``done`` — a spec journaled ``failed`` and later
-        (``--retry-failed``) ``done`` reads as done.
-        """
-        spec = record.get("spec", "")
-        kind = record.get("kind")
-        if not spec:
-            return False
-        if kind == KIND_DONE:
-            self.done[spec] = record
-            self.failures.pop(spec, None)
-            return True
-        failure = record.get("failure")
-        if kind not in failure_kinds or not isinstance(failure, dict):
-            return False
-        try:
-            self.failures[spec] = FailedRun.from_dict(failure)
-        except TypeError:
-            self.corrupt_lines += 1
-            return False
-        self.done.pop(spec, None)
-        return True
-
-
-# -- the sweep journal --------------------------------------------------------
+# -- the sweep queue, driver side -------------------------------------------
 
 def sweep_identity(
     spec_hashes: Sequence[str], policy: RetryPolicy
@@ -299,7 +247,7 @@ def sweep_identity(
     The *ordered* batch (duplicates included) is hashed, not the unique
     set: a driver that submits the same cells in a different shape is a
     different sweep.  The policy is part of identity because it changes
-    outcomes — a journal of failures recorded under ``retries=0`` must
+    outcomes — a queue of failures recorded under ``retries=0`` must
     not be replayed onto a ``retries=3`` run as if they were final.
     """
     payload = json.dumps(
@@ -313,136 +261,40 @@ def sweep_identity(
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def journal_path(journal_dir: Union[str, Path], sweep_id: str) -> Path:
-    """Where the journal for ``sweep_id`` lives under ``journal_dir``."""
-    return Path(journal_dir) / f"{sweep_id[:16]}.jsonl"
-
-
-@dataclass
-class JournalState(Outcomes):
-    """What a replayed journal says about a sweep."""
-
-    sweep_id: str = ""
-    path: Optional[Path] = None
-    #: True once a ``sweep-complete`` record was read.
-    complete: bool = False
-    #: Records read or skipped — the append sequence continues from
-    #: here so the fault schedule never reuses a sequence number.
-    lines: int = 0
-    #: Signals recorded by graceful shutdowns of earlier runs.
-    interrupts: List[int] = field(default_factory=list)
-
-
-def read_state(path: Union[str, Path]) -> Optional[JournalState]:
-    """Replay the journal at ``path``; None when there is no file."""
-    path = Path(path)
-    if not path.is_file():
-        return None
-    records, skipped = replay(path)
-    state = JournalState(path=path, corrupt_lines=len(skipped),
-                         lines=len(records) + len(skipped))
-    for record in records:
-        if not state.sweep_id and record.get("sweep"):
-            state.sweep_id = str(record["sweep"])
-        if state.fold(record, (KIND_FAILED, KIND_TIMEOUT)):
-            continue
-        kind = record.get("kind")
-        if kind == KIND_INTERRUPTED:
-            state.interrupts.append(int(record.get("signal", 0)))
-        elif kind == KIND_COMPLETE:
-            state.complete = True
-    return state
-
-
 class SweepJournal:
-    """Appender for one sweep's journal file.
+    """The driver's appender to one sweep queue.
 
-    :meth:`append` is the journal's single write path.  Its sequence
+    :meth:`append` is the driver's single write path.  Its sequence
     number feeds the deterministic ``corrupt-journal`` fault schedule
     (:func:`repro.exec.faults.should_corrupt_journal`), so chaos tests
-    can tear specific writes.
+    can tear specific writes; only :data:`TEARABLE_KINDS` are torn.
+    ``seq`` is the number of lines already in the file, so a resumed
+    run never reuses a schedule slot.
     """
 
     def __init__(
         self,
         path: Union[str, Path],
-        sweep_id: str,
         plan: Optional[FaultPlan] = None,
         seq: int = 0,
     ) -> None:
         self.path = Path(path)
-        self.sweep_id = sweep_id
         self.plan = plan
         self._seq = seq
 
     def append(self, kind: str, **fields: Any) -> None:
         """Durably append one record; crash-safe at every byte."""
         seq = self._seq + 1
-        torn = should_corrupt_journal(
+        torn = kind in TEARABLE_KINDS and should_corrupt_journal(
             self.plan, f"{kind}:{fields.get('spec', '')}", seq)
-        append_record(self.path, versioned(kind, sweep=self.sweep_id,
-                                           **fields),
+        append_record(self.path, versioned(kind, **fields),
                       "corrupt-journal" if torn else None)
         self._seq = seq
 
-    # -- lifecycle shorthands --------------------------------------------------
-
-    def start(self, n_unique: int, n_batch: int,
-              policy: RetryPolicy) -> None:
-        self.append(KIND_START, specs=n_unique, batch=n_batch,
-                    policy=dataclasses.asdict(policy))
-
-    def planned(self, spec_hash: str, benchmark: str, mechanism: str) -> None:
-        self.append(KIND_PLANNED, spec=spec_hash, benchmark=benchmark,
-                    mechanism=mechanism)
-
-    def done(self, spec_hash: str, benchmark: str, mechanism: str,
-             source: str, seconds: float = 0.0) -> None:
-        self.append(KIND_DONE, spec=spec_hash, benchmark=benchmark,
-                    mechanism=mechanism, source=source,
+    def done(self, spec_hash: str, source: str, seconds: float = 0.0) -> None:
+        self.append(KIND_DONE, spec=spec_hash, source=source,
                     seconds=round(seconds, 6))
 
     def failed(self, failure: FailedRun) -> None:
-        kind = KIND_TIMEOUT if failure.kind == "timeout" else KIND_FAILED
-        self.append(kind, spec=failure.spec_hash,
+        self.append(KIND_FAILED, spec=failure.spec_hash,
                     failure=failure.describe())
-
-    def interrupted(self, signum: int) -> None:
-        self.append(KIND_INTERRUPTED, signal=int(signum))
-
-    def complete(self, n_unique: int) -> None:
-        self.append(KIND_COMPLETE, specs=n_unique)
-
-
-def scan_journals(
-    journal_dir: Union[str, Path]
-) -> List[Tuple[Path, JournalState]]:
-    """Every sweep journal under ``journal_dir`` with its replayed state.
-
-    fsck's audit trail (:data:`FSCK_LOG`) is not a sweep journal and is
-    excluded.  Missing directory reads as no journals.
-    """
-    journal_dir = Path(journal_dir)
-    found: List[Tuple[Path, JournalState]] = []
-    try:
-        paths = sorted(journal_dir.glob("*.jsonl"))
-    except OSError:
-        return found
-    for path in paths:
-        if path.name == FSCK_LOG:
-            continue
-        state = read_state(path)
-        if state is not None:
-            found.append((path, state))
-    return found
-
-
-def hint_incomplete(state: JournalState) -> None:
-    """The stderr nudge printed when an interrupted journal is detected."""
-    print(
-        f"executor: found an interrupted journal for this sweep "
-        f"({len(state.done)} done, {len(state.failures)} failed); "
-        "pass --resume to serve finished specs without re-simulation "
-        "(starting fresh, the old journal is being overwritten)",
-        file=sys.stderr,
-    )

@@ -80,14 +80,6 @@ class ShutdownManager:
         """The first shutdown signal received, or None."""
         return self._requested
 
-    @property
-    def installed(self) -> bool:
-        return bool(self._saved)
-
-    def exit_code(self) -> int:
-        return 128 + (self._requested if self._requested is not None
-                      else signal.SIGINT)
-
     def reset(self) -> None:
         """Forget a previous request (tests, repeated CLI invocations)."""
         self._requested = None
@@ -148,11 +140,6 @@ class ShutdownManager:
             except BaseException:
                 pass
         os._exit(128 + signum)
-
-    def interrupt_if_requested(self) -> None:
-        """Raise :class:`SweepInterrupted` when a shutdown was requested."""
-        if self._requested is not None:
-            raise SweepInterrupted(self._requested)
 
 
 #: The process-wide manager.  Never installed at import; the CLI

@@ -1,16 +1,16 @@
-"""Durable sweeps: write-ahead journal, resume, signals, store integrity.
+"""Durable sweeps: the sweep queue, resume, signals, store integrity.
 
 The convergence arguments these tests rely on are deterministic by
 construction: fault decisions are pure functions of (seed, kind, key,
 sequence), the kill-orchestrator fault fires only *after* a spec was
-absorbed (stored + journaled), and journal replay is last-record-wins —
-so the subprocess chaos loops here provably terminate and the resumed
-output is asserted byte-identical, not merely "close".
+absorbed (stored, and ``done`` in the sweep queue), and queue replay is
+last-record-wins — so the subprocess chaos loops here provably
+terminate and the resumed output is asserted byte-identical, not
+merely "close".
 """
 
 import contextlib
 import dataclasses
-import glob
 import json
 import os
 import resource
@@ -31,19 +31,19 @@ from repro.exec import (
     RetryPolicy,
     RunSpec,
     ShutdownManager,
+    SpecExhausted,
     SweepInterrupted,
     SweepJournal,
-    read_state,
-    scan_journals,
     sweep_identity,
 )
+from repro.exec.executor import SWEEP_LOCK
 from repro.exec.faults import should_corrupt_journal
-from repro.exec.journal import append_record, journal_path, replay, versioned
+from repro.exec.fleet import DEFAULT_LEASE_TTL, Fleet
+from repro.exec.journal import TEARABLE_KINDS, append_record, locked, replay
 from repro.exec.store import STORE_VERSION, result_checksum
 from repro.exec.telemetry import SOURCE_JOURNAL, RunRecord, Telemetry
 from repro.obs.ledger import Ledger, make_record
 from repro.obs.metrics import MetricsRegistry, executor_summary_line
-from repro.exec.fleet import Fleet
 
 from tests.conftest import live_group_members
 
@@ -78,6 +78,25 @@ def _executor(store, **kwargs):
     return Executor(store=store, **kwargs)
 
 
+def _sweep_queues(store):
+    """Every sweep queue under ``store``'s journal directory, replayed."""
+    return [(path, Fleet(path.parent).snapshot())
+            for path in sorted(store.journal_dir.glob("*/queue.jsonl"))]
+
+
+def _kinds_per_spec(path):
+    """spec hash -> its record kinds in order ("" collects spec-less ones)."""
+    kinds = {}
+    for record in replay(path)[0]:
+        kinds.setdefault(record.get("spec", ""), []).append(record["kind"])
+    return kinds
+
+
+def _interrupts(path):
+    return [record["signal"] for record in replay(path)[0]
+            if record["kind"] == "interrupted"]
+
+
 # -- sweep identity ------------------------------------------------------------
 
 def test_sweep_identity_is_stable_and_sensitive():
@@ -91,83 +110,107 @@ def test_sweep_identity_is_stable_and_sensitive():
     assert base != sweep_identity(["h1", "h2"], RetryPolicy(retries=3))
 
 
-def test_journal_path_is_stable(tmp_path):
-    sweep = sweep_identity(["h1"], RetryPolicy())
-    assert journal_path(tmp_path, sweep) == journal_path(tmp_path, sweep)
-    assert journal_path(tmp_path, sweep).suffix == ".jsonl"
+def test_sweep_queue_lives_under_the_sweep_identity(tmp_path):
+    store = ResultStore(tmp_path / "cache")
+    specs = _grid_specs()
+    _executor(store).run(specs)
+    sweep = sweep_identity([s.content_hash for s in specs], RetryPolicy())
+    ((path, snap),) = _sweep_queues(store)
+    assert path == store.journal_dir / sweep[:16] / "queue.jsonl"
+    assert list(snap.enqueued) == [s.content_hash for s in specs]
+    # The driver's lock stays; a --jobs 1 run takes no fleet lock and
+    # writes no lease book.
+    assert sorted(p.name for p in path.parent.iterdir()) == [
+        "queue.jsonl", SWEEP_LOCK]
 
 
-# -- the journal file ----------------------------------------------------------
+# -- the sweep queue file ------------------------------------------------------
+
+def _queue(tmp_path, plan=None):
+    fleet = Fleet(tmp_path / "sweep")
+    return fleet, SweepJournal(fleet.queue_path, plan=plan)
+
 
 def test_journal_round_trips_lifecycle(tmp_path):
-    path = tmp_path / "sweep.jsonl"
-    journal = SweepJournal(path, "abc")
-    journal.start(2, 3, RetryPolicy())
-    journal.planned("h1", "swim", "Base")
-    journal.planned("h2", "gzip", "TP")
-    # A record kind the journal no longer writes (older journals carry
-    # one per attempt) replays as noise, not damage.
-    append_record(path, versioned("dispatched", sweep="abc", spec="h1",
-                                  attempt=1))
-    journal.done("h1", "swim", "Base", "simulated", 0.25)
+    fleet, journal = _queue(tmp_path)
+    journal.append("enqueue", spec="h1", payload={"benchmark": "swim"})
+    journal.append("enqueue", spec="h2", payload={"benchmark": "gzip"})
+    journal.append("enqueue", spec="h3", payload={"benchmark": "art"})
+    # Kinds the queue no longer holds (older sweep journals carried
+    # them) replay as noise, not damage.
+    append_record(fleet.queue_path, {"v": 1, "kind": "dispatched",
+                                     "spec": "h1", "attempt": 1})
+    append_record(fleet.queue_path, {"v": 1, "kind": "sweep-complete"})
+    journal.done("h1", "simulated", 0.25)
     failure = FailedRun(spec_hash="h2", benchmark="gzip", mechanism="TP",
                         attempts=2, error="boom", kind="error")
     journal.failed(failure)
-    journal.complete(2)
 
-    state = read_state(path)
-    assert state is not None
-    assert state.sweep_id == "abc"
-    assert set(state.done) == {"h1"}
-    assert state.done["h1"]["source"] == "simulated"
-    assert state.failures == {"h2": failure}
-    assert state.complete
-    assert state.corrupt_lines == 0
-    assert state.resolved == 2
+    snap = fleet.snapshot()
+    assert set(snap.done) == {"h1"}
+    assert snap.done["h1"]["source"] == "simulated"
+    assert snap.failures == {"h2": failure}
+    assert snap.pending() == ["h3"]            # incomplete: h3 never ran
+    assert snap.corrupt_lines == 0
+    assert snap.lines == 7
+    journal.done("h3", "store")
+    assert not fleet.snapshot().pending()      # complete
     # Every line is one parseable record with the version stamp.
-    for line in path.read_text().splitlines():
+    for line in fleet.queue_path.read_text().splitlines():
         assert json.loads(line)["v"] == 1
 
 
-def test_read_state_missing_file_is_none(tmp_path):
-    assert read_state(tmp_path / "absent.jsonl") is None
+def test_missing_queue_snapshots_as_empty(tmp_path):
+    snap = Fleet(tmp_path / "absent").snapshot()
+    assert not snap.enqueued and not snap.done and not snap.failures
+    assert snap.lines == 0 and not snap.pending()
 
 
 def test_journal_replay_is_last_record_wins(tmp_path):
-    path = tmp_path / "sweep.jsonl"
-    journal = SweepJournal(path, "abc")
+    fleet, journal = _queue(tmp_path)
+    journal.append("enqueue", spec="h1", payload={"benchmark": "swim"})
     failure = FailedRun(spec_hash="h1", benchmark="swim", mechanism="Base",
                         attempts=1, error="boom")
     journal.failed(failure)
-    journal.done("h1", "swim", "Base", "simulated")  # --retry-failed succeeded
-    state = read_state(path)
-    assert set(state.done) == {"h1"} and not state.failures
+    journal.done("h1", "simulated")                  # --retry-failed succeeded
+    snap = fleet.snapshot()
+    assert set(snap.done) == {"h1"} and not snap.failures
 
     journal.failed(failure)                          # ...and the reverse
-    state = read_state(path)
-    assert set(state.failures) == {"h1"} and not state.done
+    snap = fleet.snapshot()
+    assert set(snap.failures) == {"h1"} and not snap.done
+
+    # A requeue reopens it: pending again, and claimable.
+    journal.append("requeue", spec="h1", payload={"benchmark": "swim"})
+    snap = fleet.snapshot()
+    assert not snap.failures and snap.pending() == ["h1"]
 
 
 def test_timeout_failures_keep_their_kind_through_replay(tmp_path):
-    path = tmp_path / "sweep.jsonl"
-    journal = SweepJournal(path, "abc")
+    fleet, journal = _queue(tmp_path)
     failure = FailedRun(spec_hash="h1", benchmark="swim", mechanism="Base",
                         attempts=3, error="hung", kind="timeout")
     journal.failed(failure)
-    assert json.loads(path.read_text())["kind"] == "timeout"
-    assert read_state(path).failures["h1"].kind == "timeout"
+    assert json.loads(fleet.queue_path.read_text())["kind"] == "failed"
+    assert fleet.snapshot().failures["h1"].kind == "timeout"
 
 
 def test_corrupt_journal_fault_tears_the_tail_only(tmp_path):
-    path = tmp_path / "sweep.jsonl"
-    plan = FaultPlan(corrupt_journal=1.0)
-    journal = SweepJournal(path, "abc", plan=plan)
-    journal.done("h1", "swim", "Base", "simulated")
-    journal.done("h2", "gzip", "TP", "simulated")
-    state = read_state(path)
-    # Every append was torn, every tear cost exactly its own record.
-    assert state.corrupt_lines == 2 and not state.done
-    assert state.lines == 2  # torn lines still count (the sequence)
+    fleet, journal = _queue(tmp_path, plan=FaultPlan(corrupt_journal=1.0))
+    journal.append("enqueue", spec="h1", payload={"benchmark": "swim"})
+    journal.append("enqueue", spec="h2", payload={"benchmark": "gzip"})
+    journal.done("h1", "simulated")
+    journal.done("h2", "simulated")
+    journal.append("interrupted", signal=2)
+    journal.append("requeue", spec="h1", payload={"benchmark": "swim"})
+    snap = fleet.snapshot()
+    # Every tearable append was torn, every tear cost exactly its own
+    # record; a torn enqueue or requeue would strand its spec under
+    # --jobs N, so those always land whole.
+    assert TEARABLE_KINDS == ("done", "failed", "interrupted")
+    assert snap.corrupt_lines == 3 and not snap.done
+    assert snap.pending() == ["h1", "h2"]
+    assert snap.lines == 6  # torn lines still count (the sequence)
     assert should_corrupt_journal(None, "k", 1) is False
 
     # The sequence number continues across resumes, so the same record
@@ -181,21 +224,19 @@ def test_corrupt_journal_fault_tears_the_tail_only(tmp_path):
 
 # -- one log format: every log, every kind of damage ---------------------------
 #
-# The sweep journal, the fleet WAL and the ledger share one append and
-# one replay (repro.exec.journal); each is driven here through its own
-# writer and reader.  A log is (path, append(key), read() -> (keys,
-# skipped lines)).
+# The sweep queue (through the driver's writer), the fleet WAL and the
+# ledger share one append and one replay (repro.exec.journal); each is
+# driven here through its own writer and reader.  A log is (path,
+# append(key), read() -> (keys, skipped lines)).
 
 def _journal_log(tmp_path):
-    path = tmp_path / "sweep.jsonl"
-    journal = SweepJournal(path, "abc")
+    fleet, journal = _queue(tmp_path)
 
     def read():
-        state = read_state(path)
-        return list(state.done), state.corrupt_lines
+        snap = fleet.snapshot()
+        return list(snap.done), snap.corrupt_lines
 
-    return path, lambda key: journal.done(key, "swim", "Base",
-                                          "simulated"), read
+    return fleet.queue_path, lambda key: journal.done(key, "simulated"), read
 
 
 def _wal_log(tmp_path):
@@ -269,7 +310,7 @@ def test_a_write_failing_mid_line_is_rolled_back(tmp_path, log):
     assert read() == (["a", "c"], 0)
 
 
-# -- executor integration: journal + resume ------------------------------------
+# -- executor integration: sweep queue + resume --------------------------------
 
 def test_multi_spec_batches_journal_and_resume_serves(tmp_path, capsys):
     store = ResultStore(tmp_path / "cache")
@@ -278,8 +319,8 @@ def test_multi_spec_batches_journal_and_resume_serves(tmp_path, capsys):
     originals = first.run(specs)
     assert first.telemetry.simulated == len(specs)
 
-    ((path, state),) = scan_journals(store.journal_dir)
-    assert state.complete and set(state.done) == {
+    ((path, snap),) = _sweep_queues(store)
+    assert not snap.pending() and set(snap.done) == {
         s.content_hash for s in specs
     }
 
@@ -297,7 +338,7 @@ def test_multi_spec_batches_journal_and_resume_serves(tmp_path, capsys):
 def test_single_spec_batches_do_not_journal(tmp_path):
     store = ResultStore(tmp_path / "cache")
     _executor(store).run([RunSpec("swim", n_instructions=N)])
-    assert scan_journals(store.journal_dir) == []
+    assert not store.journal_dir.exists()
 
 
 def test_journaling_off_without_a_journal_dir(tmp_path):
@@ -311,10 +352,12 @@ def test_fresh_run_overwrites_incomplete_journal_with_a_hint(tmp_path, capsys):
     store = ResultStore(tmp_path / "cache")
     specs = _grid_specs()
     _executor(store).run(specs)
-    ((path, _),) = scan_journals(store.journal_dir)
+    ((path, _),) = _sweep_queues(store)
+    victim = specs[0].content_hash
     lines = [l for l in path.read_text().splitlines()
-             if "sweep-complete" not in l]
+             if not ('"kind": "done"' in l and victim in l)]
     path.write_text("\n".join(lines) + "\n")
+    assert Fleet(path.parent).snapshot().pending() == [victim]
 
     fresh = _executor(store)   # no --resume
     fresh.run(specs)
@@ -322,7 +365,9 @@ def test_fresh_run_overwrites_incomplete_journal_with_a_hint(tmp_path, capsys):
     assert "pass --resume" in err
     assert fresh.telemetry.journal_served == 0
     assert fresh.telemetry.store_hits == len(specs)
-    assert read_state(path).complete   # the overwritten journal finished
+    # The old queue was discarded and the new one finished.
+    assert _kinds_per_spec(path) == {
+        s.content_hash: ["enqueue", "done"] for s in specs}
 
 
 def test_resume_with_missing_store_entry_resimulates(tmp_path):
@@ -340,7 +385,27 @@ def test_resume_with_missing_store_entry_resimulates(tmp_path):
     assert _as_dicts(results) == _as_dicts(originals)
 
 
-def test_pool_runs_journal_and_resume_identically(tmp_path):
+def test_resume_reads_a_rotted_store_entry_once(tmp_path, capsys):
+    store = ResultStore(tmp_path / "cache")
+    specs = _grid_specs()
+    originals = _executor(store).run(specs)
+    victim = store.path_for(specs[0])
+    victim.write_text(victim.read_text()[:40])   # truncated: one defect
+
+    resumed = _executor(store, resume=True)
+    results = resumed.run(specs)
+    assert resumed.telemetry.store_corrupt == 1
+    assert capsys.readouterr().err.count("read as a miss") == 1
+    assert resumed.telemetry.simulated == 1
+    assert resumed.telemetry.journal_served == len(specs) - 1
+    assert _as_dicts(results) == _as_dicts(originals)
+    # The spec that must run again was requeued before it re-ran.
+    ((path, _),) = _sweep_queues(store)
+    assert _kinds_per_spec(path)[specs[0].content_hash] == [
+        "enqueue", "done", "requeue", "done"]
+
+
+def test_pool_runs_journal_and_resume_identically(tmp_path, leftovers):
     store = ResultStore(tmp_path / "cache")
     specs = _grid_specs()
     first = _executor(store, jobs=2)
@@ -349,6 +414,10 @@ def test_pool_runs_journal_and_resume_identically(tmp_path):
     results = resumed.run(specs)
     assert resumed.telemetry.journal_served == len(specs)
     assert _as_dicts(results) == _as_dicts(originals)
+    # The fleet ran in the sweep's directory: no private queue, and no
+    # lease book outlived the run.
+    leftovers()
+    assert not list(store.journal_dir.glob("*/leases.jsonl"))
 
 
 def test_journals_hold_the_same_record_kinds_at_any_job_count(tmp_path):
@@ -357,16 +426,12 @@ def test_journals_hold_the_same_record_kinds_at_any_job_count(tmp_path):
     for jobs in (1, 2):
         store = ResultStore(tmp_path / f"cache-{jobs}")
         _executor(store, jobs=jobs).run(specs)
-        ((path, _state),) = scan_journals(store.journal_dir)
-        per_spec = {}
-        for record in replay(path)[0]:
-            per_spec.setdefault(record.get("spec", ""),
-                                []).append(record["kind"])
-        kinds[jobs] = per_spec
+        ((path, _snap),) = _sweep_queues(store)
+        kinds[jobs] = _kinds_per_spec(path)
     assert kinds[1] == kinds[2]
-    assert kinds[1][""] == ["sweep-start", "sweep-complete"]
-    assert all(kinds[1][s.content_hash] == ["planned", "done"]
-               for s in specs)
+    # One record vocabulary: the driver's enqueue, then one resolution
+    # per spec (the worker's at --jobs 2), and nothing without a spec.
+    assert kinds[1] == {s.content_hash: ["enqueue", "done"] for s in specs}
 
 
 def test_corrupt_journal_chaos_degrades_to_store_hits(tmp_path):
@@ -380,6 +445,34 @@ def test_corrupt_journal_chaos_degrades_to_store_hits(tmp_path):
     assert resumed.telemetry.journal_served == 0
     assert resumed.telemetry.store_hits == len(specs)
     assert _as_dicts(results) == _as_dicts(originals)
+
+
+def test_corrupt_journal_chaos_at_jobs_2_completes_and_degrades_to_store_hits(
+        tmp_path, leftovers):
+    store = ResultStore(tmp_path / "cache")
+    specs = _grid_specs()
+    chaos = FaultPlan(corrupt_journal=1.0)
+    # Cold: no enqueue is ever torn, so every spec stays claimable and
+    # the workers resolve them all.
+    start = time.monotonic()
+    originals = _executor(store, jobs=2, faults=chaos).run(specs)
+    assert time.monotonic() - start < DEFAULT_LEASE_TTL / 2
+    ((path, snap),) = _sweep_queues(store)
+    assert list(snap.enqueued) == [s.content_hash for s in specs]
+    # Warm: every resolution is now the driver's own store-hit ``done``,
+    # and every one of them lands torn.
+    warm = _executor(store, jobs=2, faults=chaos)
+    assert _as_dicts(warm.run(specs)) == _as_dicts(originals)
+    assert warm.telemetry.store_hits == len(specs)
+    assert Fleet(path.parent).snapshot().corrupt_lines == len(specs)
+
+    resumed = _executor(store, jobs=2, resume=True)
+    results = resumed.run(specs)
+    assert resumed.telemetry.journal_served == 0
+    assert resumed.telemetry.store_hits == len(specs)
+    assert resumed.telemetry.simulated == 0
+    assert _as_dicts(results) == _as_dicts(originals)
+    leftovers()
 
 
 # -- persisted failures and --retry-failed -------------------------------------
@@ -423,32 +516,108 @@ def test_strict_resume_reruns_journaled_failures(tmp_path, capsys):
     assert not any(isinstance(r, FailedRun) for r in results)
 
 
+def test_jobs_2_poison_hole_is_served_on_resume_and_rerun_on_retry_failed(
+        tmp_path, leftovers, capsys):
+    store = ResultStore(tmp_path / "cache")
+    specs = _grid_specs()
+    victim = specs[1]
+    policy = RetryPolicy(**_LENIENT)
+    clean = Executor(jobs=1).run(specs)
+    poisoned = _executor(store, jobs=2, policy=policy,
+                         faults=FaultPlan(poison=victim.content_hash[:12]))
+    holes = poisoned.run(specs)
+    assert isinstance(holes[1], FailedRun) and holes[1].kind == "poison"
+    assert poisoned.telemetry.quarantined == 1
+    ((path, snap),) = _sweep_queues(store)
+    assert snap.quarantined == {victim.content_hash}
+
+    served = _executor(store, jobs=2, policy=policy, resume=True)
+    assert served.run(specs) == holes
+    assert served.telemetry.journal_served == len(specs)
+    assert served.telemetry.simulated == 0
+
+    # The poison plan is gone; a fresh lease book gives the spec a full
+    # lease budget again.
+    retried = _executor(store, jobs=2, policy=policy, resume=True,
+                        retry_failed=True)
+    assert _as_dicts(retried.run(specs)) == _as_dicts(clean)
+    assert retried.telemetry.simulated == 1
+    assert retried.telemetry.quarantined == 0
+    assert not Fleet(path.parent).snapshot().quarantined
+    leftovers()
+
+
+def test_a_dead_runs_leases_neither_block_nor_poison_a_resume(tmp_path,
+                                                              leftovers):
+    store = ResultStore(tmp_path / "cache")
+    specs = _grid_specs()
+    manager = ShutdownManager(grace=0.0)
+    manager._handle(signal.SIGINT, None)
+    with pytest.raises(SweepInterrupted):
+        _executor(store, shutdown=manager).run(specs)
+    ((path, snap),) = _sweep_queues(store)
+    assert len(snap.pending()) == len(specs)
+    # What two SIGKILLed drivers leave behind: every spec leased for the
+    # whole default TTL, twice, by workers that are long gone.
+    fleet = Fleet(path.parent)
+    for spec in specs:
+        for count in (1, 2):
+            append_record(fleet.lease_path, {
+                "v": 1, "kind": "lease", "spec": spec.content_hash,
+                "worker": "w0-g1", "count": count,
+                "expires": time.time() + DEFAULT_LEASE_TTL})
+
+    manager.reset()
+    resumed = _executor(store, jobs=2, resume=True, shutdown=manager)
+    start = time.monotonic()
+    results = resumed.run(specs)
+    assert time.monotonic() - start < DEFAULT_LEASE_TTL / 2
+    assert not any(isinstance(r, FailedRun) for r in results)
+    assert resumed.telemetry.quarantined == 0
+    assert resumed.telemetry.simulated == len(specs)
+    assert not fleet.lease_path.exists()
+    leftovers()
+
+
+def test_a_second_driver_of_a_sweep_waits_for_its_lock(tmp_path):
+    store = ResultStore(tmp_path / "cache")
+    specs = _grid_specs()
+    _executor(store).run(specs)
+    ((path, _),) = _sweep_queues(store)
+    before = path.read_bytes()
+    second = _executor(store)
+    driver = threading.Thread(target=second.run, args=(specs,))
+    with locked(path.parent / SWEEP_LOCK):   # a live driver of this sweep
+        driver.start()
+        driver.join(0.5)
+        assert driver.is_alive()              # waiting, not discarding
+        assert path.read_bytes() == before
+    driver.join(30)
+    assert not driver.is_alive()
+    assert second.telemetry.store_hits == len(specs)
+
+
 # -- graceful shutdown ---------------------------------------------------------
 
 def test_shutdown_manager_request_and_reset():
     manager = ShutdownManager(grace=1.0)
-    assert manager.requested is None and not manager.installed
+    assert manager.requested is None
     manager._handle(signal.SIGTERM, None)
     assert manager.requested == signal.SIGTERM
-    assert manager.exit_code() == 143
-    with pytest.raises(SweepInterrupted) as excinfo:
-        manager.interrupt_if_requested()
-    assert excinfo.value.signum == signal.SIGTERM
-    assert excinfo.value.exit_code == 143
+    interrupt = SweepInterrupted(manager.requested)
+    assert interrupt.signum == signal.SIGTERM
+    assert interrupt.exit_code == 143
     manager.reset()
     assert manager.requested is None
-    manager.interrupt_if_requested()   # no-op after reset
 
 
 def test_shutdown_manager_install_restores_handlers():
     manager = ShutdownManager()
     before = signal.getsignal(signal.SIGTERM)
     manager.install((signal.SIGTERM,))
-    assert manager.installed
     assert signal.getsignal(signal.SIGTERM) == manager._handle
     manager.uninstall()
     assert signal.getsignal(signal.SIGTERM) == before
-    assert not manager.installed
 
 
 def test_sweep_interrupted_is_base_exception():
@@ -470,15 +639,35 @@ def test_requested_shutdown_stops_dispatch_and_journals(tmp_path):
     assert excinfo.value.exit_code == 130
     assert executor.telemetry.simulated == 0   # stopped before dispatching
 
-    ((path, state),) = scan_journals(store.journal_dir)
-    assert state.interrupts == [signal.SIGINT]
-    assert not state.complete
+    ((path, snap),) = _sweep_queues(store)
+    assert _interrupts(path) == [signal.SIGINT]
+    assert snap.pending()
 
     manager.reset()
     resumed = _executor(store, resume=True, shutdown=manager)
     results = resumed.run(specs)
     assert not any(isinstance(r, FailedRun) for r in results)
-    assert read_state(path).complete
+    assert not Fleet(path.parent).snapshot().pending()
+
+
+@pytest.mark.parametrize("exit_by", ["interrupt", "strict"])
+def test_a_batch_that_raises_keeps_its_wall_time(tmp_path, exit_by):
+    store = ResultStore(tmp_path / "cache")
+    manager = ShutdownManager(grace=0.0)
+
+    def progress(done, total, spec):
+        manager._handle(signal.SIGINT, None)   # Ctrl-C after one spec
+
+    if exit_by == "interrupt":
+        executor = _executor(store, shutdown=manager, progress=progress)
+        expected = SweepInterrupted
+    else:
+        executor = _executor(store, policy=RetryPolicy(strict=True),
+                             faults=FaultPlan(crash=1.0))
+        expected = SpecExhausted
+    with pytest.raises(expected):
+        executor.run(_grid_specs())
+    assert executor.telemetry.wall_time > 0.0
 
 
 # -- store integrity -----------------------------------------------------------
@@ -646,8 +835,26 @@ def test_cli_kill_orchestrator_chaos_converges_bit_identically(tmp_path):
     assert proc.stdout == clean.stdout      # resumed run is byte-identical
     assert "journal-served" in proc.stderr
 
-    journal_dir = Path(env["REPRO_CACHE_DIR"]) / "journal"
-    assert any(state.complete for _, state in scan_journals(journal_dir))
+    (path,) = _queue_paths(env)
+    assert not Fleet(path.parent).snapshot().pending()
+
+
+def _queue_paths(env):
+    return sorted(Path(env["REPRO_CACHE_DIR"]).glob("journal/*/queue.jsonl"))
+
+
+def _queued_done(env):
+    return any('"kind": "done"' in path.read_text()
+               for path in _queue_paths(env))
+
+
+def _wait_for(predicate, proc, what, timeout=120.0):
+    deadline = time.time() + timeout
+    while not predicate():
+        if time.time() > deadline or proc.poll() is not None:
+            proc.kill()
+            pytest.fail(f"{what} never happened")
+        time.sleep(0.05)
 
 
 def test_cli_sigint_graceful_shutdown_and_resume(tmp_path):
@@ -657,47 +864,29 @@ def test_cli_sigint_graceful_shutdown_and_resume(tmp_path):
     proc = subprocess.Popen(args, stdout=subprocess.PIPE,
                             stderr=subprocess.PIPE, text=True,
                             env=env, cwd=REPO)
-    journal_glob = os.path.join(env["REPRO_CACHE_DIR"], "journal", "*.jsonl")
-    deadline = time.time() + 120
-    while time.time() < deadline:           # wait for >= 1 journaled done
-        if any('"kind": "done"' in Path(p).read_text()
-               for p in glob.glob(journal_glob)):
-            break
-        time.sleep(0.05)
-    else:
-        proc.kill()
-        pytest.fail("sweep never journaled a done record")
+    _wait_for(lambda: _queued_done(env), proc, "a done record in the queue")
     proc.send_signal(signal.SIGINT)
     _out, err = proc.communicate(timeout=120)
 
     assert proc.returncode == 130           # 128 + SIGINT
     assert "SIGINT received" in err
     assert "rerun with --resume" in err
-    ((path, state),) = [
-        (Path(p), read_state(p)) for p in glob.glob(journal_glob)
-    ]
-    assert state.interrupts == [signal.SIGINT]
-    assert len(state.done) >= 1             # the flush kept the progress
-    assert not state.complete
-    served = len(state.done)
+    (path,) = _queue_paths(env)
+    snap = Fleet(path.parent).snapshot()
+    assert _interrupts(path) == [signal.SIGINT]
+    assert len(snap.done) >= 1              # the flush kept the progress
+    assert snap.pending()
+    served = len(snap.done)
 
     resumed = subprocess.run(args + ["--resume"], capture_output=True,
                              text=True, env=env, cwd=REPO)
     assert resumed.returncode == 0, resumed.stderr
     assert f"{served} journal-served" in resumed.stderr
-    assert read_state(path).complete
+    assert not Fleet(path.parent).snapshot().pending()
 
 
 _MATRIX_ARGS = [sys.executable, "-m", "repro", "matrix", "--n", "20000",
                 "--benchmarks", "swim,gzip", "--jobs", "2"]
-
-
-def _wait_for(predicate, proc, what, timeout=120.0):
-    deadline = time.time() + timeout
-    while not predicate():
-        if time.time() > deadline or proc.poll() is not None:
-            pytest.fail(f"{what} never happened")
-        time.sleep(0.05)
 
 
 @needs_proc
@@ -710,11 +899,9 @@ def test_cli_sigint_stops_the_local_fleet_gracefully(tmp_path):
     proc = subprocess.Popen(_MATRIX_ARGS, stdout=subprocess.PIPE,
                             stderr=subprocess.PIPE, text=True, env=env,
                             cwd=REPO, start_new_session=True)
-    journal_glob = os.path.join(env["REPRO_CACHE_DIR"], "journal", "*.jsonl")
     try:
-        _wait_for(lambda: any('"kind": "done"' in Path(p).read_text()
-                              for p in glob.glob(journal_glob)),
-                  proc, "a journaled done")
+        _wait_for(lambda: _queued_done(env), proc,
+                  "a done record in the queue")
         os.kill(proc.pid, signal.SIGINT)    # the driver alone: it forwards
         _out, err = proc.communicate(timeout=120)
     finally:
@@ -725,17 +912,17 @@ def test_cli_sigint_stops_the_local_fleet_gracefully(tmp_path):
     assert "SIGINT received" in err
     assert not live_group_members(proc.pid)
     assert os.listdir(env["TMPDIR"]) == []
-    ((path, state),) = [
-        (Path(p), read_state(p)) for p in glob.glob(journal_glob)
-    ]
-    assert state.interrupts == [signal.SIGINT]
-    assert len(state.done) >= 1 and not state.complete
+    (path,) = _queue_paths(env)
+    assert not path.with_name("leases.jsonl").exists()
+    snap = Fleet(path.parent).snapshot()
+    assert _interrupts(path) == [signal.SIGINT]
+    assert len(snap.done) >= 1 and snap.pending()
 
     resumed = subprocess.run(_MATRIX_ARGS + ["--resume"], capture_output=True,
                              text=True, env=env, cwd=REPO)
     assert resumed.returncode == 0, resumed.stderr
-    assert f"{len(state.done)} journal-served" in resumed.stderr
-    assert read_state(path).complete
+    assert f"{len(snap.done)} journal-served" in resumed.stderr
+    assert not Fleet(path.parent).snapshot().pending()
 
 
 @needs_proc
@@ -757,6 +944,81 @@ def test_cli_fleet_workers_die_with_their_killed_driver(tmp_path):
     finally:
         with contextlib.suppress(ProcessLookupError):
             os.killpg(proc.pid, signal.SIGKILL)
+
+
+@needs_proc
+def test_cli_resume_after_sigkill_at_jobs_2_does_not_wait_out_leases(
+        tmp_path):
+    """A SIGKILLed driver's workers die holding live leases; the resume
+    starts a fresh lease book, so neither the 60 s TTL nor the poison
+    bound sees them."""
+    clean = subprocess.run(_MATRIX_ARGS, capture_output=True, text=True,
+                           env=_cli_env(tmp_path, cache="cache-clean"),
+                           cwd=REPO)
+    assert clean.returncode == 0, clean.stderr
+    env = _cli_env(tmp_path)
+    proc = subprocess.Popen(_MATRIX_ARGS, stdout=subprocess.DEVNULL,
+                            stderr=subprocess.DEVNULL, env=env, cwd=REPO,
+                            start_new_session=True)
+    try:
+        _wait_for(lambda: _queued_done(env), proc,
+                  "a done record in the queue")
+        os.kill(proc.pid, signal.SIGKILL)
+        proc.wait(timeout=30)
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+    start = time.monotonic()
+    resumed = subprocess.run(_MATRIX_ARGS + ["--resume"], capture_output=True,
+                             text=True, env=env, cwd=REPO, timeout=120)
+    assert time.monotonic() - start < 30
+    assert resumed.returncode == 0, resumed.stderr
+    assert resumed.stdout == clean.stdout
+    assert "journal-served" in resumed.stderr
+    assert "quarantined" not in resumed.stderr
+
+
+def test_cli_kill_orchestrator_chaos_at_jobs_2_converges_to_jobs_1(tmp_path):
+    args = _FIG10_ARGS[:-1] + ("2",)
+    clean = _run_cli(_cli_env(tmp_path, cache="cache-clean"), *_FIG10_ARGS)
+    assert clean.returncode == 0, clean.stderr
+
+    env = _cli_env(tmp_path, faults=_KILL_SPEC, cache="cache-chaos")
+    proc = _run_cli(env, *args)
+    kills = 0
+    while proc.returncode == 75 and kills < 30:
+        kills += 1
+        assert "injected orchestrator kill" in proc.stderr
+        proc = _run_cli(env, *args, "--resume")
+    assert proc.returncode == 0, proc.stderr
+    assert kills >= 1
+    assert proc.stdout == clean.stdout
+    assert "journal-served" in proc.stderr
+    (path,) = _queue_paths(env)
+    assert not Fleet(path.parent).snapshot().pending()
+    assert not path.with_name("leases.jsonl").exists()
+
+
+def test_cli_concurrent_identical_sweeps_share_the_queue(tmp_path):
+    """The second driver of a sweep waits on the sweep's lock, then
+    finds every result in the store instead of discarding the queue
+    the first one is tailing."""
+    env = _cli_env(tmp_path)
+    args = [sys.executable, "-m", "repro", *_FIG10_ARGS[:-1], "2"]
+    procs = [subprocess.Popen(args, stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, text=True, env=env,
+                              cwd=REPO, start_new_session=True)
+             for _ in range(2)]
+    try:
+        outputs = [proc.communicate(timeout=60) for proc in procs]
+    finally:
+        for proc in procs:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+    assert [proc.returncode for proc in procs] == [0, 0], outputs
+    assert outputs[0][0] == outputs[1][0]
+    (path,) = _queue_paths(env)
+    assert not Fleet(path.parent).snapshot().pending()
 
 
 #: Pinned: at rate 0.5, seed 1 hangs exactly one fig10 attempt in a
@@ -832,3 +1094,46 @@ def test_fsck_cli_detects_then_prunes(tmp_path):
     assert len(reports) == 3
     assert all(r["kind"] == "fsck" for r in reports)
     assert reports[1]["report"]["pruned"] == [victim.name]
+
+
+def test_fsck_audits_every_queue_and_prunes_finished_sweeps(tmp_path,
+                                                             capsys):
+    from repro.exec.__main__ import main
+
+    store = ResultStore(tmp_path / "cache")
+    specs = _grid_specs()
+    _executor(store).run(specs)                          # complete
+    manager = ShutdownManager(grace=0.0)
+    manager._handle(signal.SIGINT, None)
+    with pytest.raises(SweepInterrupted):                # incomplete
+        _executor(store, shutdown=manager).run(
+            [RunSpec(benchmark, "GHB", n_instructions=N)
+             for benchmark in GRID_BENCHMARKS])
+    complete, incomplete = (
+        path.parent.name for path, snap in sorted(
+            _sweep_queues(store), key=lambda pair: bool(pair[1].pending())))
+    # A --jobs N poison hole whose spec has since been stored: stale.
+    poisoned = Fleet(store.journal_dir / "feedfacefeedface", max_leases=0)
+    poisoned.enqueue({specs[0].content_hash: specs[0].describe()})
+    assert poisoned.claim("w0-g1") is None
+    old = store.journal_dir / "0123456789abcdef.jsonl"   # before queues
+    old.write_text('{"kind": "sweep-start", "v": 1}\n')
+    fsck = ["fsck", "--cache-dir", str(store.root)]
+
+    assert main(fsck) == 1
+    out = capsys.readouterr().out
+    assert (f"queue journal/{complete}: 4 enqueued, 4 done, 0 failed, "
+            "0 quarantined, 0 deadline-expired, complete") in out
+    assert (f"queue journal/{incomplete}: 2 enqueued, 0 done, 0 failed, "
+            "0 quarantined, 0 deadline-expired, incomplete (2 pending)") in out
+    assert "queue journal/feedfacefeedface: 1 enqueued" in out
+    assert "stale poison verdict" in out
+    assert "no run can resume it" in out
+
+    assert main(fsck + ["--prune"]) == 0
+    out = capsys.readouterr().out
+    assert "absolved" in out
+    assert sorted(p.name for p in store.journal_dir.iterdir()) == sorted(
+        ["fsck.jsonl", incomplete])
+    assert main(fsck) == 0
+
