@@ -10,7 +10,7 @@ Alongside the human-readable text, :func:`record` appends one
 machine-readable entry per exhibit to the benchmark ledger
 (``BENCH_obs.json`` at the repo root, or ``$REPRO_LEDGER``): wall-clock
 charged to that exhibit, simulations run, trace records per second —
-the trajectory ``python -m repro.obs diff`` compares across commits.
+which ``python -m repro.obs diff`` tabulates between any two entries.
 
 Run with ``pytest benchmarks/ --benchmark-only`` (add ``-s`` to watch the
 tables stream by).  ``REPRO_BENCH_N=8000`` gives a quick pass.

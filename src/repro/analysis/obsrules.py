@@ -6,8 +6,8 @@ actually exposes.  Two source-level defects silently degrade it:
 * SIM501 ``orphan-stat`` — a :class:`~repro.kernel.module.StatCounter`
   constructed directly instead of through ``Component.add_stat``.  A
   direct construction never lands in ``Component.stats``, so
-  ``stats_report()`` — and everything downstream of it: the metrics
-  registry, interval sampling, the benchmark ledger — never sees it.
+  ``stats_report()`` — and everything downstream of it: a run's
+  ``RunResult.stats``, interval sampling — never sees it.
   The only sanctioned construction site is ``add_stat`` itself.
 * SIM502 ``nonliteral-span-name`` — a tracer call (``begin`` /
   ``span`` / ``instant`` / ``counter``) whose name argument is not a

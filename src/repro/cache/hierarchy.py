@@ -156,8 +156,8 @@ class MemoryHierarchy(Component):
             "prefetches_redundant", "prefetches for already-resident lines"
         )
         # Bus accounting mirrored into StatCounters at end of run (see
-        # finalize_stats) so stats_report — and through it the obs metrics
-        # pipeline's occupancy rates — sees the bus traffic.
+        # finalize_stats) so stats_report — and through it every
+        # RunResult's stats — sees the bus traffic.
         self.st_l1_l2_bus_busy = self.add_stat(
             "l1_l2_bus_busy_cycles", "cycles the L1/L2 data bus was seized"
         )
@@ -365,8 +365,8 @@ class MemoryHierarchy(Component):
 
         The buses are deliberately bare (no Component machinery on the
         per-transfer path); run_trace calls this once at end of run so
-        ``stats_report()`` — and the obs metrics pipeline's occupancy
-        rates — still see the traffic.  Idempotent.
+        ``stats_report()`` — and through it the run's ``RunResult.stats``
+        — still sees the traffic.  Idempotent.
         """
         self.st_l1_l2_bus_busy.value = self.l1_l2_bus.busy_cycles
         self.st_l1_l2_bus_transfers.value = self.l1_l2_bus.transfers

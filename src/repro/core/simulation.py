@@ -104,8 +104,7 @@ def run_trace(
                      benchmark=benchmark, mechanism=name)
     core, hierarchy = build_machine(config, mechanism, image)
     measure_from = int(len(trace) * warmup_fraction)
-    sampler = maybe_sampler(hierarchy, len(trace),
-                            benchmark=benchmark, mechanism=name)
+    sampler = maybe_sampler(hierarchy, len(trace))
     stats: CoreStats = core.run(trace, measure_from=measure_from,
                                 sampler=sampler, fast=fast,
                                 checkpoint=checkpoint)

@@ -3,7 +3,7 @@
 The fast path generates Python source per machine shape (baked constants,
 inline replay blocks) and compiles it once per process.  That compile is
 ~3 ms — irrelevant for long sessions, but a measurable slice of a single
-cold benchmark run, which is exactly what ``repro.obs record`` times.
+cold benchmark run, such as one ``python -m repro run`` invocation.
 Compiled code objects marshal cleanly, so they get the same treatment as
 generated workloads (:mod:`repro.workloads.store`): one file per source
 digest under ``$REPRO_CACHE_DIR/codegen`` (default

@@ -105,14 +105,37 @@ class Telemetry:
         return sum(r.seconds for r in self.records)
 
     def summary_line(self) -> str:
-        """One-line accounting, rendered through the obs metrics registry.
+        """One-line accounting, the same for ``--jobs`` batches and
+        single runs.
 
-        ``repro.obs.metrics.executor_summary_line`` harvests the counters
-        into the default registry and formats the exact line this method
-        has always printed — one code path for ``--jobs`` batches and
-        single runs alike.  (Imported here, not at module top, so the
-        executor package stays importable without ``repro.obs``.)
+        Everything after the wall time appears only when nonzero, so a
+        clean run's line names no fault, fleet or checkpoint counter.
         """
-        from repro.obs.metrics import executor_summary_line
-
-        return executor_summary_line(self)
+        simulated, memo, store = self.simulated, self.memo_hits, self.store_hits
+        parts = [
+            f"{self.results_returned} results",
+            f"{simulated} simulated",
+            f"{memo + store + self.deduped} cache hits ({memo} memo, "
+            f"{store} store, {self.deduped} deduped)",
+            f"wall {self.wall_time:.2f}s",
+        ]
+        if simulated:
+            parts.append(f"avg {self.sim_seconds / simulated:.3f}s/sim")
+        for count, noun in (
+            (self.journal_served, "journal-served"),
+            (self.leased, "leased"),
+            (self.shared, "shared"),
+            (self.shed, "shed"),
+            (self.quarantined, "quarantined"),
+            (self.expired, "expired"),
+            (self.checkpoints, "checkpoints"),
+            (self.resumed_from_ckpt, "resumed-from-ckpt"),
+            (self.retries, "retries"),
+            (self.timeouts, "timeouts"),
+            (self.pool_rebuilds, "worker respawns"),
+            (self.failures, "FAILED"),
+            (self.store_corrupt, "corrupt store entries"),
+        ):
+            if count:
+                parts.append(f"{count} {noun}")
+        return "executor: " + ", ".join(parts)

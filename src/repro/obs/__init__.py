@@ -1,23 +1,19 @@
-"""repro.obs — the observability subsystem.
-
-Three layers, one substrate every future perf PR measures itself
-against:
+"""repro.obs — the observability subsystem, in three layers:
 
 * **tracing** (:mod:`repro.obs.tracing`) — span/event API with a
   near-zero-cost disabled path, instrumented through the kernel, the
   cache hierarchy, the DRAM models, the core and the executor;
   exports Chrome ``trace_event`` JSON viewable in Perfetto
   (``python -m repro run swim GHB --trace out.json``).
-* **metrics** (:mod:`repro.obs.metrics`, :mod:`repro.obs.sampling`) —
-  a registry harvesting every module's ``stats_report()`` into typed,
-  labeled series with derived rates (IPC, MPKI, bus occupancy) and
-  per-interval sampling on traced runs.
+* **interval sampling** (:mod:`repro.obs.sampling`) — per-interval
+  IPC, MPKI and memory-traffic rates on traced runs, emitted as
+  ``sim.interval`` counter events into the same trace.
 * **ledger** (:mod:`repro.obs.ledger`) — the persistent benchmark
-  trajectory in ``BENCH_obs.json``; ``python -m repro.obs`` records,
-  lists and diffs entries.
+  trajectory in ``BENCH_obs.json``; ``python -m repro.obs`` lists and
+  diffs entries.
 
-Only the stdlib is imported here: arming the tracer or harvesting
-metrics never drags simulator modules in, so the kernel can import
+Only the stdlib is imported here: arming the tracer never drags
+simulator modules in, so the kernel can import
 :data:`~repro.obs.tracing.TRACER` without a cycle.
 """
 
@@ -33,18 +29,6 @@ from repro.obs.ledger import (
     make_record,
     peak_rss_kb,
     render_diff,
-)
-from repro.obs.metrics import (
-    MetricPoint,
-    MetricSeries,
-    MetricsRegistry,
-    derive_metrics,
-    executor_summary_line,
-    get_default_registry,
-    harvest_executor,
-    harvest_result,
-    harvest_stats,
-    reset_default_registry,
 )
 from repro.obs.sampling import IntervalSampler, maybe_sampler
 from repro.obs.tracing import (
@@ -62,27 +46,17 @@ __all__ = [
     "IntervalSampler",
     "Ledger",
     "LedgerRecord",
-    "MetricPoint",
-    "MetricSeries",
-    "MetricsRegistry",
     "TRACER",
     "Tracer",
     "default_ledger_path",
-    "derive_metrics",
     "diff_records",
     "disable_tracing",
     "enable_tracing",
-    "executor_summary_line",
-    "get_default_registry",
-    "harvest_executor",
-    "harvest_result",
-    "harvest_stats",
     "host_fingerprint",
     "make_record",
     "maybe_sampler",
     "peak_rss_kb",
     "render_diff",
-    "reset_default_registry",
     "tracing_enabled",
     "validate_trace",
     "validate_trace_file",

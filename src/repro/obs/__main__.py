@@ -2,10 +2,8 @@
 
 Commands::
 
-    record          run one reference simulation, append a ledger record
     list            print the ledger's entries
-    diff A B        per-metric regression report between two entries
-    report          trajectory: latest vs previous entry per label
+    diff A B        per-metric before/after table between two entries
     validate-trace  check a Chrome trace JSON file against the schema
 
 Entry selectors for ``diff`` accept ``latest``, ``prev``, integer
@@ -17,57 +15,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 from typing import Optional, Sequence
 
-from repro.obs.ledger import Ledger, make_record, render_diff
-from repro.obs.metrics import derive_metrics
+from repro.obs.ledger import Ledger, render_diff
 from repro.obs.tracing import validate_trace_file
-
-
-def _cmd_record(args: argparse.Namespace) -> int:
-    from repro.exec.runspec import RunSpec  # deferred: pulls the simulator in
-
-    spec = RunSpec(args.benchmark, args.mechanism, n_instructions=args.n,
-                   fast=args.fast)
-    ckpt = None
-    if args.checkpoint_every:
-        # Measure the *enabled* checkpoint path: cut real snapshots
-        # into a throwaway tree so the ledger records what the knob
-        # actually costs.  At 0 (the default) the run is the ordinary
-        # checkpoint-free measurement.
-        import tempfile
-        from pathlib import Path
-
-        from repro.exec.checkpoint import Checkpointer
-
-        root = Path(tempfile.mkdtemp(prefix="repro-obs-ckpt-"))
-        ckpt = Checkpointer(root, spec.content_hash, args.checkpoint_every)
-    start = time.perf_counter()
-    result = spec.execute(checkpoint=ckpt)
-    seconds = time.perf_counter() - start
-    if ckpt is not None:
-        import shutil
-
-        shutil.rmtree(root, ignore_errors=True)
-    label = args.label or f"{args.benchmark}/{args.mechanism}"
-    record = make_record(
-        label=label,
-        wall_seconds=seconds,
-        instructions=result.instructions,
-        spec_hash=spec.content_hash,
-        benchmark=args.benchmark,
-        mechanism=args.mechanism,
-        n_instructions=args.n,
-        metrics=derive_metrics(result),
-    )
-    Ledger(args.ledger).append(record)
-    print(
-        f"recorded {label}: wall {record.wall_seconds:.3f}s, "
-        f"{record.events_per_second:.0f} events/s, "
-        f"peak RSS {record.peak_rss_kb} kB"
-    )
-    return 0
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
@@ -96,40 +47,6 @@ def _cmd_diff(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(render_diff(before, after))
-    if args.fail_on_regression:
-        from repro.obs.ledger import diff_records
-        if any(row.regression for row in diff_records(before, after)):
-            return 1
-    return 0
-
-
-def _cmd_report(args: argparse.Namespace) -> int:
-    ledger = Ledger(args.ledger)
-    records, problems = ledger.scan()
-    for problem in problems:
-        print(problem, file=sys.stderr)
-    if not records:
-        print(f"(ledger {ledger.path} is empty)")
-        return 0
-    labels = []
-    for record in records:
-        if record.label not in labels:
-            labels.append(record.label)
-    for label in labels:
-        entries = [r for r in records if r.label == label]
-        latest = entries[-1]
-        line = (
-            f"{label:<32} n={len(entries):<3} "
-            f"wall {latest.wall_seconds:>8.3f}s  "
-            f"{latest.events_per_second:>10.0f} ev/s"
-        )
-        if len(entries) >= 2:
-            prev = entries[-2]
-            if prev.wall_seconds:
-                pct = (latest.wall_seconds - prev.wall_seconds) \
-                    / prev.wall_seconds * 100.0
-                line += f"  ({pct:+.1f}% wall vs prev)"
-        print(line)
     return 0
 
 
@@ -155,41 +72,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                              "$REPRO_LEDGER)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_record = sub.add_parser("record", help="run and append one measurement")
-    p_record.add_argument("--benchmark", default="swim")
-    p_record.add_argument("--mechanism", default="GHB")
-    p_record.add_argument("--n", type=int, default=8000,
-                          help="instructions to simulate (default 8000)")
-    p_record.add_argument("--label", default=None,
-                          help="record label (default benchmark/mechanism)")
-    p_record.add_argument("--fast", dest="fast", action="store_true",
-                          default=True,
-                          help="use the trace-speculation fast path "
-                               "(default; results are bit-identical "
-                               "either way)")
-    p_record.add_argument("--no-fast", dest="fast", action="store_false",
-                          help="run on the slow path (before/after "
-                               "perf comparisons)")
-    p_record.add_argument("--checkpoint-every", type=int, default=0,
-                          metavar="N",
-                          help="cut a crash-safe snapshot every N records "
-                               "into a throwaway tree, so the ledger "
-                               "measures the enabled checkpoint path "
-                               "(default 0: off — the free path)")
-    p_record.set_defaults(fn=_cmd_record)
-
     p_list = sub.add_parser("list", help="print every ledger entry")
     p_list.set_defaults(fn=_cmd_list)
 
-    p_diff = sub.add_parser("diff", help="regression report between entries")
+    p_diff = sub.add_parser("diff", help="before/after table of two entries")
     p_diff.add_argument("a", help="before: latest | prev | index | label[@-N]")
     p_diff.add_argument("b", help="after: same selectors")
-    p_diff.add_argument("--fail-on-regression", action="store_true",
-                        help="exit 1 when any tracked metric regresses")
     p_diff.set_defaults(fn=_cmd_diff)
-
-    p_report = sub.add_parser("report", help="trajectory summary per label")
-    p_report.set_defaults(fn=_cmd_report)
 
     p_validate = sub.add_parser("validate-trace",
                                 help="validate a Chrome trace JSON file")

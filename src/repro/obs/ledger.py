@@ -7,7 +7,7 @@ fixes that: every benchmark (and the CI smoke run) appends one record to
 ``BENCH_obs.json`` describing *what* ran (label, spec hash, trace
 length), *how fast* (wall seconds, simulated trace records per second),
 *how big* (peak RSS) and *where* (host fingerprint), so
-``python -m repro.obs diff`` can print a per-metric regression report
+``python -m repro.obs diff`` can print a per-metric before/after table
 between any two entries.
 
 File format
@@ -100,9 +100,6 @@ def make_record(
     label: str,
     wall_seconds: float,
     instructions: int = 0,
-    spec_hash: str = "",
-    benchmark: str = "",
-    mechanism: str = "",
     n_instructions: int = 0,
     metrics: Optional[Dict[str, float]] = None,
     retries: int = 0,
@@ -112,15 +109,12 @@ def make_record(
 
     ``retries``/``failures`` carry the executor's fault accounting so a
     chaos run's ledger entry records how hard it had to fight — and so
-    ``diff`` can flag a measurement polluted by retried work.
+    ``diff`` shows a measurement polluted by retried work.
     """
     rate = instructions / wall_seconds if wall_seconds > 0 and instructions else 0.0
     return LedgerRecord(
         label=label,
         timestamp=datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        spec_hash=spec_hash,
-        benchmark=benchmark,
-        mechanism=mechanism,
         n_instructions=n_instructions or instructions,
         wall_seconds=round(wall_seconds, 6),
         events_per_second=round(rate, 3),
@@ -196,7 +190,12 @@ class Ledger:
         matches = [r for r in records if r.label == label]
         if not matches:
             raise LookupError(f"no ledger entry labeled {label!r}")
-        index = int(offset) if offset else -1
+        try:
+            index = int(offset) if offset else -1
+        except ValueError:
+            raise LookupError(
+                f"bad offset {offset!r} in {selector!r} (want label@-N)"
+            ) from None
         try:
             return matches[index]
         except IndexError:
@@ -207,28 +206,13 @@ class Ledger:
 
 # -- diffing -------------------------------------------------------------------
 
-#: Direction of goodness for the built-in metrics.
-LOWER_IS_BETTER = {"wall_seconds", "peak_rss_kb"}
-HIGHER_IS_BETTER = {"events_per_second"}
-
-#: Relative change beyond which a worsening metric counts as a regression.
-REGRESSION_THRESHOLD = 0.02
-
-
 @dataclass(frozen=True)
 class DiffRow:
-    """One metric compared across two ledger entries.
-
-    ``exact`` marks a simulated metric of two records of the same cell
-    (benchmark, mechanism, instruction count): simulation is
-    deterministic, so any change at all is a correctness alarm, not
-    noise.
-    """
+    """One metric compared across two ledger entries."""
 
     metric: str
     a: float
     b: float
-    exact: bool = False
 
     @property
     def delta(self) -> float:
@@ -239,19 +223,6 @@ class DiffRow:
         if self.a == 0:
             return 0.0
         return (self.b - self.a) / abs(self.a) * 100.0
-
-    @property
-    def regression(self) -> bool:
-        if self.exact:
-            return self.a != self.b
-        if self.a == 0:
-            return False
-        rel = (self.b - self.a) / abs(self.a)
-        if self.metric in LOWER_IS_BETTER:
-            return rel > REGRESSION_THRESHOLD
-        if self.metric in HIGHER_IS_BETTER:
-            return rel < -REGRESSION_THRESHOLD
-        return False
 
 
 def diff_records(a: LedgerRecord, b: LedgerRecord) -> List[DiffRow]:
@@ -267,20 +238,14 @@ def diff_records(a: LedgerRecord, b: LedgerRecord) -> List[DiffRow]:
         rows.append(DiffRow("retries", float(a.retries), float(b.retries)))
     if a.failures or b.failures:
         rows.append(DiffRow("failures", float(a.failures), float(b.failures)))
-    same_cell = bool(a.benchmark) and (
-        (a.benchmark, a.mechanism, a.n_instructions)
-        == (b.benchmark, b.mechanism, b.n_instructions))
     for key in sorted(set(a.metrics) | set(b.metrics)):
-        rows.append(DiffRow(
-            key, float(a.metrics.get(key, 0.0)),
-            float(b.metrics.get(key, 0.0)), exact=same_cell,
-        ))
+        rows.append(DiffRow(key, float(a.metrics.get(key, 0.0)),
+                            float(b.metrics.get(key, 0.0))))
     return rows
 
 
 def render_diff(a: LedgerRecord, b: LedgerRecord) -> str:
-    """The regression report ``python -m repro.obs diff`` prints."""
-    rows = diff_records(a, b)
+    """The before/after table ``python -m repro.obs diff`` prints."""
     same_host = a.host.get("node") == b.host.get("node")
     lines = [
         f"ledger diff: {a.label or '?'} ({a.timestamp}) -> "
@@ -289,19 +254,9 @@ def render_diff(a: LedgerRecord, b: LedgerRecord) -> str:
         f"  spec: {'same' if a.spec_hash == b.spec_hash and a.spec_hash else 'differs/unknown'}",
         f"  {'metric':<28} {'before':>12} {'after':>12} {'delta':>12} {'%':>8}",
     ]
-    regressions = 0
-    for row in rows:
-        flag = ""
-        if row.regression:
-            flag = "  << regression"
-            regressions += 1
+    for row in diff_records(a, b):
         lines.append(
             f"  {row.metric:<28} {row.a:>12.3f} {row.b:>12.3f} "
-            f"{row.delta:>+12.3f} {row.pct:>+7.1f}%{flag}"
+            f"{row.delta:>+12.3f} {row.pct:>+7.1f}%"
         )
-    lines.append(
-        f"  {regressions} regression{'' if regressions == 1 else 's'} "
-        f"(threshold {REGRESSION_THRESHOLD:.0%} on wall/rate/RSS; any "
-        "change to a simulated metric of the same cell)"
-    )
     return "\n".join(lines)

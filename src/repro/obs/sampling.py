@@ -3,10 +3,10 @@
 An :class:`IntervalSampler` rides inside :meth:`OoOCore.run
 <repro.cpu.ooo.OoOCore.run>`: every ``interval`` committed trace records
 it snapshots the hierarchy's ``stats_report()``, differences it against
-the previous snapshot, and publishes the per-interval rates (IPC, L1/L2
-MPKI, memory traffic, prefetch issue) as metric series — and, when the
-tracer is armed, as Chrome counter events so Perfetto draws them as
-tracks under the simulation's spans.
+the previous snapshot, and emits the per-interval rates (IPC, L1/L2
+MPKI, memory traffic, prefetch issue) as one ``sim.interval`` Chrome
+counter event, which Perfetto draws as tracks under the simulation's
+spans.
 
 The sampler only *reads* simulator state; it can never change a result,
 so a sampled and an unsampled run of the same RunSpec stay bit-for-bit
@@ -15,10 +15,9 @@ identical (the content-addressed store depends on that).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Dict, Optional
 
-from repro.obs.metrics import MetricsRegistry, get_default_registry
-from repro.obs.tracing import TRACER, Tracer
+from repro.obs.tracing import TRACER
 
 #: Default number of intervals a traced run is split into.
 DEFAULT_INTERVALS = 10
@@ -27,23 +26,12 @@ DEFAULT_INTERVALS = 10
 class IntervalSampler:
     """Delta-based interval sampling over one component subtree."""
 
-    __slots__ = ("component", "interval", "registry", "tracer", "labels",
-                 "samples", "_last_stats", "_last_index", "_last_cycle")
+    __slots__ = ("component", "interval", "_last_stats", "_last_index",
+                 "_last_cycle")
 
-    def __init__(
-        self,
-        component: Any,
-        interval: int,
-        registry: Optional[MetricsRegistry] = None,
-        tracer: Optional[Tracer] = None,
-        labels: Optional[Mapping[str, Any]] = None,
-    ) -> None:
+    def __init__(self, component: Any, interval: int) -> None:
         self.component = component
         self.interval = max(1, int(interval))
-        self.registry = registry if registry is not None else get_default_registry()
-        self.tracer = tracer
-        self.labels = dict(labels or {})
-        self.samples = 0
         self._last_stats: Dict[str, float] = dict(component.stats_report())
         self._last_index = 0
         self._last_cycle = 0
@@ -65,7 +53,7 @@ class IntervalSampler:
             )
 
         kilo = d_index / 1000.0
-        rates = {
+        TRACER.counter("sim.interval", {
             "ipc": d_index / d_cycle if d_cycle > 0 else 0.0,
             "l1_mpki": delta("memory.l1d.read_misses",
                              "memory.l1d.write_misses") / kilo,
@@ -74,14 +62,7 @@ class IntervalSampler:
             "mem_requests_pki": delta("memory.memctl.requests",
                                       "memory.constmem.requests") / kilo,
             "prefetches_pki": delta("memory.prefetches_issued") / kilo,
-        }
-        for key in sorted(rates):
-            self.registry.series(
-                f"interval.{key}", **self.labels
-            ).record(rates[key], x=float(index))
-        if self.tracer is not None:
-            self.tracer.counter("sim.interval", rates)
-        self.samples += 1
+        })
         self._last_stats = dict(stats)
         self._last_index = index
         self._last_cycle = cycle
@@ -92,8 +73,7 @@ class IntervalSampler:
             self.sample(index, cycle)
 
 
-def maybe_sampler(component: Any, total: int, **labels: Any
-                  ) -> Optional[IntervalSampler]:
+def maybe_sampler(component: Any, total: int) -> Optional[IntervalSampler]:
     """An :class:`IntervalSampler` when the global tracer is armed, else None.
 
     This is what :func:`repro.core.simulation.run_trace` calls: interval
@@ -102,8 +82,4 @@ def maybe_sampler(component: Any, total: int, **labels: Any
     """
     if not TRACER.enabled:
         return None
-    interval = max(total // DEFAULT_INTERVALS, 1)
-    return IntervalSampler(
-        component, interval,
-        registry=get_default_registry(), tracer=TRACER, labels=labels,
-    )
+    return IntervalSampler(component, max(total // DEFAULT_INTERVALS, 1))

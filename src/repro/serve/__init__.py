@@ -8,8 +8,8 @@ system:
 
 * :mod:`repro.serve.server` — an asyncio front-end
   (``python -m repro.serve``) accepting sweep submissions over a unix
-  socket (and optional TCP) and streaming per-spec results, derived
-  metrics and progress back to every subscriber;
+  socket (and optional TCP) and streaming per-spec results and
+  progress back to every subscriber;
 * the worker fleet — N independent worker processes (any hosts sharing
   the cache directory) leasing specs through flock-guarded
   transactions over queue/lease WALs (:mod:`repro.exec.fleet`,

@@ -73,8 +73,6 @@ class SubmitOutcome:
     sources: Dict[str, str] = field(default_factory=dict)
     #: hash -> fleet simulation wall seconds (0 for store answers).
     seconds: Dict[str, float] = field(default_factory=dict)
-    #: hash -> the server's derived-rate dict for the result.
-    metrics: Dict[str, Dict[str, float]] = field(default_factory=dict)
     leased: int = 0
     shared: int = 0
     store_hits: int = 0
@@ -208,11 +206,6 @@ class SweepClient:
                 outcome.sources[spec_hash] = str(
                     record.get("source", "simulated"))
                 outcome.seconds[spec_hash] = float(record.get("seconds", 0.0))
-                metrics = record.get("metrics")
-                if isinstance(metrics, dict):
-                    outcome.metrics[spec_hash] = {
-                        str(k): float(v) for k, v in metrics.items()
-                    }
                 continue
             if kind == MSG_FAILED:
                 spec_hash = str(record.get("spec", ""))

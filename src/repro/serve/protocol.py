@@ -29,7 +29,7 @@ Server to client::
     accepted    {"n": N, "leased": L, "shared": S, "store": H}
     overloaded  {"retry_after": seconds, "message": "..."}
     result      {"spec": hash, "source": .., "seconds": .., "result":
-                 <RunResult dict>, "metrics": <derived-rates dict>}
+                 <RunResult dict>, "progress": [done, total]}
     failed      {"spec": hash, "failure": <FailedRun dict>}
     complete    {"leased": L, "shared": S, "store": H, "quarantined": Q,
                  "expired": E}

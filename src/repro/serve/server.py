@@ -17,10 +17,9 @@ insert), so two clients racing the same hash can never both enqueue it:
 
 Results come back through the queue WAL, not a side channel: a watcher
 task tails ``queue.jsonl`` by byte offset (complete lines only) and, on
-every ``done``/``failed`` record, reads the result from the store,
-harvests it into the metrics registry (:mod:`repro.obs.metrics`), and
+every ``done``/``failed`` record, reads the result from the store and
 streams one ``result``/``failed`` message — payload, wall seconds,
-derived rates, per-submission progress — to every subscriber.  A
+per-submission progress — to every subscriber.  A
 submission whose last hash resolves gets a final ``complete`` message
 carrying its dedupe accounting.
 
@@ -49,7 +48,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Set
 
-from repro.core.simulation import RunResult
 from repro.exec import journal
 from repro.exec.fleet import (
     KIND_DONE,
@@ -59,7 +57,6 @@ from repro.exec.fleet import (
     Fleet,
 )
 from repro.exec.store import ResultStore
-from repro.obs.metrics import derive_metrics, harvest_result
 from repro.serve.protocol import (
     MSG_ACCEPTED,
     MSG_COMPLETE,
@@ -557,12 +554,6 @@ class SweepServer:
         """Stream one finished spec to every subscriber (event loop only)."""
         result_payload = entry["result"]
         self._deadlines.pop(spec_hash, None)
-        try:
-            result = RunResult(**result_payload)
-            harvest_result(result)
-            metrics = derive_metrics(result)
-        except (TypeError, ValueError):
-            metrics = {}
         for sub in self._inflight.pop(spec_hash, []):
             if spec_hash not in sub.pending:
                 continue
@@ -570,7 +561,7 @@ class SweepServer:
             sub.outbox.put_nowait(encode_message(
                 MSG_RESULT, spec=spec_hash, source=source,
                 seconds=round(seconds, 6), result=result_payload,
-                metrics=metrics, progress=sub.progress(),
+                progress=sub.progress(),
             ))
             self._finish_if_complete(sub)
 

@@ -3,10 +3,10 @@
 Building a synthetic trace is deterministic but not free: the seeded RNG
 draws and image writes for an 8k-instruction benchmark cost more wall time
 than simulating it on the fast path.  Every fresh process (each CLI run,
-each ``repro.obs record``, each fleet worker) used to pay that cost again.
-This store memoises the finished ``(trace, image)`` pair on disk, keyed by
-benchmark, length and a digest of the generator sources, so a build is paid
-once per machine instead of once per process.
+each fleet worker) used to pay that cost again.  This store memoises the
+finished ``(trace, image)`` pair on disk, keyed by benchmark, length and a
+digest of the generator sources, so a build is paid once per machine
+instead of once per process.
 
 Layout: one file per ``(benchmark, n)`` under
 ``$REPRO_CACHE_DIR/workloads/`` (default ``~/.cache/repro/workloads``),

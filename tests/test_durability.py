@@ -43,7 +43,6 @@ from repro.exec.journal import TEARABLE_KINDS, append_record, locked, replay
 from repro.exec.store import STORE_VERSION, result_checksum
 from repro.exec.telemetry import SOURCE_JOURNAL, RunRecord, Telemetry
 from repro.obs.ledger import Ledger, make_record
-from repro.obs.metrics import MetricsRegistry, executor_summary_line
 
 from tests.conftest import live_group_members
 
@@ -759,12 +758,12 @@ def test_fsck_report_describe_is_json_ready(tmp_path):
 # -- telemetry and ledger plumbing ---------------------------------------------
 
 def test_summary_line_shows_journal_served_only_when_nonzero():
-    clean = executor_summary_line(Telemetry(), MetricsRegistry())
+    clean = Telemetry().summary_line()
     assert "journal" not in clean
     telemetry = Telemetry()
     telemetry.record(RunRecord(spec_hash="h", benchmark="swim",
                                mechanism="Base", source=SOURCE_JOURNAL))
-    noisy = executor_summary_line(telemetry, MetricsRegistry())
+    noisy = telemetry.summary_line()
     assert "1 journal-served" in noisy
 
 

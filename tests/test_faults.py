@@ -44,7 +44,6 @@ from repro.harness.experiments import fig10_second_guessing
 from repro.harness.matrix import speedup_matrix
 from repro.mechanisms.registry import ALL_MECHANISMS, BASELINE
 from repro.obs.ledger import LedgerRecord, diff_records, make_record
-from repro.obs.metrics import MetricsRegistry, executor_summary_line
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -598,14 +597,11 @@ def test_corrupt_store_injection_is_counted_and_resimulated(tmp_path, capsys):
 # -- observability plumbing ----------------------------------------------------
 
 def test_summary_line_appends_fault_counters_only_when_nonzero():
-    clean = executor_summary_line(Telemetry(), MetricsRegistry())
+    clean = Telemetry().summary_line()
     for noun in ("retries", "timeouts", "respawns", "FAILED", "corrupt"):
         assert noun not in clean
-    noisy = executor_summary_line(
-        Telemetry(retries=2, failures=1, timeouts=3, pool_rebuilds=4,
-                  store_corrupt=5),
-        MetricsRegistry(),
-    )
+    noisy = Telemetry(retries=2, failures=1, timeouts=3, pool_rebuilds=4,
+                      store_corrupt=5).summary_line()
     assert noisy.startswith("executor: 0 results")
     assert "2 retries" in noisy
     assert "3 timeouts" in noisy

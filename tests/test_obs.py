@@ -1,19 +1,18 @@
-"""The observability subsystem: tracing, metrics, sampling, the ledger.
+"""The observability subsystem: tracing, sampling, the ledger.
 
 Covers the tentpole contracts:
 
 * span nesting and Chrome ``trace_event`` export round-trip against the
   schema validator;
-* metrics-harvest equivalence — every ``stats_report`` key a run records
-  appears in the registry with the same value;
-* the executor summary line renders identically through the registry;
+* the executor summary line, pinned part by part;
+* interval sampling emits ``sim.interval`` counter events on traced runs;
 * ledger append / selector resolution / diff / corrupt-line recovery;
 * the disabled path costs under 2% of a reference run;
 * the ``--trace`` CLI produces a valid trace spanning every layer and
-  ``python -m repro.obs`` records and diffs ledger entries.
+  ``python -m repro.obs`` lists and diffs the ledger records CLI runs
+  write.
 """
 
-import dataclasses
 import json
 import os
 import subprocess
@@ -26,21 +25,7 @@ import pytest
 from repro.core.simulation import run_benchmark
 from repro.exec.telemetry import RunRecord, Telemetry
 from repro.obs.__main__ import main as obs_main
-from repro.obs.ledger import (
-    Ledger,
-    LedgerRecord,
-    diff_records,
-    make_record,
-    render_diff,
-)
-from repro.obs.metrics import (
-    MetricsRegistry,
-    derive_metrics,
-    executor_summary_line,
-    get_default_registry,
-    harvest_result,
-    reset_default_registry,
-)
+from repro.obs.ledger import Ledger, LedgerRecord, diff_records, make_record
 from repro.obs.tracing import (
     TRACER,
     Tracer,
@@ -165,33 +150,7 @@ def test_traced_run_equals_untraced_run():
     assert {"sim", "cpu", "cache", "kernel"} <= cats
 
 
-# -- metrics pipeline ----------------------------------------------------------
-
-def test_harvest_matches_stats_report():
-    result = run_benchmark("swim", "GHB", n_instructions=2500)
-    registry = MetricsRegistry()
-    harvest_result(result, registry)
-    assert result.stats, "run produced no stats"
-    for key, value in result.stats.items():
-        series = registry.get(key, benchmark="swim", mechanism="GHB")
-        assert series is not None, f"stat {key} not harvested"
-        assert series.latest == value, key
-
-
-def test_derived_rates_are_consistent():
-    result = run_benchmark("swim", "GHB", n_instructions=2500)
-    derived = derive_metrics(result)
-    assert derived["ipc"] == result.ipc
-    kilo = result.instructions / 1000.0
-    expected_l1 = (result.stats["memory.l1d.read_misses"]
-                   + result.stats["memory.l1d.write_misses"]) / kilo
-    assert derived["l1_mpki"] == pytest.approx(expected_l1)
-    assert 0.0 <= derived["l1_l2_bus_occupancy"] <= 1.0
-    assert 0.0 <= derived["memory_bus_occupancy"] <= 1.0
-    # The bus counters exist because run_trace finalizes them into stats.
-    assert "memory.l1_l2_bus_busy_cycles" in result.stats
-    assert "memory.memory_bus_busy_cycles" in result.stats
-
+# -- executor summary line and interval sampling -------------------------------
 
 def test_summary_line_format_is_preserved():
     telemetry = Telemetry()
@@ -206,31 +165,38 @@ def test_summary_line_format_is_preserved():
     )
 
 
-def test_summary_line_publishes_to_registry():
-    registry = MetricsRegistry()
-    telemetry = Telemetry()
-    telemetry.record(RunRecord("h1", "swim", "GHB", "simulated", 0.25))
-    telemetry.record_batch(1, 1, 0.25)
-    executor_summary_line(telemetry, registry)
-    assert registry.latest("executor.results") == 1.0
-    assert registry.latest("executor.simulated") == 1.0
-    assert registry.latest("executor.sim_seconds") == 0.25
+def test_summary_line_pins_every_part():
+    """Every optional part at once, each in its fixed place and wording."""
+    telemetry = Telemetry(retries=2, failures=1, timeouts=3, pool_rebuilds=4,
+                          store_corrupt=5, leased=6, shared=7, shed=8,
+                          quarantined=9, expired=10, checkpoints=11,
+                          resumed_from_ckpt=12)
+    for spec_hash, source, seconds in (
+        ("h1", "simulated", 0.25), ("h2", "simulated", 0.5),
+        ("h3", "memo", 0.0), ("h4", "store", 0.0),
+        ("h5", "journal", 0.0), ("h6", "failed", 0.0),
+    ):
+        telemetry.record(RunRecord(spec_hash, "swim", "GHB", source, seconds))
+    telemetry.record_batch(9, 7, 1.5)
+    assert telemetry.summary_line() == (
+        "executor: 9 results, 2 simulated, 4 cache hits "
+        "(1 memo, 1 store, 2 deduped), wall 1.50s, avg 0.375s/sim, "
+        "1 journal-served, 6 leased, 7 shared, 8 shed, 9 quarantined, "
+        "10 expired, 11 checkpoints, 12 resumed-from-ckpt, 2 retries, "
+        "3 timeouts, 4 worker respawns, 1 FAILED, 5 corrupt store entries"
+    )
 
 
 def test_interval_sampler_publishes_series():
-    reset_default_registry()
     enable_tracing()
     run_benchmark("swim", "GHB", n_instructions=3000)
     disable_tracing()
-    registry = get_default_registry()
-    series = registry.get("interval.ipc", benchmark="swim", mechanism="GHB")
-    assert series is not None
-    assert len(series) >= 5, "expected several interval samples"
-    assert all(p.x is not None for p in series.points)
-    # Counter events landed in the trace too.
-    assert any(e["ph"] == "C" and e["name"] == "sim.interval"
-               for e in TRACER.events)
-    reset_default_registry()
+    intervals = [e for e in TRACER.events
+                 if e["ph"] == "C" and e["name"] == "sim.interval"]
+    assert len(intervals) >= 5, "expected several interval samples"
+    for event in intervals:
+        assert set(event["args"]) == {"ipc", "l1_mpki", "l2_mpki",
+                                      "mem_requests_pki", "prefetches_pki"}
 
 
 # -- the disabled-path overhead guard ------------------------------------------
@@ -318,44 +284,16 @@ def test_ledger_ignores_unknown_fields():
     assert record.wall_seconds == 1.0
 
 
-def test_diff_flags_regressions():
-    before = _record("bench", 1.0, instructions=8000)
-    after = _record("bench", 1.5, instructions=8000)
+def test_diff_accepts_improvements(tmp_path):
+    before = _record("bench", 1.5, instructions=8000)
+    after = _record("bench", 1.0, instructions=8000)
     rows = {row.metric: row for row in diff_records(before, after)}
-    assert rows["wall_seconds"].regression        # 50% slower
-    assert rows["events_per_second"].regression   # and lower throughput
-    report = render_diff(before, after)
-    assert "<< regression" in report
-    assert "wall_seconds" in report
-
-
-def test_diff_fails_any_simulated_metric_change_on_the_same_cell(tmp_path):
-    cell = dict(benchmark="swim", mechanism="GHB", n_instructions=8000,
-                wall_seconds=1.0, events_per_second=8000.0)
-    before = LedgerRecord(label="before", metrics={"ipc": 1.0,
-                                                   "l1_mpki": 3.0}, **cell)
-    after = LedgerRecord(label="after", metrics={"ipc": 1.36,
-                                                 "l1_mpki": 3.0}, **cell)
-    rows = {row.metric: row for row in diff_records(before, after)}
-    assert rows["ipc"].regression          # deterministic: any delta is one
-    assert not rows["l1_mpki"].regression
-    assert not any(row.regression for row in diff_records(before, before))
-    # Another cell's simulated metrics are not comparable.
-    other = dataclasses.replace(after, benchmark="art")
-    assert not any(row.regression for row in diff_records(before, other))
+    assert rows["wall_seconds"].delta == pytest.approx(-0.5)
+    assert rows["wall_seconds"].pct == pytest.approx(-100 / 3)
     ledger = tmp_path / "BENCH_obs.json"
     Ledger(ledger).append(before)
     Ledger(ledger).append(after)
-    assert obs_main(["--ledger", str(ledger), "diff", "before", "after",
-                     "--fail-on-regression"]) == 1
-    assert obs_main(["--ledger", str(ledger), "diff", "after", "after",
-                     "--fail-on-regression"]) == 0
-
-
-def test_diff_accepts_improvements():
-    before = _record("bench", 1.5, instructions=8000)
-    after = _record("bench", 1.0, instructions=8000)
-    assert not any(r.regression for r in diff_records(before, after))
+    assert obs_main(["--ledger", str(ledger), "diff", "prev", "latest"]) == 0
 
 
 # -- CLI integration -----------------------------------------------------------
@@ -377,39 +315,32 @@ def test_cli_trace_covers_every_layer(tmp_path):
     assert {"kernel", "cache", "cpu", "dram", "exec", "sim"} <= cats
 
 
-def test_cli_obs_record_list_diff_report(tmp_path):
+def test_cli_obs_list_and_diff_read_cli_run_records(tmp_path):
     ledger = str(tmp_path / "BENCH_obs.json")
+    env = _env(REPRO_LEDGER=ledger)
+    for _ in range(2):
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "run", "swim", "GHB",
+             "--n", "2000", "--no-cache"],
+            capture_output=True, text=True, env=env, cwd=REPO,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
 
     def obs(*args):
         return subprocess.run(
-            [sys.executable, "-m", "repro.obs", "--ledger", ledger, *args],
-            capture_output=True, text=True, env=_env(), cwd=REPO,
+            [sys.executable, "-m", "repro.obs", *args],
+            capture_output=True, text=True, env=env, cwd=REPO,
         )
-
-    for _ in range(2):
-        proc = obs("record", "--benchmark", "swim", "--mechanism", "GHB",
-                   "--n", "1500", "--label", "ci-smoke")
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert "recorded ci-smoke" in proc.stdout
 
     proc = obs("list")
     assert proc.returncode == 0
-    assert proc.stdout.count("ci-smoke") == 2
+    assert proc.stdout.count("cli-run") == 2
 
     proc = obs("diff", "prev", "latest")
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "ledger diff" in proc.stdout
+    assert "ledger diff: cli-run" in proc.stdout
     assert "wall_seconds" in proc.stdout
-    assert "derived" not in proc.stdout or "ipc" in proc.stdout
-
-    proc = obs("report")
-    assert proc.returncode == 0
-    assert "ci-smoke" in proc.stdout
-
-    # Identical spec hashes: record both runs of the same cell.
-    records = Ledger(ledger).read()
-    assert records[0].spec_hash == records[1].spec_hash
-    assert records[0].metrics.get("ipc") == records[1].metrics.get("ipc")
+    assert "simulated" in proc.stdout
 
 
 def test_cli_obs_diff_empty_ledger_errors(tmp_path):
@@ -420,6 +351,16 @@ def test_cli_obs_diff_empty_ledger_errors(tmp_path):
     )
     assert proc.returncode == 2
     assert "error:" in proc.stderr
+
+
+def test_cli_obs_diff_bad_label_offset_errors(tmp_path, capsys):
+    """A ``label@N`` selector whose offset is not an integer is a bad
+    selector like any other: an ``error:`` line and exit 2."""
+    ledger = tmp_path / "BENCH_obs.json"
+    Ledger(ledger).append(_record("smoke", 1.0, instructions=8000))
+    assert obs_main(["--ledger", str(ledger), "diff", "smoke@x",
+                     "latest"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_cli_obs_validate_trace(tmp_path):
