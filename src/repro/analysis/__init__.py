@@ -28,11 +28,6 @@ The rule families (catalogue in ``docs/analysis.md``):
   generated trace-speculation code is re-emitted for every machine shape
   and proven to guard every state it touches, replay the slow path's
   writes in order, and bake only fresh constants.
-* **SIM9xx** snapshot completeness (sim-path packages) — every
-  ``self.x`` a checkpoint-protocol class assigns in ``__init__`` must
-  land in ``SNAPSHOT_FIELDS`` or ``SNAPSHOT_EXEMPT``, and every
-  declared name must exist, so mid-run checkpoints can never silently
-  omit state (:mod:`repro.exec.checkpoint`).
 
 The same invariants have a *runtime* twin: setting ``REPRO_SANITIZE=1``
 arms cheap assertions in the kernel and the cache hierarchy (see
@@ -52,7 +47,6 @@ from repro.analysis import (  # noqa: F401
     obsrules,
     purity,
     robustness,
-    snapshot,
     wiring,
 )
 from repro.analysis.core import (

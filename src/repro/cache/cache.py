@@ -42,13 +42,12 @@ raises no exception.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, TYPE_CHECKING
+from typing import Callable, List, Optional, TYPE_CHECKING
 
 from repro.core.config import CacheConfig
 from repro.hotpath import hotpath
 from repro.kernel.module import Component
 from repro.kernel.resources import MultiPortResource, PipelinedResource
-from repro.kernel.state import snapshot_fields
 from repro.cache.mshr import MSHRFile
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -139,15 +138,6 @@ WritebackFn = Callable[[int, int], None]
 
 class Cache(Component):
     """A single cache level (L1 data or unified L2)."""
-
-    #: The flat metadata lists are the run state; ports/pipeline/mshr
-    #: snapshot themselves (composite handling in :meth:`snapshot`) and
-    #: the mechanism is snapshotted by the hierarchy, never per cache.
-    SNAPSHOT_FIELDS = ("_tags", "_ready", "_touch", "_flags",
-                       "ports", "pipeline", "mshr")
-    SNAPSHOT_EXEMPT = ("config", "precise", "line_bits", "n_sets", "assoc",
-                       "_set_mask", "mechanism", "fetch_next",
-                       "writeback_next")
 
     def __init__(
         self,
@@ -506,31 +496,6 @@ class Cache(Component):
             return 0.0
         misses = self.st_read_misses.value + self.st_write_misses.value
         return misses / accesses
-
-    # -- checkpointing ---------------------------------------------------------
-
-    def snapshot(self) -> Dict[str, Any]:
-        return {
-            "arrays": snapshot_fields(
-                self, ("_tags", "_ready", "_touch", "_flags")),
-            "ports": self.ports.snapshot(),
-            "pipeline": self.pipeline.snapshot(),
-            "mshr": self.mshr.snapshot(),
-            "stats": self.snapshot_stats(),
-        }
-
-    def restore(self, state: Dict[str, Any]) -> None:
-        arrays = state["arrays"]
-        # Spliced in place: the fast path binds these lists by identity
-        # (same contract as :meth:`reset`).
-        self._tags[:] = arrays["_tags"]
-        self._ready[:] = arrays["_ready"]
-        self._touch[:] = arrays["_touch"]
-        self._flags[:] = arrays["_flags"]
-        self.ports.restore(state["ports"])
-        self.pipeline.restore(state["pipeline"])
-        self.mshr.restore(state["mshr"])
-        self.restore_stats(state["stats"])
 
     def reset(self) -> None:
         n_slots = self.n_sets * self.assoc

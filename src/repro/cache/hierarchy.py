@@ -21,7 +21,7 @@ probability that normal miss requests are delayed" (Section 3.4, the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from typing import Optional
 
 from repro.cache.cache import Cache
 from repro.core.config import (
@@ -51,16 +51,6 @@ class AccessResult:
 
 class MemoryHierarchy(Component):
     """L1D + unified L2 + buses + main memory, with one optional mechanism."""
-
-    #: Snapshot protocol declarations.  The composite sub-models are run
-    #: state (each serialized through its own snapshot in :meth:`snapshot`);
-    #: the exempt names are frozen config, hoisted aliases of mechanism
-    #: queues, and the sanitizer fingerprint.
-    SNAPSHOT_FIELDS = ("sim", "l1d", "l1i", "l2", "l1_l2_bus", "l1_l2_cmd",
-                       "memory_bus", "memory_cmd", "memory", "mechanism",
-                       "image")
-    SNAPSHOT_EXEMPT = ("config", "_mech_queues", "_throttle_limit",
-                       "_config_fingerprint")
 
     def __init__(
         self,
@@ -373,67 +363,6 @@ class MemoryHierarchy(Component):
         self.st_memory_bus_busy.value = self.memory_bus.busy_cycles
         self.st_memory_bus_transfers.value = self.memory_bus.transfers
 
-    # -- checkpointing --------------------------------------------------------------
-
-    #: The four buses, in a fixed serialization order.
-    _BUS_NAMES = ("l1_l2_bus", "l1_l2_cmd", "memory_bus", "memory_cmd")
-
-    def _event_owner_components(self):
-        """Components whose bound methods may sit in the event queue.
-
-        Only mechanisms schedule kernel events (decay checks, quiet-line
-        checks), and a mechanism's subtree enumerates deterministically in
-        construction order, so ``m<i>`` keys are stable across the save
-        and restore processes.
-        """
-        if self.mechanism is None:
-            return []
-        return list(self.mechanism.walk())
-
-    def snapshot(self) -> Dict[str, Any]:
-        """Serialize every piece of run state into picklable primitives."""
-        owner_keys = {
-            id(comp): f"m{i}"
-            for i, comp in enumerate(self._event_owner_components())
-        }
-        return {
-            "sim": self.sim.snapshot(owner_keys),
-            "l1d": self.l1d.snapshot(),
-            "l1i": self.l1i.snapshot(),
-            "l2": self.l2.snapshot(),
-            "buses": {name: getattr(self, name).snapshot()
-                      for name in self._BUS_NAMES},
-            "memory": self.memory.snapshot(),
-            "mechanism": (self.mechanism.snapshot()
-                          if self.mechanism is not None else None),
-            "image": self.image.snapshot() if self.image is not None else None,
-            "stats": self.snapshot_stats(),
-        }
-
-    def restore(self, state: Dict[str, Any]) -> None:
-        """Restore a :meth:`snapshot` into this (identically built) hierarchy.
-
-        The mechanism restores before the event queue so re-bound events
-        close over fully restored component state, though each event only
-        runs at its scheduled cycle either way.
-        """
-        if state["mechanism"] is not None:
-            self.mechanism.restore(state["mechanism"])
-        owners = {
-            f"m{i}": comp
-            for i, comp in enumerate(self._event_owner_components())
-        }
-        self.sim.restore(state["sim"], owners)
-        self.l1d.restore(state["l1d"])
-        self.l1i.restore(state["l1i"])
-        self.l2.restore(state["l2"])
-        for name in self._BUS_NAMES:
-            getattr(self, name).restore(state["buses"][name])
-        self.memory.restore(state["memory"])
-        if state["image"] is not None:
-            self.image.restore(state["image"])
-        self.restore_stats(state["stats"])
-
     # -- sanitizer -----------------------------------------------------------------
 
     def sanitize_verify(self) -> None:
@@ -487,7 +416,8 @@ class MemoryHierarchy(Component):
         self.l1d.reset()
         self.l1i.reset()
         self.l2.reset()
-        for name in self._BUS_NAMES:
-            getattr(self, name).reset()
+        for bus in (self.l1_l2_bus, self.l1_l2_cmd, self.memory_bus,
+                    self.memory_cmd):
+            bus.reset()
         self.memory.reset()
         self.reset_stats()

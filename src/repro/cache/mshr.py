@@ -14,17 +14,11 @@ merging).
 from __future__ import annotations
 
 import heapq
-from typing import Any, Dict, List, Optional, Tuple
-
-from repro.kernel.state import restore_fields, snapshot_fields
+from typing import Dict, List, Optional, Tuple
 
 
 class MSHRFile:
     """Tracks in-flight line fills keyed by block address."""
-
-    SNAPSHOT_FIELDS = ("_entries", "_completions", "merges", "merge_rejects",
-                       "full_stalls")
-    SNAPSHOT_EXEMPT = ("capacity", "reads_per_entry")
 
     def __init__(self, capacity: Optional[int], reads_per_entry: int = 4):
         if capacity is not None and capacity < 1:
@@ -103,14 +97,6 @@ class MSHRFile:
         """Record a newly issued miss completing at ``ready_time``."""
         self._entries[block] = [ready_time, 1]
         heapq.heappush(self._completions, (ready_time, block))
-
-    def snapshot(self) -> Dict[str, Any]:
-        return snapshot_fields(self)
-
-    def restore(self, state: Dict[str, Any]) -> None:
-        # ``_completions`` restores as a list splice: the saved heap order
-        # is the heap order (deepcopy of a valid heap is a valid heap).
-        restore_fields(self, state)
 
     def reset(self) -> None:
         self._entries.clear()

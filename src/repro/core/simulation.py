@@ -91,8 +91,13 @@ def run_trace(
     the knob exists so that equivalence stays testable.
 
     ``checkpoint`` is an optional mid-run checkpointer (see
-    :class:`repro.exec.checkpoint.Checkpointer`), forwarded to
-    :meth:`OoOCore.run <repro.cpu.ooo.OoOCore.run>`.  It never enters a
+    :class:`repro.exec.checkpoint.Checkpointer`).  Its newest sound cut,
+    if one loads, replaces the fresh machine: the run continues on the
+    unpickled core and hierarchy from the cut's record, with the cut's
+    memory image given back the base it was pickled without (from
+    ``image``).  Otherwise a fresh machine starts from record zero, and
+    either way :meth:`OoOCore.run <repro.cpu.ooo.OoOCore.run>` cuts it
+    every ``checkpoint.every`` records.  A checkpoint never enters a
     run's identity: a resumed run's result is bit-identical to an
     uninterrupted one, so the content-addressed store cannot tell them
     apart (and must not).
@@ -102,12 +107,20 @@ def run_trace(
     if tracing:
         TRACER.begin("sim.run_trace", cat="sim",
                      benchmark=benchmark, mechanism=name)
-    core, hierarchy = build_machine(config, mechanism, image)
+    loaded = checkpoint.load() if checkpoint is not None else None
+    resume = loaded[1] if loaded is not None else None
+    if resume is None:
+        core, hierarchy = build_machine(config, mechanism, image)
+    else:
+        core = resume["core"]
+        hierarchy = core.hierarchy
+        if hierarchy.image is not None:
+            hierarchy.image.reattach_base(image)
     measure_from = int(len(trace) * warmup_fraction)
     sampler = maybe_sampler(hierarchy, len(trace))
     stats: CoreStats = core.run(trace, measure_from=measure_from,
                                 sampler=sampler, fast=fast,
-                                checkpoint=checkpoint)
+                                checkpoint=checkpoint, resume=resume)
     hierarchy.finalize_stats()
     hierarchy.sanitize_verify()  # no-op unless REPRO_SANITIZE=1
     result = _collect(benchmark, name, stats, hierarchy)

@@ -99,7 +99,8 @@ class OoOCore(Component):
         }
 
     def run(self, trace: Sequence, measure_from: int = 0,
-            sampler=None, fast: bool = True, checkpoint=None) -> CoreStats:
+            sampler=None, fast: bool = True, checkpoint=None,
+            resume=None) -> CoreStats:
         """Simulate ``trace`` to completion; return the run's statistics.
 
         ``measure_from`` marks the end of the warm-up window: IPC is
@@ -121,32 +122,26 @@ class OoOCore(Component):
         see :class:`repro.exec.RunSpec`).
 
         ``checkpoint`` is an optional duck-typed checkpointer (``.every``,
-        ``.cut(index, state)``, ``.load()``; see
-        :class:`repro.exec.checkpoint.Checkpointer`): a mid-run snapshot is
-        cut every ``every`` committed records, and a prior snapshot, if one
-        loads, resumes this run from its record index.  Restore-then-finish
-        is bit-identical to an uninterrupted run; when no checkpointer is
-        attached the loops are exactly today's code (the fast path's emitted
-        source is unchanged, so the disabled path provably costs nothing).
+        ``.cut(index, state)``; see
+        :class:`repro.exec.checkpoint.Checkpointer`): every ``every``
+        committed records the loop cuts this live machine whole (see
+        :meth:`_checkpoint_cut`).  ``resume`` is a loaded cut whose
+        ``"core"`` is this very (unpickled) core: the loop restarts from
+        the cut's record with the saved loop state and speculator
+        counters.  Resume-then-finish is bit-identical to an
+        uninterrupted run; when no checkpointer is attached the loops are
+        exactly today's code (the fast path's emitted source is
+        unchanged, so the disabled path provably costs nothing).
         """
         tracing = TRACER.enabled
         if tracing:
             TRACER.begin("cpu.run", cat="cpu")
-        resume = checkpoint.load() if checkpoint is not None else None
-        saved_loop = None
-        if resume is not None:
-            _, saved = resume
-            # Restore the whole machine *before* compiling the fast path so
-            # its emitted guards bind the restored (in-place) containers.
-            self.hierarchy.restore(saved["hierarchy"])
-            for fu_name, fu_state in saved["core"]["fu"].items():
-                self.fu[fu_name].restore(fu_state)
-            saved_loop = tuple(saved["loop"])
+        saved_loop = resume["loop"] if resume is not None else None
         if fast:
             speculator = TraceSpeculator(self.hierarchy)
             self.speculation = speculator
-            if resume is not None and saved["core"]["spec_counts"] is not None:
-                speculator.counts[:] = saved["core"]["spec_counts"]
+            if resume is not None and resume["spec_counts"] is not None:
+                speculator.counts[:] = resume["spec_counts"]
             loop = self._compile_fast_loop(speculator, sampler,
                                            checkpoint, saved_loop)
             outcome = loop(trace, measure_from)
@@ -185,7 +180,7 @@ class OoOCore(Component):
         golden-fingerprint tests diff the two record by record (via their
         stats), which is why this stays plain, readable Python.
 
-        ``checkpoint``/``resume`` mirror the fast path's mid-run snapshot
+        ``checkpoint``/``resume`` mirror the fast path's mid-run checkpoint
         support: a disabled checkpointer costs one integer comparison per
         record (the same discipline as the sampler's ``_NO_SAMPLE``
         sentinel), and ``resume`` is the loop-state tuple a prior cut saved.
@@ -380,29 +375,28 @@ class OoOCore(Component):
                 n_branches, n_mispredicts, load_latency_total)
 
     def _checkpoint_cut(self, checkpoint, speculator):
-        """Bind a one-call snapshot closure for the pipeline loops.
+        """Bind a one-call cut closure for the pipeline loops.
 
         The loop hands over its entire local state as one tuple (record
-        index last); everything else stateful — the hierarchy, the FU
-        ledgers, the speculator's guard counters — is snapshotted here, so
-        a cut is a single call on the loop's cold path.
+        index last).  The cut passes it on with the live machine — this
+        core and everything it reaches — and the speculator's guard
+        counters, all pickled in one go by ``checkpoint.cut``.  The
+        speculator itself holds generated code, so it stays out (see
+        :meth:`__getstate__`); a resumed run compiles a fresh one.
         """
-        hierarchy = self.hierarchy
-        fu = self.fu
+        counts = speculator.counts if speculator is not None else None
 
         def cut(loop_state):
             checkpoint.cut(loop_state[-1], {
-                "hierarchy": hierarchy.snapshot(),
-                "core": {
-                    "fu": {name: pool.snapshot()
-                           for name, pool in fu.items()},
-                    "spec_counts": (list(speculator.counts)
-                                    if speculator is not None else None),
-                },
-                "loop": loop_state,
+                "core": self, "spec_counts": counts, "loop": loop_state,
             })
 
         return cut
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        state["speculation"] = None  # generated code; rebuilt on resume
+        return state
 
     def _dispatch_tables(self):
         """Dense per-op latency and FU-pool tables (list index beats dict)."""

@@ -8,7 +8,7 @@ speedups shrink by ~58% on average when the detailed SDRAM replaces it.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Optional
 
 from repro.kernel.module import Component
 from repro.obs.tracing import TRACER
@@ -16,9 +16,6 @@ from repro.obs.tracing import TRACER
 
 class ConstantLatencyMemory(Component):
     """``access`` always completes ``latency`` cycles after presentation."""
-
-    SNAPSHOT_FIELDS = ()
-    SNAPSHOT_EXEMPT = ("latency",)
 
     def __init__(
         self,
@@ -46,12 +43,6 @@ class ConstantLatencyMemory(Component):
     @property
     def average_latency(self) -> float:
         return float(self.latency)
-
-    def snapshot(self) -> Dict[str, Any]:
-        return {"stats": self.snapshot_stats()}
-
-    def restore(self, state: Dict[str, Any]) -> None:
-        self.restore_stats(state["stats"])
 
     def reset(self) -> None:
         self.reset_stats()

@@ -11,22 +11,18 @@ SimpleScalar's infinite-bandwidth constant-latency memory (Section 3.3).
 from __future__ import annotations
 
 import heapq
-from typing import Any, Dict, List, Optional
+from typing import List, Optional
 
 from repro.core.config import SDRAMConfig
 from repro.dram.scheduling import PERMUTATION_INTERLEAVE
 from repro.dram.sdram import SDRAM
 from repro.hotpath import hotpath
 from repro.kernel.module import Component
-from repro.kernel.state import snapshot_fields
 from repro.obs.tracing import TRACER
 
 
 class SDRAMController(Component):
     """Front end of the memory system: admits, schedules, completes."""
-
-    SNAPSHOT_FIELDS = ("_slots",)
-    SNAPSHOT_EXEMPT = ("config", "device", "_queue_entries", "_device_access")
 
     def __init__(
         self,
@@ -102,17 +98,6 @@ class SDRAMController(Component):
         if not self.st_requests.value:
             return 0.0
         return self.st_latency.value / self.st_requests.value
-
-    def snapshot(self) -> Dict[str, Any]:
-        state = snapshot_fields(self)
-        state["device"] = self.device.snapshot()
-        state["stats"] = self.snapshot_stats()
-        return state
-
-    def restore(self, state: Dict[str, Any]) -> None:
-        self._slots[:] = state["_slots"]
-        self.device.restore(state["device"])
-        self.restore_stats(state["stats"])
 
     def reset(self) -> None:
         self._slots.clear()

@@ -16,12 +16,11 @@ page opens — the property the paper's memory-model experiment leans on.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import List, Optional
 
 from repro.core.config import SDRAMConfig
 from repro.dram.scheduling import AddressMapping, PERMUTATION_INTERLEAVE
 from repro.kernel.module import Component
-from repro.kernel.state import restore_fields, snapshot_fields
 
 
 class BankState:
@@ -48,9 +47,6 @@ class SDRAM(Component):
     #: paper's controller study weighed — see the ablation bench).
     OPEN_PAGE = "open"
     CLOSED_PAGE = "closed"
-
-    SNAPSHOT_FIELDS = ("banks", "_last_activate_any")
-    SNAPSHOT_EXEMPT = ("config", "page_policy", "_closed_page", "mapping")
 
     def __init__(
         self,
@@ -127,18 +123,6 @@ class SDRAM(Component):
         if not self.st_accesses.value:
             return 0.0
         return self.st_latency.value / self.st_accesses.value
-
-    def snapshot(self) -> Dict[str, Any]:
-        # BankState carries only ints/None in __slots__, so the generic
-        # deepcopy serializes the bank list directly.
-        state = snapshot_fields(self)
-        state["stats"] = self.snapshot_stats()
-        return state
-
-    def restore(self, state: Dict[str, Any]) -> None:
-        state = dict(state)
-        self.restore_stats(state.pop("stats"))
-        restore_fields(self, state)
 
     def reset(self) -> None:
         for bank in self.banks:

@@ -41,9 +41,9 @@ can resume.
 
 When mid-run checkpointing has run against this cache
 (``<cache>/ckpt/`` exists), ``fsck`` audits every snapshot: header
-parse, format version, spec-hash cross-check against the directory it
-lives in, payload length and SHA-256, plus stale temps stranded by
-killed writers.  A defective checkpoint is never *served* — the loader
+parse, format version, simulator source digest, spec-hash cross-check
+against the directory it lives in, payload length and SHA-256, plus
+stale temps stranded by killed writers.  A defective checkpoint is never *served* — the loader
 skips it and falls back to the next-older sound snapshot — so these are
 disk-hygiene defects, not correctness ones; ``--prune`` removes them
 along with superseded snapshots (anything older than the newest sound

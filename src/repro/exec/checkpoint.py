@@ -1,24 +1,29 @@
-"""Durable mid-run checkpoints: crash-safe snapshots, bit-identical resume.
+"""Durable mid-run checkpoints: crash-safe cuts, bit-identical resume.
 
 A simulation that dies mid-trace — OOM kill, preemption, a chaos-test
 ``os._exit`` — normally forfeits every record it already processed.  This
-module bounds that loss: the core's pipeline loops cut a full machine
-snapshot (kernel event queue, cache arrays, MSHRs, DRAM state, mechanism
-tables, loop locals; see :mod:`repro.kernel.state`) every
-``--checkpoint-every N`` records, and the next attempt of the *same* spec
-resumes from the newest sound snapshot.  Restore-then-finish is
-bit-identical to an uninterrupted run — pinned by golden-fingerprint
-tests — so resume can never change a result, only how much work producing
-it costs.
+module bounds that loss: every ``--checkpoint-every N`` records the
+core's pipeline loop pickles the live machine whole — the core and
+everything it reaches: hierarchy, mechanism tree, kernel event queue and
+memory image — together with its own loop state, and the next attempt
+of the *same* spec unpickles the newest sound cut and runs that machine
+on from the cut's record.  Resume-then-finish is bit-identical to an
+uninterrupted run — pinned for every mechanism on both loops — so resume
+can never change a result, only how much work producing it costs.
+
+No class declares its layout, so a cut is only sound for the simulator
+source that wrote it: the header carries a digest of that source
+(:func:`source_digest`), and a cut written by other code is skipped as
+defective rather than unpickled into classes that have since changed.
 
 File format (one checkpoint per file)::
 
     <cache-dir>/ckpt/<spec-hash>/<record-index>.ckpt
     +------------------------------------------------------------+
-    | JSON header line: version, spec, index, payload_bytes,     |
-    |                   sha256 of the payload                    |
+    | JSON header line: version, spec, index, source digest,     |
+    |                   payload_bytes, sha256 of the payload     |
     +------------------------------------------------------------+
-    | pickled machine state (payload_bytes bytes)                |
+    | pickled machine (payload_bytes bytes)                      |
     +------------------------------------------------------------+
 
 Writes follow the result store's discipline: same-directory temp file,
@@ -39,6 +44,7 @@ import os
 import pickle
 import sys
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -48,11 +54,16 @@ from repro.exec.faults import (
     maybe_corrupt_checkpoint,
     should_kill_midrun,
 )
+from repro.exec.store import temp_owner_alive
 
 #: On-disk checkpoint format version; bump on layout changes.  A version
 #: mismatch is a *defect* (the reader cannot trust the payload), so old
 #: checkpoints are discarded rather than migrated — they are a cache.
-CKPT_VERSION = 1
+CKPT_VERSION = 2
+
+#: The packages whose objects a cut pickles (and whose code runs on it).
+_SIMULATOR_PACKAGES = ("cache", "core", "cpu", "dram", "isa", "kernel",
+                       "mechanisms", "workloads")
 
 #: Subdirectory of the store root holding all checkpoint state.
 CKPT_DIRNAME = "ckpt"
@@ -63,6 +74,19 @@ CKPT_SUFFIX = ".ckpt"
 
 class CheckpointError(Exception):
     """A checkpoint file failed verification (torn, corrupt, mismatched)."""
+
+
+@lru_cache(maxsize=1)
+def source_digest() -> str:
+    """Digest of the simulator source, stamped into every cut's header."""
+    root = Path(__file__).resolve().parent.parent
+    h = hashlib.sha256()
+    h.update(f"format={CKPT_VERSION};tag={sys.implementation.cache_tag}".encode())
+    for package in _SIMULATOR_PACKAGES:
+        for path in sorted((root / package).glob("*.py")):
+            h.update(f"{package}/{path.name}".encode())
+            h.update(path.read_bytes())
+    return h.hexdigest()[:16]
 
 
 def checkpoint_path(directory: Path, index: int) -> Path:
@@ -83,6 +107,7 @@ def write_checkpoint(
         "version": CKPT_VERSION,
         "spec": spec_hash,
         "index": index,
+        "source": source_digest(),
         "payload_bytes": len(payload),
         "sha256": hashlib.sha256(payload).hexdigest(),
     }
@@ -130,14 +155,20 @@ def read_checkpoint(
 ) -> Tuple[int, Any]:
     """Verify and load one checkpoint; ``(record index, machine state)``.
 
-    Every declared property is checked — format version, spec hash,
-    payload byte count, payload checksum — before the payload is
-    unpickled.  Any defect raises :class:`CheckpointError`.
+    Every declared property is checked — format version, simulator
+    source digest, spec hash, payload byte count, payload checksum —
+    before the payload is unpickled.  Any defect raises
+    :class:`CheckpointError`.
     """
     header = read_header(path)
     if header["version"] != CKPT_VERSION:
         raise CheckpointError(
             f"{path.name}: version {header['version']} != {CKPT_VERSION}"
+        )
+    if header.get("source") != source_digest():
+        raise CheckpointError(
+            f"{path.name}: written by other simulator source "
+            f"({header.get('source')} != {source_digest()})"
         )
     if expected_spec is not None and header["spec"] != expected_spec:
         raise CheckpointError(
@@ -166,9 +197,9 @@ def load_latest(
 ) -> Optional[Tuple[int, Any]]:
     """The newest sound checkpoint under ``directory``, or None.
 
-    Defective files (torn, corrupt, wrong version, wrong spec) are
-    skipped in favour of the next-older cut — exactly the fall-back the
-    ``corrupt-checkpoint`` chaos kind exercises.
+    Defective files (torn, corrupt, wrong version or source, wrong
+    spec) are skipped in favour of the next-older cut — exactly the
+    fall-back the ``corrupt-checkpoint`` chaos kind exercises.
     """
     try:
         paths = sorted(directory.glob(f"*{CKPT_SUFFIX}"), reverse=True)
@@ -212,16 +243,15 @@ def discard_checkpoints(directory: Path) -> int:
 class Checkpointer:
     """One run's checkpoint policy, bound to a spec and an attempt.
 
-    This is the duck-typed object :meth:`OoOCore.run
-    <repro.cpu.ooo.OoOCore.run>` consumes: ``every`` (records between
-    cuts; 0 disables), ``cut(index, state)`` and ``load()``.  On top of
-    the durable file layer it carries the chaos hooks — after a cut
-    lands it may tear the file (``corrupt-checkpoint``) or kill the
-    process (``kill-midrun``), both first-attempt-only so resumed
-    attempts always converge.  ``kill_exit`` selects the kill flavour:
-    an exit code for real worker processes, ``None`` to raise
-    :class:`InjectedCrash` where an ``os._exit`` would take the test
-    runner down with it.
+    This is the duck-typed object :func:`~repro.core.simulation.run_trace`
+    consumes: ``every`` (records between cuts; 0 disables),
+    ``cut(index, state)`` and ``load()``.  On top of the durable file
+    layer it carries the chaos hooks — after a cut lands it may tear the
+    file (``corrupt-checkpoint``) or kill the process (``kill-midrun``),
+    both first-attempt-only so resumed attempts always converge.
+    ``kill_exit`` selects the kill flavour: an exit code for real worker
+    processes, ``None`` to raise :class:`InjectedCrash` where an
+    ``os._exit`` would take the test runner down with it.
     """
 
     def __init__(
@@ -240,13 +270,17 @@ class Checkpointer:
         self.plan = plan
         self.kill_exit = kill_exit
         self.directory = self.root / spec_hash
-        #: Cuts written by this attempt / whether ``load`` found a
-        #: snapshot — harvested into the executor's telemetry.
+        #: Cuts written by this attempt / whether ``load`` found one —
+        #: harvested into the executor's telemetry.
         self.cuts = 0
         self.resumed = 0
 
     def cut(self, index: int, state: Any) -> None:
-        """Persist one mid-run snapshot (and run the chaos hooks)."""
+        """Persist one mid-run cut (and run the chaos hooks).
+
+        ``state`` may hold the live machine: it is pickled here, before
+        the run moves on.
+        """
         path = write_checkpoint(self.directory, self.spec_hash, index, state)
         self.cuts += 1
         if self.plan is not None and self.attempt == 1:
@@ -262,7 +296,7 @@ class Checkpointer:
                 )
 
     def load(self) -> Optional[Tuple[int, Any]]:
-        """The newest sound snapshot for this spec, or None."""
+        """The newest sound cut for this spec, or None."""
         loaded = load_latest(self.directory, self.spec_hash)
         if loaded is not None:
             self.resumed = 1
@@ -296,31 +330,18 @@ class CheckpointAudit:
         return not (self.defective or self.stale_temps)
 
 
-def _pid_alive(pid: int) -> bool:
-    """Whether ``pid`` names a live process (signal 0 probe)."""
-    if pid <= 0:
-        return False
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except PermissionError:
-        return True
-    return True
-
-
 def audit_checkpoints(
     ckpt_root: Path, prune: bool = False,
 ) -> CheckpointAudit:
     """Audit every checkpoint under ``ckpt_root``; optionally prune.
 
-    Checks per file: header parses, format version matches, the header's
-    spec hash agrees with the directory name, the payload is whole and
-    matches its checksum.  Sound-but-superseded cuts and ownerless temp
-    files are reported (resume only ever reads the newest sound cut, so
-    both are dead weight); ``prune`` removes defective and superseded
-    checkpoints and stale temps, leaving each spec at most its single
-    newest sound snapshot.
+    Checks per file: header parses, format version and simulator source
+    digest match, the header's spec hash agrees with the directory name,
+    the payload is whole and matches its checksum.  Sound-but-superseded
+    cuts and ownerless temp files are reported (resume only ever reads
+    the newest sound cut, so both are dead weight); ``prune`` removes
+    defective and superseded checkpoints and stale temps, leaving each
+    spec at most its single newest sound cut.
     """
     audit = CheckpointAudit()
     try:
@@ -357,8 +378,7 @@ def audit_checkpoints(
                 if prune:
                     remove(path)
         for stray in sorted(spec_dir.glob(".*.tmp")):
-            pid_part = stray.name.rsplit(".", 2)[-2]
-            if pid_part.isdigit() and _pid_alive(int(pid_part)):
+            if temp_owner_alive(stray):
                 continue  # a live writer is about to rename it
             audit.stale_temps.append(f"{spec_hash}/{stray.name}")
             if prune:

@@ -89,16 +89,24 @@ def result_checksum(result_payload: Dict[str, Any]) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _pid_alive(pid: int) -> bool:
-    """Whether ``pid`` names a live process (signal 0 probe)."""
-    if pid <= 0:
+def temp_owner_alive(path: Path) -> bool:
+    """Whether the writer of temp file ``path`` is still alive.
+
+    Writer temps are named ``.<final name>.<pid>.tmp``.  A pid part that
+    is not a positive decimal number, or that lies beyond the platform's
+    pid range, reads as dead: such a temp is stale garbage, never a
+    crash for whoever sweeps it.
+    """
+    pid_part = path.name.rsplit(".", 2)[-2]
+    pid = int(pid_part) if pid_part.isascii() and pid_part.isdigit() else 0
+    if pid == 0:  # os.kill(0, ...) would probe our own process group
         return False
     try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
+        os.kill(pid, 0)  # signal 0: an existence probe
+    except (ProcessLookupError, OverflowError):
         return False
-    except (PermissionError, OSError):
-        return True  # exists but not ours
+    except OSError:
+        return True  # e.g. EPERM: it exists but is not ours
     return True
 
 
@@ -360,14 +368,7 @@ class ResultStore:
         Live writers' files are left alone — they are about to be renamed.
         """
         for stray in self._temp_paths():
-            pid_part = stray.name.rsplit(".", 2)[-2]
-            if pid_part == str(os.getpid()):
-                continue
-            try:
-                alive = pid_part.isdigit() and _pid_alive(int(pid_part))
-            except ValueError:
-                alive = False
-            if not alive:
+            if not temp_owner_alive(stray):
                 try:
                     stray.unlink()
                 # simlint: allow[SIM601] losing a race to delete garbage is harmless
@@ -501,8 +502,7 @@ class ResultStore:
                         (path.name, f"prune failed: {exc}")
                     )
         for stray in self._temp_paths():
-            pid_part = stray.name.rsplit(".", 2)[-2]
-            if pid_part.isdigit() and _pid_alive(int(pid_part)):
+            if temp_owner_alive(stray):
                 continue  # a live writer is about to rename it
             report.stale_temps.append(stray.name)
             if prune:

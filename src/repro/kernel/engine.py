@@ -24,7 +24,7 @@ heavy MSHR/prefetch cancellation stop paying drain tax on dead events.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.hotpath import hotpath
 from repro.obs.tracing import TRACER
@@ -85,18 +85,10 @@ class Simulator:
     10
     """
 
-    #: Snapshot protocol declarations (see :mod:`repro.kernel.state` and
-    #: the SIM9xx lint).  ``_buckets``/``_times`` are custom-serialized by
-    #: :meth:`snapshot` (events hold bound methods, which don't pickle),
-    #: but they are run state and belong in the declared set.
-    SNAPSHOT_FIELDS = ("now", "_seq", "_buckets", "_times", "_live",
-                       "_cancelled")
-    SNAPSHOT_EXEMPT = ("_draining",)
-
     def __init__(self) -> None:
         self._buckets: Dict[int, List[Event]] = {}
         self._times: List[int] = []  # heap of bucket cycle numbers
-        self._seq = 0  # next event sequence number (plain int: snapshotable)
+        self._seq = 0  # next event sequence number (a plain int: it pickles)
         self._live = 0
         self._cancelled = 0
         self._draining = False
@@ -265,65 +257,6 @@ class Simulator:
         self._times[:] = survivors
         heapq.heapify(self._times)
         self._cancelled = 0
-
-    # -- checkpointing --------------------------------------------------------
-
-    def snapshot(self, owner_keys: Mapping[int, str]) -> Dict[str, Any]:
-        """Serialize the queue into picklable primitives.
-
-        Every pending event in this simulator is a bound method of a
-        long-lived component with integer arguments (MSHR release,
-        eager-writeback quiet checks, dead-block checks), so an event
-        serializes as ``(time, seq, owner_key, method_name, args)`` where
-        ``owner_key`` names the owning component in ``owner_keys``
-        (``{id(component): key}``, built by the hierarchy from its stable
-        walk order).  Cancelled events are dropped — exactly what
-        :meth:`_compact` does, and compaction is unobservable by design
-        (live events keep their buckets and relative order).
-        """
-        events: List[Tuple[int, int, str, str, Tuple[Any, ...]]] = []
-        for time in sorted(self._buckets):
-            for event in self._buckets[time]:
-                if event.cancelled:
-                    continue
-                fn = event.fn
-                owner = getattr(fn, "__self__", None)
-                key = owner_keys.get(id(owner)) if owner is not None else None
-                if key is None:
-                    raise ValueError(
-                        f"cannot checkpoint event {event!r}: callback owner "
-                        "is not a registered component (only bound methods "
-                        "of snapshot-registered components are serializable)"
-                    )
-                events.append((event.time, event.seq, key, fn.__name__,
-                               event.args))
-        return {"now": self.now, "seq": self._seq, "events": events}
-
-    def restore(self, state: Dict[str, Any], owners: Mapping[str, Any]) -> None:
-        """Rebuild the queue from a :meth:`snapshot` dict.
-
-        ``owners`` is the inverse of the snapshot's ``owner_keys`` map:
-        ``{key: component}`` for the *restored* hierarchy.  The times heap
-        is refilled in place (generated fast-path code binds it by
-        reference) and the cancellation counter restarts at zero, matching
-        the post-compaction state the snapshot encodes.
-        """
-        self._buckets.clear()
-        for time, seq, key, method_name, args in state["events"]:
-            event = Event(time, seq, getattr(owners[key], method_name),
-                          tuple(args), self)
-            bucket = self._buckets.get(time)
-            if bucket is None:
-                # simlint: allow[SIM702] first event of a cycle must open its bucket list
-                self._buckets[time] = [event]
-            else:
-                bucket.append(event)
-        self._times[:] = self._buckets
-        heapq.heapify(self._times)
-        self._live = len(state["events"])
-        self._cancelled = 0
-        self.now = state["now"]
-        self._seq = state["seq"]
 
     def reset(self) -> None:
         """Drop all pending events and rewind the clock to cycle 0."""

@@ -149,20 +149,6 @@ class Component:
 
     # -- checkpointing -------------------------------------------------------
 
-    def snapshot_stats(self) -> Dict[str, float]:
-        """This component's *own* stat values, ``{name: value}``.
-
-        Deliberately non-recursive: each component's :meth:`snapshot`
-        captures its own counters and delegates children to their own
-        snapshots, so a subtree is never double-counted.
-        """
-        return {name: stat.value for name, stat in self.stats.items()}
-
-    def restore_stats(self, values: Dict[str, float]) -> None:
-        """Write a :meth:`snapshot_stats` dict back onto this component."""
-        for name, value in values.items():
-            self.stats[name].value = value
-
     def stats_report(self) -> Dict[str, float]:
         """Flatten the subtree's statistics into ``{qualified_name: value}``."""
         report: Dict[str, float] = {}

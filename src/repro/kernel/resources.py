@@ -12,9 +12,7 @@ produce, at a tiny fraction of the cost.
 
 from __future__ import annotations
 
-from typing import Any, Dict
-
-from repro.kernel.state import restore_fields, snapshot_fields
+from typing import Dict
 
 
 class MultiPortResource:
@@ -41,9 +39,6 @@ class MultiPortResource:
     """
 
     __slots__ = ("n_ports", "_ledger", "grants", "_floor")
-
-    SNAPSHOT_FIELDS = ("_ledger", "grants", "_floor")
-    SNAPSHOT_EXEMPT = ("n_ports",)
 
     #: Ledger entries older than this many grants trigger a prune sweep.
     _PRUNE_EVERY = 8192
@@ -108,14 +103,6 @@ class MultiPortResource:
         """True if an acquire at ``time`` would be granted immediately."""
         return self.earliest_grant(time) == time
 
-    def snapshot(self) -> Dict[str, Any]:
-        return snapshot_fields(self)
-
-    def restore(self, state: Dict[str, Any]) -> None:
-        # In place: the fast path binds ``_ledger`` by identity (same
-        # contract as ``_prune``), which ``restore_fields`` honours.
-        restore_fields(self, state)
-
     def reset(self) -> None:
         self._ledger.clear()
         self.grants = 0
@@ -132,9 +119,6 @@ class PipelinedResource:
     """
 
     __slots__ = ("initiation_interval", "_next_start", "accepts", "stall_cycles")
-
-    SNAPSHOT_FIELDS = ("_next_start", "accepts", "stall_cycles")
-    SNAPSHOT_EXEMPT = ("initiation_interval",)
 
     def __init__(self, initiation_interval: int = 1) -> None:
         if initiation_interval < 1:
@@ -163,12 +147,6 @@ class PipelinedResource:
     def next_free(self) -> int:
         return self._next_start
 
-    def snapshot(self) -> Dict[str, Any]:
-        return snapshot_fields(self)
-
-    def restore(self, state: Dict[str, Any]) -> None:
-        restore_fields(self, state)
-
     def reset(self) -> None:
         self._next_start = 0
         self.accepts = 0
@@ -186,9 +164,6 @@ class Bus:
     """
 
     __slots__ = ("transfer_cycles", "_next_free", "busy_cycles", "transfers")
-
-    SNAPSHOT_FIELDS = ("_next_free", "busy_cycles", "transfers")
-    SNAPSHOT_EXEMPT = ("transfer_cycles",)
 
     def __init__(self, transfer_cycles: int) -> None:
         if transfer_cycles < 1:
@@ -214,12 +189,6 @@ class Bus:
     @property
     def next_free(self) -> int:
         return self._next_free
-
-    def snapshot(self) -> Dict[str, Any]:
-        return snapshot_fields(self)
-
-    def restore(self, state: Dict[str, Any]) -> None:
-        restore_fields(self, state)
 
     def reset(self) -> None:
         self._next_free = 0

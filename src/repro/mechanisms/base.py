@@ -38,10 +38,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Deque, Dict, Iterator, List, Optional, TYPE_CHECKING
+from typing import Deque, Iterator, List, Optional, TYPE_CHECKING
 
 from repro.kernel.module import Component
-from repro.kernel.state import restore_fields, snapshot_fields
 from repro.sanitize import SANITIZE, sanitize_failure
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -88,9 +87,6 @@ class PrefetchQueue:
     performance dramatically in both directions.
     """
 
-    SNAPSHOT_FIELDS = ("_queue", "pushed", "dropped")
-    SNAPSHOT_EXEMPT = ("capacity",)
-
     def __init__(self, capacity: int) -> None:
         if capacity < 1:
             raise ValueError(f"queue capacity must be >= 1, got {capacity}")
@@ -122,13 +118,6 @@ class PrefetchQueue:
 
 class Mechanism(Component):
     """Base class for every data-cache optimization."""
-
-    #: Snapshot protocol defaults.  Subclasses with tables extend
-    #: ``SNAPSHOT_FIELDS`` with their own state; the base class owns no
-    #: mutable run state beyond its stats and queue, which the generic
-    #: :meth:`snapshot` captures through their own protocols.
-    SNAPSHOT_FIELDS: tuple = ()
-    SNAPSHOT_EXEMPT: tuple = ("cache", "hierarchy", "queue")
 
     #: Which cache level the mechanism attaches to: ``"l1"`` or ``"l2"``.
     LEVEL = "l1"
@@ -234,30 +223,6 @@ class Mechanism(Component):
         if self.cache is None:
             raise RuntimeError(f"{self.path} not attached")
         return self.cache.insert_prefetch(addr, ready, time)
-
-    # -- checkpointing ------------------------------------------------------------
-
-    def snapshot(self) -> Dict[str, Any]:
-        """Generic recursive snapshot covering every registered mechanism.
-
-        Declared fields, own stats, every owned prefetch queue (in
-        :meth:`iter_queues` order) and child components (in construction
-        order), so composites like CDP+SP serialize without bespoke code.
-        """
-        return {
-            "fields": snapshot_fields(self),
-            "stats": self.snapshot_stats(),
-            "queues": [snapshot_fields(q) for q in self.iter_queues()],
-            "children": [child.snapshot() for child in self.children],
-        }
-
-    def restore(self, state: Dict[str, Any]) -> None:
-        restore_fields(self, state["fields"])
-        self.restore_stats(state["stats"])
-        for queue, saved in zip(self.iter_queues(), state["queues"]):
-            restore_fields(queue, saved)
-        for child, saved in zip(self.children, state["children"]):
-            child.restore(saved)
 
     # -- cost model ------------------------------------------------------------
 

@@ -28,9 +28,6 @@ class CDPPlusSP(Mechanism):
     ACRONYM = "CDPSP"
     YEAR = 2002
     QUEUE_SIZE = None  # queues live in the two sub-mechanisms
-    #: ``sp``/``cdp`` are children (constructed with ``parent=self``), so
-    #: the generic snapshot's child recursion covers their state.
-    SNAPSHOT_EXEMPT = Mechanism.SNAPSHOT_EXEMPT + ("sp", "cdp")
 
     def __init__(self, name: Optional[str] = None, parent=None):
         super().__init__(name, parent)

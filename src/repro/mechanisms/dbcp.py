@@ -57,14 +57,6 @@ class DeadBlockCorrelatingPrefetcher(Mechanism):
     CORR_ASSOC = 8
     CONFIDENCE_MAX = 3
     CONFIDENCE_THRESHOLD = 2
-    #: ``_evicting_frame`` is exempt: it is only True inside the
-    #: ``deliver_prefetch`` try/finally, never across trace records, so a
-    #: between-records checkpoint always sees it False.
-    SNAPSHOT_FIELDS = ("_signatures", "_pending_pc", "_frame_of",
-                       "_history", "_corr")
-    SNAPSHOT_EXEMPT = Mechanism.SNAPSHOT_EXEMPT + (
-        "variant", "prehash", "confidence_decay", "corr_capacity",
-        "_evicting_frame")
 
     def __init__(
         self,

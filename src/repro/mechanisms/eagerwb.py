@@ -36,7 +36,6 @@ class EagerWriteback(Mechanism):
     YEAR = 2000
     #: Cycles a dirty line must stay un-written before the eager writeback.
     QUIET_CYCLES = 512
-    SNAPSHOT_FIELDS = ("_last_write",)
 
     def __init__(self, name: Optional[str] = None, parent=None):
         super().__init__(name, parent)

@@ -36,7 +36,6 @@ class FrequentValueCache(Mechanism):
     COMPRESSIBLE_FRACTION = 0.75
     #: Words sampled before the frequent-value table freezes.
     WARMUP_SAMPLES = 4096
-    SNAPSHOT_FIELDS = ("_entries", "_counts", "_sampled", "_frequent")
 
     def __init__(self, name: Optional[str] = None, parent=None):
         super().__init__(name, parent)

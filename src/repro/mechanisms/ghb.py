@@ -34,7 +34,6 @@ class GlobalHistoryBuffer(Mechanism):
     GHB_ENTRIES = 256
     DEGREE = 4          # prefetches issued per detected stride
     WALK_DEPTH = 3      # miss addresses recovered per walk
-    SNAPSHOT_FIELDS = ("_buffer", "_head", "_count", "_index")
 
     def __init__(self, name: Optional[str] = None, parent=None):
         super().__init__(name, parent)

@@ -35,7 +35,6 @@ class MarkovPrefetcher(Mechanism):
     TABLE_BYTES = 1 << 20
     PREDICTIONS_PER_ENTRY = 4
     BUFFER_LINES = 128
-    SNAPSHOT_FIELDS = ("_table", "_buffer", "_last_miss")
 
     def __init__(self, name: Optional[str] = None, parent=None):
         super().__init__(name, parent)

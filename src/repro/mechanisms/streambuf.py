@@ -41,10 +41,6 @@ class StreamBuffers(Mechanism):
     USES_PREFETCH_BUFFER = True
     N_BUFFERS = 4
     DEPTH = 4
-    #: ``_pending`` values alias ``_streams`` entries; both fields ride one
-    #: deepcopy call in the generic snapshot, so the memo preserves the
-    #: aliasing through the round trip.
-    SNAPSHOT_FIELDS = ("_streams", "_pending")
 
     def __init__(self, name: Optional[str] = None, parent=None):
         super().__init__(name, parent)

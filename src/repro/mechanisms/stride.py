@@ -29,7 +29,6 @@ class StridePrefetcher(Mechanism):
     YEAR = 1992
     QUEUE_SIZE = 1
     PC_ENTRIES = 512
-    SNAPSHOT_FIELDS = ("_table",)
 
     def __init__(self, name: Optional[str] = None, parent=None):
         super().__init__(name, parent)

@@ -40,8 +40,6 @@ class TagCorrelatingPrefetcher(Mechanism):
     THT_SETS = 1024
     PHT_BYTES = 8 << 10
     PHT_ASSOC = 8
-    SNAPSHOT_FIELDS = ("_tht", "_pht")
-    SNAPSHOT_EXEMPT = Mechanism.SNAPSHOT_EXEMPT + ("reverse_engineered",)
 
     def __init__(
         self,

@@ -51,9 +51,6 @@ class TimekeepingPrefetcher(Mechanism):
     THRESHOLD = 8191       # idle cycles after which a line is dead
     CORR_BYTES = 8 << 10   # address-correlation table size
     CORR_ASSOC = 8
-    SNAPSHOT_FIELDS = ("_corr", "_last_touch", "_frame_of")
-    SNAPSHOT_EXEMPT = Mechanism.SNAPSHOT_EXEMPT + (
-        "reverse_engineered", "threshold")
 
     def __init__(
         self,
@@ -200,7 +197,6 @@ class TimekeepingVictimCache(VictimCache):
 
     ACRONYM = "TKVC"
     YEAR = 2002
-    SNAPSHOT_EXEMPT = Mechanism.SNAPSHOT_EXEMPT + ("reverse_engineered",)
 
     def __init__(
         self,

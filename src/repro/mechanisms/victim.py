@@ -25,7 +25,6 @@ class VictimCache(Mechanism):
     ACRONYM = "VC"
     YEAR = 1990
     SIZE_BYTES = 512
-    SNAPSHOT_FIELDS = ("_entries",)
 
     def __init__(self, name: Optional[str] = None, parent=None):
         super().__init__(name, parent)

@@ -27,7 +27,9 @@ deterministic in ``--seed``:
    quarantine — with a bounded respawn count (a crash *loop* is exactly
    what quarantine forbids).
 4. **Overload** — a 1-deep admission watermark against more clients
-   than it can hold.  The server must shed with ``overloaded``, the
+   than it can hold, with the fleet started only once the server has
+   shed its first submission (so the overload does not hang on client
+   start-up skew).  The server must shed with ``overloaded``, the
    clients must recover through seeded backoff, and every final stdout
    must again equal the serial baseline.
 
@@ -49,7 +51,7 @@ import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.exec.fleet import Fleet
 from repro.exec.store import ResultStore
@@ -59,6 +61,10 @@ SUBPROCESS_TIMEOUT = 600.0
 
 #: How long to wait for the server's socket to appear, seconds.
 SOCKET_TIMEOUT = 30.0
+
+#: How long the overload leg waits for the fleet-less server's first
+#: shed before it starts the fleet, seconds.
+SHED_TIMEOUT = 60.0
 
 #: Lease TTL for soak fleets: short, so killed workers' specs are
 #: reclaimed quickly and the poison crash loop trips its bound in
@@ -126,18 +132,21 @@ def _exhibit_cmd(args: argparse.Namespace, cache: Path,
     return cmd
 
 
-def _wait_for_socket(sock: Path, server: "subprocess.Popen[str]") -> None:
-    deadline = time.monotonic() + SOCKET_TIMEOUT
+def _wait_for(ready: Callable[[], bool], server: "subprocess.Popen[str]",
+              log: Path, timeout: float, what: str) -> None:
+    """Poll ``ready()`` until it holds; the server must stay up meanwhile."""
+    deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
-        if sock.exists():
+        if ready():
             return
         if server.poll() is not None:
-            _, err = server.communicate()
             raise SoakError(
-                f"server exited {server.returncode} before listening:\n{err}"
+                f"server exited {server.returncode} while waiting for "
+                f"{what}:\n{log.read_text()}"
             )
         time.sleep(0.05)
-    raise SoakError(f"server socket {sock} never appeared")
+    raise SoakError(f"timed out after {timeout:.0f}s waiting for {what}:\n"
+                    f"{log.read_text()}")
 
 
 def _stop(proc: "subprocess.Popen[str]", sig: int = signal.SIGINT,
@@ -161,10 +170,18 @@ def _run_leg(
     max_queue: Optional[int] = None,
     retry_after: Optional[float] = None,
     checkpoint_every: int = 0,
+    fleet_after_shed: bool = False,
 ) -> LegResult:
-    """One service leg: server + drain fleet + concurrent clients."""
+    """One service leg: server + drain fleet + concurrent clients.
+
+    ``fleet_after_shed`` holds the fleet back until the server has shed
+    a submission: nothing resolves the first admitted submission before
+    then, so an overload is certain rather than a matter of how fast
+    the clients start.
+    """
     cache.mkdir(parents=True, exist_ok=True)
     sock = cache / "serve" / "serve.sock"
+    server_log = cache / "server.stderr"
     env = _base_env()
 
     server_cmd = [
@@ -192,21 +209,32 @@ def _run_leg(
         # at scratch so the soak never grows a real ledger.
         client_env["REPRO_LEDGER"] = str(cache / "ledger.jsonl")
 
-    server = subprocess.Popen(server_cmd, env=env, text=True,
-                              stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    with open(server_log, "w") as log:
+        server = subprocess.Popen(server_cmd, env=env, text=True,
+                                  stdout=subprocess.PIPE, stderr=log)
     fleet: Optional["subprocess.Popen[str]"] = None
     clients: List["subprocess.Popen[str]"] = []
+
+    def start_fleet() -> "subprocess.Popen[str]":
+        return subprocess.Popen(fleet_cmd, env=fleet_env, text=True,
+                                stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE)
+
     try:
-        _wait_for_socket(sock, server)
-        fleet = subprocess.Popen(fleet_cmd, env=fleet_env, text=True,
-                                 stdout=subprocess.PIPE,
-                                 stderr=subprocess.PIPE)
+        _wait_for(sock.exists, server, server_log, SOCKET_TIMEOUT,
+                  "its socket")
+        if not fleet_after_shed:
+            fleet = start_fleet()
         client_cmd = _exhibit_cmd(args, cache, serve_sock=sock)
         clients = [
             subprocess.Popen(client_cmd, env=client_env, text=True,
                              stdout=subprocess.PIPE, stderr=subprocess.PIPE)
             for _ in range(n_clients)
         ]
+        if fleet is None:
+            _wait_for(lambda: "serve: shed" in server_log.read_text(),
+                      server, server_log, SHED_TIMEOUT, "its first shed")
+            fleet = start_fleet()
         outcomes = []
         for proc in clients:
             try:
@@ -227,7 +255,8 @@ def _run_leg(
             raise SoakError(f"fleet never drained:\n{fleet_err}")
         if fleet.returncode != 0:
             raise SoakError(f"fleet exited {fleet.returncode}:\n{fleet_err}")
-        _server_out, server_err = _stop(server)
+        _stop(server)
+        server_err = server_log.read_text()
     finally:
         for proc in clients:
             if proc.poll() is None:
@@ -349,7 +378,8 @@ def _soak(args: argparse.Namespace, root: Path) -> None:
     _say("leg 4/4: overload (--max-queue 1, "
          f"{args.clients + 1} clients) — expecting sheds + recovery")
     leg4 = _run_leg(args, root / "overload", None, None,
-                    args.clients + 1, max_queue=1, retry_after=0.02)
+                    args.clients + 1, max_queue=1, retry_after=0.02,
+                    fleet_after_shed=True)
     _check_clients("leg 4", leg4.clients, oracle)
     if "serve: shed" not in leg4.server_stderr:
         raise SoakError(

@@ -19,20 +19,11 @@ from __future__ import annotations
 
 from typing import Any, Dict, Tuple
 
-from repro.kernel.state import restore_fields, snapshot_fields
-
 WORD_BYTES = 8
 
 
 class MemoryImage:
     """Sparse functional memory with pointer-region tracking."""
-
-    #: ``_pending`` is custom-handled: the base image can be tens of
-    #: thousands of words and is reproducible from the workload store, so
-    #: the snapshot records only whether it was materialised plus the
-    #: overlay ``_words`` (writes made since load).
-    SNAPSHOT_FIELDS = ("_words", "heap_lo", "heap_hi", "reads", "writes")
-    SNAPSHOT_EXEMPT = ("_pending",)
 
     def __init__(self) -> None:
         self._words: Dict[int, int] = {}
@@ -122,24 +113,50 @@ class MemoryImage:
 
     # -- checkpointing ------------------------------------------------------------
 
-    def snapshot(self) -> Dict[str, Any]:
-        state = snapshot_fields(self)
-        state["materialized"] = self._pending is None
+    def __getstate__(self) -> Dict[str, Any]:
+        """Pickle without the untouched base image.
+
+        A checkpoint cut pickles the live machine, image included.  The
+        base is reproducible from the workload store (about 1 MB at swim
+        n=3000), so a still-pending base pickles as a ``True`` marker and
+        :meth:`reattach_base` gives it back on resume.
+        """
+        state = self.__dict__.copy()
+        if self._pending is not None:
+            state["_pending"] = True
         return state
 
-    def restore(self, state: Dict[str, Any]) -> None:
-        """Restore into an image freshly rebuilt from the workload store.
+    def reattach_base(self, source: "MemoryImage") -> None:
+        """Give an unpickled image back the base it was cut without.
 
-        The base image is deterministic per spec, so the restored machine
-        already carries an identical ``_pending``; the snapshot only has
-        to replay the overlay and, when the checkpointed run had already
-        thawed the base into ``_words``, drop the fresh ``_pending`` so a
-        later read does not double-apply it.
+        ``source`` is an image of the same workload.  If it has already
+        thawed its base, its words are that base: the stores it absorbed
+        replay generation-time values.
         """
-        state = dict(state)
-        if state.pop("materialized"):
+        if self._pending is True:
+            words = source._words
+            self._pending = (source._pending
+                             or (tuple(words), tuple(words.values())))
+
+    def snapshot(self) -> Dict[str, Any]:
+        """The overlay words and counters, for :meth:`restore` to rewind to."""
+        return {"_words": dict(self._words), "heap_lo": self.heap_lo,
+                "heap_hi": self.heap_hi, "reads": self.reads,
+                "writes": self.writes, "materialized": self._pending is None}
+
+    def restore(self, state: Dict[str, Any]) -> None:
+        """Rewind to a :meth:`snapshot` of this image, in place.
+
+        If the snapshot was taken after the base was thawed into
+        ``_words``, the pending base is dropped so a later read does not
+        apply it a second time.
+        """
+        if state["materialized"]:
             self._pending = None
-        restore_fields(self, state)
+        self._words.clear()
+        self._words.update(state["_words"])
+        self.heap_lo, self.heap_hi = state["heap_lo"], state["heap_hi"]
+        self.reads, self.writes = state["reads"], state["writes"]
 
     def __len__(self) -> int:
         if self._pending is not None:

@@ -13,6 +13,8 @@ from repro.cache.hierarchy import MemoryHierarchy
 from repro.core.config import baseline_config
 from repro.core.simulation import RunResult
 from repro.exec import ResultStore, RunSpec
+from repro.exec.checkpoint import audit_checkpoints
+from repro.exec.store import temp_owner_alive
 from repro.mechanisms.base import Mechanism
 from repro.kernel.engine import Event, Simulator
 from repro.sanitize import SanitizeError
@@ -54,8 +56,6 @@ FIXTURE_RULES = {
     "unguarded_state.py": "SIM801",
     "replay_out_of_order.py": "SIM802",
     "stale_constant.py": "SIM803",
-    "undeclared_snapshot.py": "SIM901",
-    "phantom_snapshot.py": "SIM902",
 }
 
 
@@ -378,6 +378,39 @@ def test_sweep_removes_dead_writers_temp(tmp_path):
     assert not stale.exists(), "dead writer's temp should be swept"
     assert not junk.exists(), "malformed temp should be swept"
     assert mine.exists(), "a live writer's temp must be left alone"
+
+
+@pytest.mark.parametrize("pid", ["0", "-4", "\u00b2", str(1 << 40),
+                                 "9" * 20])
+def test_temp_with_impossible_pid_reads_as_dead(tmp_path, pid):
+    assert not temp_owner_alive(tmp_path / f".x.json.{pid}.tmp")
+    assert temp_owner_alive(tmp_path / f".x.json.{os.getpid()}.tmp")
+
+
+@pytest.mark.parametrize("path", ["put", "fsck", "audit_checkpoints"])
+def test_out_of_range_temp_pid_is_swept_not_raised(tmp_path, path):
+    """A temp whose pid overflows a C long is stale on every sweep path."""
+    store = ResultStore(tmp_path)
+    spec = RunSpec("swim", "Base", n_instructions=500)
+    pid = "9" * 20
+    if path == "audit_checkpoints":
+        spec_dir = store.ckpt_root / ("f" * 16)
+        spec_dir.mkdir(parents=True)
+        stray = spec_dir / f".000000000700.ckpt.{pid}.tmp"
+        stray.write_bytes(b"partial")
+        audit = audit_checkpoints(store.ckpt_root)
+        assert audit.stale_temps == [f"{spec_dir.name}/{stray.name}"]
+        return
+    shard = store.path_for(spec).parent
+    shard.mkdir(parents=True, exist_ok=True)
+    stray = shard / f".x.{pid}.tmp"
+    stray.write_text("{}")
+    if path == "fsck":
+        assert store.fsck().stale_temps == [stray.name]
+    else:
+        store.put(spec, _result())
+        assert store.get(spec) is not None
+        assert not stray.exists()
 
 
 def test_truncated_entry_reads_as_miss(tmp_path):
