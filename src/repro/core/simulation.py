@@ -11,6 +11,7 @@ Every figure and table in the paper reduces to grids of these runs.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -153,10 +154,12 @@ def run_benchmark(
     else:
         trace, image = build_workload(benchmark, n_instructions)
     mechanism = create(mechanism_name, **(mechanism_kwargs or {}))
-    result = run_trace(
-        trace, mechanism, config, image,
-        benchmark=benchmark, mechanism_name=mechanism_name, fast=fast,
-    )
+    # A slice's stores must not stay in the image ``build`` shares.
+    with image.rewinding() if trace_window is not None else nullcontext():
+        result = run_trace(
+            trace, mechanism, config, image,
+            benchmark=benchmark, mechanism_name=mechanism_name, fast=fast,
+        )
     return result
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Dict, Mapping, Optional, Tuple
@@ -153,17 +154,21 @@ class RunSpec:
                 trace, self.n_instructions, interval=self.selection[1]
             )
         mechanism = create(self.mechanism, **dict(self.mechanism_kwargs))
-        return run_trace(
-            selected,
-            mechanism,
-            self.config,
-            image,
-            benchmark=self.benchmark,
-            mechanism_name=self.mechanism,
-            warmup_fraction=self.warmup_fraction,
-            fast=self.fast,
-            checkpoint=checkpoint,
-        )
+        # A slice's stores leave its own last values in the shared image;
+        # rewind them so the next run sees the image the build made.
+        with image.rewinding() if selected is not trace else nullcontext():
+            result = run_trace(
+                selected,
+                mechanism,
+                self.config,
+                image,
+                benchmark=self.benchmark,
+                mechanism_name=self.mechanism,
+                warmup_fraction=self.warmup_fraction,
+                fast=self.fast,
+                checkpoint=checkpoint,
+            )
+        return result
 
 
 # -- specs by value ---------------------------------------------------------------

@@ -15,6 +15,7 @@ interval.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -87,20 +88,22 @@ def sampled_ipc(
     if not 0 < confidence < 1:
         raise ValueError(f"confidence must be in (0,1), got {confidence}")
     ipcs = []
-    for slice_, measure_from in systematic_sample(
-        trace, n_windows, window, warmup
-    ):
-        result = run_trace(slice_, None, config=config, image=image,
-                           warmup_fraction=0.0)
-        # Re-run measurement windowing by hand: the helper gives whole-slice
-        # stats, so measure the window only.
-        if measure_from:
-            from repro.core.simulation import build_machine
-            core, hierarchy = build_machine(config, None, image)
-            stats = core.run(slice_, measure_from=measure_from)
-            ipcs.append(stats.ipc)
-        else:
-            ipcs.append(result.ipc)
+    # The windows' stores must not stay in a shared (memoised) image.
+    with image.rewinding() if image is not None else nullcontext():
+        for slice_, measure_from in systematic_sample(
+            trace, n_windows, window, warmup
+        ):
+            result = run_trace(slice_, None, config=config, image=image,
+                               warmup_fraction=0.0)
+            # Re-run measurement windowing by hand: the helper gives
+            # whole-slice stats, so measure the window only.
+            if measure_from:
+                from repro.core.simulation import build_machine
+                core, hierarchy = build_machine(config, None, image)
+                stats = core.run(slice_, measure_from=measure_from)
+                ipcs.append(stats.ipc)
+            else:
+                ipcs.append(result.ipc)
     data = np.asarray(ipcs)
     mean = float(data.mean())
     if len(data) > 1:

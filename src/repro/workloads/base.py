@@ -11,31 +11,31 @@ trace).
 
 from __future__ import annotations
 
+import math
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from bisect import bisect
+from dataclasses import dataclass
+from itertools import accumulate
+from typing import List, Tuple
 
 from repro.isa.instr import Op
-from repro.workloads.image import MemoryImage
-from repro.workloads.patterns import ENGINE_KINDS, FREQUENT_VALUES, PatternEngine
+from repro.workloads.image import WORD_BYTES, MemoryImage
+from repro.workloads.patterns import (
+    ENGINE_KINDS,
+    FREQUENT_BITS,
+    FREQUENT_VALUES,
+    WIDE_BITS,
+    WIDE_TAG,
+    WIDE_VALUES,
+    PatternEngine,
+)
 
 #: Spacing between engine data regions (keeps them in distinct DRAM areas).
 _REGION_SPACING = 0x0400_0000
 _REGION_BASE = 0x1000_0000
 _CODE_BASE = 0x0040_0000
-
-
-def _code_offset(idx: int, footprint: int) -> int:
-    """PC offset within the code region: basic blocks, not a byte walk.
-
-    Eight sequential 4-byte instructions per basic block, with blocks laid
-    out 132 bytes apart — skipping both 32-byte instruction-cache lines and
-    64-byte L2 lines — so the fetch stream is sequential *within* a block,
-    as real code is, but a data-side next-line prefetcher gets no free
-    instruction-stream coverage from the unified L2.
-    """
-    block = idx // 8
-    return (block * 132) % footprint + (idx % 8) * 4
+#: A record depends on a load fewer than this many records back, or on none.
+_DEP_REACH = 500
 
 
 @dataclass(frozen=True)
@@ -90,6 +90,13 @@ class WorkloadSpec:
                 raise ValueError(
                     f"{self.name}: phase multiplier count != pattern count"
                 )
+        weights = [mix.weight for mix in self.patterns]
+        weights += [m for _, multipliers in self.phases for m in multipliers]
+        if not all(0 <= w < math.inf for w in weights):
+            raise ValueError(
+                f"{self.name}: pattern weights and phase multipliers must "
+                f"be finite and >= 0"
+            )
 
 
 class SyntheticWorkload:
@@ -99,29 +106,39 @@ class SyntheticWorkload:
         self.spec = spec
 
     def build(
-        self, n_instructions: int, image: Optional[MemoryImage] = None
+        self, n_instructions: int
     ) -> Tuple[List[Tuple[int, int, int, int, int]], MemoryImage]:
-        """Generate ``n_instructions`` records; return ``(trace, image)``."""
+        """Generate ``n_instructions`` records; return ``(trace, image)``.
+
+        One ``random.Random(spec.seed)`` makes every draw.  The engines
+        draw first, each building its region of the image in turn.  Then,
+        per record: ``random()`` picks the class.  A memory record picks
+        its engine with ``random() * total`` against the phase's running
+        weights (no draw if they are all zero), lets the engine draw its
+        address, and unless the engine is chained draws store-or-load; a
+        store draws its value.  A branch draws its misprediction.  An ALU
+        op draws FP-or-int, then mul-or-alu, then (once a load exists) its
+        load dependence, else a ``randint(1, 4)`` distance.
+        ``tests/test_workload_pins.py`` pins the output byte for byte.
+        """
         spec = self.spec
         rng = random.Random(spec.seed)
-        if image is None:
-            image = MemoryImage()
+        image = MemoryImage()
 
         engines: List[PatternEngine] = []
-        load_pcs: List[int] = []
-        store_pcs: List[int] = []
         for i, mix in enumerate(spec.patterns):
-            base = _REGION_BASE + i * _REGION_SPACING
-            engine = mix.make(base, rng)
+            engine = mix.make(_REGION_BASE + i * _REGION_SPACING, rng)
             engine.setup(image, spec.value_locality)
             engines.append(engine)
-            load_pcs.append(_CODE_BASE + i * 0x100)
-            store_pcs.append(_CODE_BASE + i * 0x100 + 0x40)
-
-        phase_bounds, phase_weights = self._phase_plan(n_instructions)
+        nexts = [engine.next for engine in engines]
+        chained = [engine.chained for engine in engines]
+        load_pcs = [_CODE_BASE + i * 0x100 for i in range(len(engines))]
+        store_pcs = [pc + 0x40 for pc in load_pcs]
 
         trace: List[Tuple[int, int, int, int, int]] = []
         append = trace.append
+        random_, getrandbits = rng.random, rng.getrandbits
+        words = image._words
         load_op = int(Op.LOAD)
         store_op = int(Op.STORE)
         branch_op = int(Op.BRANCH)
@@ -129,64 +146,93 @@ class SyntheticWorkload:
         fp_alu = int(Op.FP_ALU)
         int_mul = int(Op.INT_MUL)
         fp_mul = int(Op.FP_MUL)
+        frequent = FREQUENT_VALUES
+        n_freq = len(frequent)
 
         mem_cut = spec.mem_fraction
         branch_cut = mem_cut + spec.branch_fraction
-        code_footprint = max(256, spec.code_footprint)
-        last_load_idx: Dict[int, int] = {}  # engine index -> trace index
+        store_fraction = spec.store_fraction
+        value_locality = spec.value_locality
+        mispredict_rate = spec.mispredict_rate
+        fp_fraction = spec.fp_fraction
+        dep_density = spec.dep_density
+        footprint = max(256, spec.code_footprint)
+        #: Trace index of each chained engine's latest load.
+        last_chain_load = [-_DEP_REACH] * len(engines)
         latest_load = -1
-        phase = 0
-        code_pc = _CODE_BASE + 0x10000
+        n_stores = 0
+        start = 0
 
-        for idx in range(n_instructions):
-            while phase + 1 < len(phase_bounds) and idx >= phase_bounds[phase]:
-                phase += 1
-            weights = phase_weights[phase]
-            r = rng.random()
-            if r < mem_cut:
-                engine_idx = self._pick_engine(rng, weights)
-                engine = engines[engine_idx]
-                addr = engine.next()
-                is_store = (not engine.chained) and rng.random() < spec.store_fraction
-                if is_store:
-                    if rng.random() < spec.value_locality:
-                        value = rng.choice(FREQUENT_VALUES)
+        for phase, (stop, weights) in enumerate(
+                zip(*self._phase_plan(n_instructions))):
+            total = sum(weights)
+            # The engine is the first whose running weight exceeds the
+            # pick; the last one also takes any pick rounding leaves over.
+            running = list(accumulate(weights))
+            running[-1] = math.inf
+            pc_base = _CODE_BASE + 0x10000 + (phase << 22)
+            for idx in range(start, stop):
+                r = random_()
+                if r < mem_cut:
+                    e = bisect(running, random_() * total) if total > 0 else 0
+                    addr = nexts[e]()
+                    if chained[e]:
+                        dep = idx - last_chain_load[e]
+                        if dep >= _DEP_REACH:
+                            dep = 0
+                        last_chain_load[e] = latest_load = idx
+                        append((load_op, load_pcs[e], addr, dep, 0))
+                    elif random_() < store_fraction:
+                        if random_() < value_locality:
+                            value = getrandbits(FREQUENT_BITS)
+                            while value >= n_freq:
+                                value = getrandbits(FREQUENT_BITS)
+                            value = frequent[value]
+                        else:
+                            value = getrandbits(WIDE_BITS)
+                            while value >= WIDE_VALUES:
+                                value = getrandbits(WIDE_BITS)
+                            value |= WIDE_TAG
+                        # Functional execution at generation time: the image
+                        # matches the trace before simulation ever runs.
+                        words[addr & -WORD_BYTES] = value
+                        n_stores += 1
+                        append((store_op, store_pcs[e], addr, 0, value))
                     else:
-                        value = rng.randrange(1 << 32) | (1 << 33)
-                    # Functional execution at generation time: the image
-                    # matches the trace before simulation ever runs.
-                    image.write(addr, value)
-                    append((store_op, store_pcs[engine_idx], addr, 0, value))
+                        latest_load = idx
+                        append((load_op, load_pcs[e], addr, 0, 0))
+                    continue
+                # PC within the code region: basic blocks, not a byte walk.
+                # Eight sequential 4-byte instructions per block, blocks
+                # 132 bytes apart, skipping both 32-byte instruction-cache
+                # lines and 64-byte L2 lines: the fetch stream is
+                # sequential within a block, as real code is, but a
+                # data-side next-line prefetcher gets no free
+                # instruction-stream coverage from the unified L2.
+                pc = pc_base + (idx >> 3) * 132 % footprint + (idx & 7) * 4
+                if r < branch_cut:
+                    append((branch_op, pc, 0, 0,
+                            1 if random_() < mispredict_rate else 0))
+                    continue
+                if random_() < fp_fraction:
+                    op = fp_mul if random_() < 0.2 else fp_alu
+                else:
+                    op = int_mul if random_() < 0.1 else int_alu
+                if latest_load >= 0 and random_() < dep_density:
+                    dep = idx - latest_load
+                    if dep >= _DEP_REACH:
+                        dep = 0
+                elif idx:
+                    dep = getrandbits(3)  # randint(1, 4)
+                    while dep >= 4:
+                        dep = getrandbits(3)
+                    dep += 1
                 else:
                     dep = 0
-                    if engine.chained:
-                        prev = last_load_idx.get(engine_idx)
-                        if prev is not None:
-                            distance = idx - prev
-                            if distance < 500:
-                                dep = distance
-                    append((load_op, load_pcs[engine_idx], addr, dep, 0))
-                    last_load_idx[engine_idx] = idx
-                    latest_load = idx
-            elif r < branch_cut:
-                mispredicted = rng.random() < spec.mispredict_rate
-                pc = code_pc + (phase << 22) + _code_offset(idx, code_footprint)
-                append((branch_op, pc, 0, 0, 1 if mispredicted else 0))
-            else:
-                if rng.random() < spec.fp_fraction:
-                    op = fp_mul if rng.random() < 0.2 else fp_alu
-                else:
-                    op = int_mul if rng.random() < 0.1 else int_alu
-                dep = 0
-                if latest_load >= 0 and rng.random() < spec.dep_density:
-                    distance = idx - latest_load
-                    if distance < 500:
-                        dep = distance
-                elif idx:
-                    dep = rng.randint(1, 4)
-                pc = code_pc + (phase << 22) + _code_offset(idx, code_footprint)
                 append((op, pc, 0, dep, 0))
+            start = max(start, stop)
 
+        image.writes += n_stores
         return trace, image
 
     # -- helpers -------------------------------------------------------------
@@ -208,16 +254,3 @@ class SyntheticWorkload:
             weights.append([b * m for b, m in zip(base, multipliers)])
         bounds[-1] = n_instructions
         return bounds, weights
-
-    @staticmethod
-    def _pick_engine(rng: random.Random, weights: Sequence[float]) -> int:
-        total = sum(weights)
-        if total <= 0:
-            return 0
-        pick = rng.random() * total
-        acc = 0.0
-        for i, weight in enumerate(weights):
-            acc += weight
-            if pick < acc:
-                return i
-        return len(weights) - 1

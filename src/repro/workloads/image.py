@@ -17,7 +17,8 @@ region and word-aligned.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Tuple
+from contextlib import contextmanager
+from typing import Any, Dict, Iterator, Tuple
 
 WORD_BYTES = 8
 
@@ -139,24 +140,36 @@ class MemoryImage:
                              or (tuple(words), tuple(words.values())))
 
     def snapshot(self) -> Dict[str, Any]:
-        """The overlay words and counters, for :meth:`restore` to rewind to."""
-        return {"_words": dict(self._words), "heap_lo": self.heap_lo,
-                "heap_hi": self.heap_hi, "reads": self.reads,
-                "writes": self.writes, "materialized": self._pending is None}
+        """The words, pending base and counters, for :meth:`restore`.
+
+        A still-pending base is kept by reference (it is never mutated),
+        so a snapshot costs a copy of the overlay words only.
+        """
+        return {"_words": dict(self._words), "_pending": self._pending,
+                "heap_lo": self.heap_lo, "heap_hi": self.heap_hi,
+                "reads": self.reads, "writes": self.writes}
 
     def restore(self, state: Dict[str, Any]) -> None:
         """Rewind to a :meth:`snapshot` of this image, in place.
 
-        If the snapshot was taken after the base was thawed into
-        ``_words``, the pending base is dropped so a later read does not
-        apply it a second time.
+        The pending base comes back as it was: a base thawed since the
+        snapshot is pending again, under the snapshot's overlay, and one
+        thawed before it stays folded into the words.
         """
-        if state["materialized"]:
-            self._pending = None
+        self._pending = state["_pending"]
         self._words.clear()
         self._words.update(state["_words"])
         self.heap_lo, self.heap_hi = state["heap_lo"], state["heap_hi"]
         self.reads, self.writes = state["reads"], state["writes"]
+
+    @contextmanager
+    def rewinding(self) -> Iterator["MemoryImage"]:
+        """Undo, on leaving the block, whatever it did to this image."""
+        saved = self.snapshot()
+        try:
+            yield self
+        finally:
+            self.restore(saved)
 
     def __len__(self) -> int:
         if self._pending is not None:

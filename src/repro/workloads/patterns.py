@@ -25,7 +25,7 @@ stand-ins get their distinct memory personalities:
 from __future__ import annotations
 
 import random
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from repro.workloads.image import WORD_BYTES, MemoryImage
 
@@ -35,6 +35,26 @@ _INIT_WORDS_CAP = 32768
 
 #: The skewed value set used for frequent-value locality (FVC).
 FREQUENT_VALUES = (0, 1, 2, 4, 16, 255, 1024, 4096)
+
+#: Bits per draw of ``choice(FREQUENT_VALUES)`` (see :func:`randbelow`).
+FREQUENT_BITS = len(FREQUENT_VALUES).bit_length()
+#: A value outside the frequent set: ``randrange(1 << 32) | (1 << 33)``.
+WIDE_VALUES = 1 << 32
+WIDE_BITS = WIDE_VALUES.bit_length()
+WIDE_TAG = 1 << 33
+
+
+def randbelow(getrandbits: Callable[[int], int], n: int) -> int:
+    """``rng.randrange(n)`` (and ``choice``'s index), with the same draws.
+
+    CPython's own ``Random._randbelow`` on 3.9-3.13, without the call
+    layers; the generator's two hottest loops inline it.
+    """
+    bits = n.bit_length()
+    r = getrandbits(bits)
+    while r >= n:
+        r = getrandbits(bits)
+    return r
 
 
 class PatternEngine:
@@ -46,6 +66,8 @@ class PatternEngine:
     def __init__(self, base: int, rng: random.Random):
         self.base = base
         self.rng = rng
+        self._random = rng.random
+        self._getrandbits = rng.getrandbits
 
     def setup(self, image: MemoryImage, value_locality: float) -> None:
         """Populate the engine's region of the functional image."""
@@ -57,15 +79,29 @@ class PatternEngine:
     def _init_region(
         self, image: MemoryImage, n_bytes: int, value_locality: float
     ) -> None:
-        """Fill (a capped prefix of) the region with value-local data."""
-        rng = self.rng
+        """Fill (a capped prefix of) the region with value-local data.
+
+        Each word is ``choice(FREQUENT_VALUES)`` with probability
+        ``value_locality``, else ``randrange(1 << 32) | (1 << 33)``,
+        written straight into the image's word dict in address order.
+        """
+        random_, getrandbits = self._random, self._getrandbits
+        n_freq = len(FREQUENT_VALUES)
         n_words = min(n_bytes // WORD_BYTES, _INIT_WORDS_CAP)
-        for i in range(n_words):
-            if rng.random() < value_locality:
-                value = rng.choice(FREQUENT_VALUES)
+        words = image._words
+        start = self.base & -WORD_BYTES
+        for addr in range(start, start + n_words * WORD_BYTES, WORD_BYTES):
+            if random_() < value_locality:
+                r = getrandbits(FREQUENT_BITS)
+                while r >= n_freq:
+                    r = getrandbits(FREQUENT_BITS)
+                words[addr] = FREQUENT_VALUES[r]
             else:
-                value = rng.randrange(1 << 32) | (1 << 33)
-            image.write(self.base + i * WORD_BYTES, value)
+                r = getrandbits(WIDE_BITS)
+                while r >= WIDE_VALUES:
+                    r = getrandbits(WIDE_BITS)
+                words[addr] = r | WIDE_TAG
+        image.writes += n_words
 
 
 class StrideEngine(PatternEngine):
@@ -95,12 +131,15 @@ class RandomEngine(PatternEngine):
         super().__init__(base, rng)
         self.working_set = working_set
         self._n_words = working_set // WORD_BYTES
+        if self._n_words < 1:
+            raise ValueError(f"working_set {working_set} holds no word")
 
     def setup(self, image: MemoryImage, value_locality: float) -> None:
         self._init_region(image, self.working_set, value_locality)
 
     def next(self) -> int:
-        return self.base + self.rng.randrange(self._n_words) * WORD_BYTES
+        return self.base + randbelow(self._getrandbits,
+                                     self._n_words) * WORD_BYTES
 
 
 class HotZipfEngine(PatternEngine):
@@ -125,10 +164,10 @@ class HotZipfEngine(PatternEngine):
 
     def next(self) -> int:
         lo, hi = 0, self._n_words
-        rng = self.rng
+        random_, skew = self._random, self.skew
         while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if rng.random() < self.skew:
+            mid = (lo + hi) >> 1
+            if random_() < skew:
                 hi = mid
             else:
                 lo = mid
@@ -166,6 +205,8 @@ class LoopSequenceEngine(PatternEngine):
         self.working_set = working_set
         self.noise = noise
         n_words = working_set // WORD_BYTES
+        if n_words < 1:
+            raise ValueError(f"working_set {working_set} holds no word")
         if conflict_sets:
             slots = list(range(sequence_length))
             rng.shuffle(slots)
@@ -187,11 +228,12 @@ class LoopSequenceEngine(PatternEngine):
         self._init_region(image, self.working_set, value_locality)
 
     def next(self) -> int:
-        if self.rng.random() < self.noise:
-            return self.base + self.rng.randrange(self._n_words) * WORD_BYTES
-        addr = self._sequence[self._pos]
-        self._pos = (self._pos + 1) % len(self._sequence)
-        return addr
+        if self._random() < self.noise:
+            return self.base + randbelow(self._getrandbits,
+                                         self._n_words) * WORD_BYTES
+        pos = self._pos
+        self._pos = (pos + 1) % len(self._sequence)
+        return self._sequence[pos]
 
 
 class ConflictEngine(PatternEngine):
@@ -291,6 +333,13 @@ class PointerChaseEngine(PatternEngine):
         self._chain = 0
 
     def setup(self, image: MemoryImage, value_locality: float) -> None:
+        """Build the chains in the image, node by node.
+
+        Per node, in this order: the ring pointer, each shortcut
+        (``choice(members)``), then each payload word in offset order —
+        ``choice(node_addrs)`` with probability ``payload_pointers``,
+        else ``randrange(1 << 20)``.
+        """
         self._image = image
         order = list(range(self.n_nodes))
         self.rng.shuffle(order)
@@ -299,25 +348,36 @@ class PointerChaseEngine(PatternEngine):
         next_offsets = [
             self.next_offset + k * WORD_BYTES for k in range(self.n_next)
         ]
+        ring, shortcuts = next_offsets[0], next_offsets[1:]
+        payload = [off for off in range(0, self.node_size, WORD_BYTES)
+                   if off not in next_offsets]
+        random_, getrandbits = self._random, self._getrandbits
+        payload_pointers = self.payload_pointers
+        words = image._words
         self._members = []
         for chain in range(self.n_chains):
             members = node_addrs[chain * per_chain:(chain + 1) * per_chain]
             if not members:
                 continue
             self._members.append(members)
+            n_members = len(members)
             for i, addr in enumerate(members):
+                # Offsets are word-aligned, so each word's key is the node's
+                # aligned address plus the offset.
+                node = addr & -WORD_BYTES
                 # First successor: the ring; extras: shortcuts in-chain.
-                image.write(addr + next_offsets[0], members[(i + 1) % len(members)])
-                for offset in next_offsets[1:]:
-                    image.write(addr + offset, self.rng.choice(members))
+                words[node + ring] = members[(i + 1) % n_members]
+                for offset in shortcuts:
+                    words[node + offset] = members[
+                        randbelow(getrandbits, n_members)]
                 # Payload words around the pointers.
-                for off in range(0, self.node_size, WORD_BYTES):
-                    if off in next_offsets:
-                        continue
-                    if self.payload_pointers and self.rng.random() < self.payload_pointers:
-                        image.write(addr + off, self.rng.choice(node_addrs))
+                for off in payload:
+                    if payload_pointers and random_() < payload_pointers:
+                        words[node + off] = node_addrs[
+                            randbelow(getrandbits, len(node_addrs))]
                     else:
-                        image.write(addr + off, self.rng.randrange(1 << 20))
+                        words[node + off] = randbelow(getrandbits, 1 << 20)
+            image.writes += n_members * (len(next_offsets) + len(payload))
         image.note_heap(self.base, self.base + self.n_nodes * self.node_size)
         self._cursors = [
             node_addrs[min(chain * per_chain, self.n_nodes - 1)]
@@ -331,14 +391,16 @@ class PointerChaseEngine(PatternEngine):
         self._chain = (chain + 1) % self.n_chains
         addr = self._cursors[chain]
         which = 0
-        if self.n_next > 1 and self.rng.random() < 0.35:
-            which = self.rng.randrange(1, self.n_next)
+        if self.n_next > 1 and self._random() < 0.35:
+            # randrange(1, n_next)
+            which = 1 + randbelow(self._getrandbits, self.n_next - 1)
         pointer_addr = addr + self.next_offset + which * WORD_BYTES
-        if self.opaque_hops and self.rng.random() < self.opaque_hops:
+        if self.opaque_hops and self._random() < self.opaque_hops:
             # Computed jump: the load still touches the node, but the next
             # target never appears as a stored pointer in the fetched line.
             members = self._members[chain % len(self._members)]
-            self._cursors[chain] = self.rng.choice(members)
+            self._cursors[chain] = members[
+                randbelow(self._getrandbits, len(members))]
             return pointer_addr
         nxt = self._image.read(pointer_addr)
         if nxt < self.base:  # defensive: broken chain falls back to restart

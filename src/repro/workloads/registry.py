@@ -74,8 +74,13 @@ def build(
 
     The same ``(name, n_instructions)`` pair always returns the same
     objects; callers must not mutate the trace.  The image absorbs the
-    simulated machine's stores, which replay the generation-time values, so
-    sharing it across runs is sound.
+    simulated machine's stores.  A run over the whole trace replays every
+    generation-time store in order, so it leaves the image as it found it.
+    A run over a slice (a prefix, window or SimPoint selection) would leave
+    the slice's last stores behind, and value-based mechanisms in later
+    runs would read them, so such a run must happen inside
+    :meth:`MemoryImage.rewinding` (as ``RunSpec.execute``,
+    ``run_benchmark`` and ``sampled_ipc`` do).
 
     Builds are memoised twice: in process by ``lru_cache``, and on disk by
     :mod:`repro.workloads.store` so fresh processes (CLI runs, ledger

@@ -1,12 +1,13 @@
 """On-disk cache for generated workloads.
 
-Building a synthetic trace is deterministic but not free: the seeded RNG
-draws and image writes for an 8k-instruction benchmark cost more wall time
-than simulating it on the fast path.  Every fresh process (each CLI run,
-each fleet worker) used to pay that cost again.  This store memoises the
-finished ``(trace, image)`` pair on disk, keyed by benchmark, length and a
-digest of the generator sources, so a build is paid once per machine
-instead of once per process.
+Building a synthetic trace is deterministic but not free: at 8k
+instructions, the seeded RNG draws and image writes cost 0.5-4.4x (median
+1.1x) the wall time of simulating the benchmark under Base on the fast
+path, and mcf's pointer chains cost the most (one CPU, Python 3.11).
+Every fresh process (each CLI run, each fleet worker) used to pay that
+cost again.  This store memoises the finished ``(trace, image)`` pair on
+disk, keyed by benchmark, length and a digest of the generator sources,
+so a build is paid once per machine instead of once per process.
 
 Layout: one file per ``(benchmark, n)`` under
 ``$REPRO_CACHE_DIR/workloads/`` (default ``~/.cache/repro/workloads``),
@@ -15,24 +16,26 @@ plain ints, tuples, lists and dicts — which loads an order of magnitude
 faster than rebuilding.  Correctness guards:
 
 * the file name embeds a SHA-256 digest over the workload generator
-  sources **and** the interpreter's cache tag, so editing any generator or
-  switching Python versions invalidates every stale entry rather than
-  silently replaying it;
+  sources (:data:`GENERATOR_MODULES`, the ISA opcodes included) **and**
+  the interpreter's cache tag, so editing any generator or switching
+  Python versions invalidates every stale entry rather than silently
+  replaying it;
 * a corrupt or truncated file is treated as a miss and rebuilt in place;
 * writes go through a temp file + :func:`os.replace`, so a crashed or
   concurrent builder can never publish a half-written entry (same
   discipline as the result store).
 
-Sharing the restored image across runs is sound for the same reason the
-in-process memo may share it: the simulated machine's stores replay the
-generation-time values.  The restored image's read/write counters are
-reset to their build-time values so a disk hit is indistinguishable from a
-fresh build.  Set ``REPRO_WORKLOAD_CACHE=0`` to disable entirely.
+The restored image is shared across runs on the same terms as the
+in-process memo's (see :func:`repro.workloads.registry.build`).  Its
+read/write counters are reset to their build-time values so a disk hit is
+indistinguishable from a fresh build.  Set ``REPRO_WORKLOAD_CACHE=0`` to
+disable entirely.
 """
 
 from __future__ import annotations
 
 import hashlib
+import importlib
 import marshal
 import os
 import sys
@@ -47,6 +50,17 @@ Trace = List[Tuple[int, int, int, int, int]]
 
 #: Bumped when the serialised layout changes shape.
 _FORMAT = 2
+
+#: Every module whose source a build's output depends on: the generator
+#: modules and each ``repro`` module they import (the trace records carry
+#: ``repro.isa.instr.Op`` codes).
+GENERATOR_MODULES = (
+    "repro.isa.instr",
+    "repro.workloads.base",
+    "repro.workloads.image",
+    "repro.workloads.patterns",
+    "repro.workloads.spec2000",
+)
 
 _digest_cache: Optional[str] = None
 
@@ -66,12 +80,10 @@ def _generator_digest() -> str:
     """Digest of everything a build's output depends on."""
     global _digest_cache
     if _digest_cache is None:
-        from repro.workloads import base, image, patterns, spec2000
-
         h = hashlib.sha256()
         h.update(f"format={_FORMAT};tag={sys.implementation.cache_tag}".encode())
-        for module in (base, image, patterns, spec2000):
-            h.update(Path(module.__file__).read_bytes())
+        for name in GENERATOR_MODULES:
+            h.update(Path(importlib.import_module(name).__file__).read_bytes())
         _digest_cache = h.hexdigest()[:16]
     return _digest_cache
 

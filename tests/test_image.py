@@ -1,5 +1,7 @@
 """Tests for the functional memory image."""
 
+from array import array
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -98,3 +100,24 @@ def test_last_write_wins(writes):
         last[addr & ~7] = value
     for word_addr, value in last.items():
         assert image.read(word_addr) == value
+
+
+def test_restore_gives_back_a_base_thawed_since_the_snapshot():
+    """A snapshot taken while the store-loaded base is still pending must
+    bring that base back, not just the overlay, after a read thawed it."""
+    image = MemoryImage()
+    image._pending = (array("q", [0, 8, 16]), array("q", [10, 11, 12]))
+    image.write(8, 99)                     # an overlay store
+    saved = image.snapshot()
+    assert image.read(0) == 10             # thaws the base
+    image.write(16, 7)
+    image.restore(saved)
+    assert len(image) == 3
+    assert [image.read(a) for a in (0, 8, 16)] == [10, 99, 12]
+    # A snapshot taken after the thaw keeps the thawed words, and the
+    # base is not applied a second time over later overlay stores.
+    saved = image.snapshot()
+    image.write(0, 5)
+    image.restore(saved)
+    image.write(8, 3)
+    assert [image.read(a) for a in (0, 8, 16)] == [10, 3, 12]

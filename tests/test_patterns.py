@@ -47,6 +47,11 @@ class TestRandomEngine:
             assert BASE <= addr < BASE + 1024
             assert addr % 8 == 0
 
+    @pytest.mark.parametrize("engine", [RandomEngine, LoopSequenceEngine])
+    def test_rejects_a_working_set_without_a_word(self, engine):
+        with pytest.raises(ValueError):
+            engine(BASE, _rng(), working_set=4)
+
 
 class TestHotZipfEngine:
     def test_skew_concentrates_accesses(self):

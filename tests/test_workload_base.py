@@ -125,6 +125,13 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             _spec(phases=((1.0, (1.0,)),))
 
+    @pytest.mark.parametrize("weight", [-0.5, float("inf"), float("nan")])
+    def test_rejects_weights_the_engine_pick_cannot_order(self, weight):
+        with pytest.raises(ValueError):
+            _spec(patterns=(PatternMix("hot", weight, (("working_set", 64),)),))
+        with pytest.raises(ValueError):
+            _spec(phases=((1.0, (1.0, weight)),))
+
     def test_rejects_unknown_pattern_kind(self):
         spec = _spec(patterns=(PatternMix("bogus", 1.0, ()),))
         with pytest.raises(ValueError):
