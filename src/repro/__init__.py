@@ -9,29 +9,31 @@ Quick start::
 
 See README.md for the architecture overview, DESIGN.md for the system
 inventory, and EXPERIMENTS.md for paper-vs-measured results.
+
+Every name in ``__all__`` but ``__version__`` is resolved on first use
+(:mod:`repro.lazy`): ``import repro`` loads neither the simulator nor
+numpy, and ``repro.run_benchmark`` imports the simulator when first
+read.
 """
 
-from repro.core.comparison import ComparisonSuite
-from repro.core.config import MachineConfig, baseline_config
-from repro.core.results import ResultSet
-from repro.core.simulation import RunResult, build_machine, run_benchmark, run_trace
-from repro.mechanisms.registry import ALL_MECHANISMS, BASELINE, create
-from repro.workloads.registry import ALL_BENCHMARKS
+from repro.lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "ALL_BENCHMARKS",
-    "ALL_MECHANISMS",
-    "BASELINE",
-    "ComparisonSuite",
-    "MachineConfig",
-    "ResultSet",
-    "RunResult",
-    "baseline_config",
-    "build_machine",
-    "create",
-    "run_benchmark",
-    "run_trace",
-    "__version__",
-]
+_EXPORTS = {
+    "ALL_BENCHMARKS": "repro.workloads.registry",
+    "ALL_MECHANISMS": "repro.mechanisms.registry",
+    "BASELINE": "repro.mechanisms.registry",
+    "ComparisonSuite": "repro.core.comparison",
+    "MachineConfig": "repro.core.config",
+    "ResultSet": "repro.core.results",
+    "RunResult": "repro.core.results",
+    "baseline_config": "repro.core.config",
+    "build_machine": "repro.core.simulation",
+    "create": "repro.mechanisms.registry",
+    "run_benchmark": "repro.core.simulation",
+    "run_trace": "repro.core.simulation",
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+
+__all__ = [*_EXPORTS, "__version__"]

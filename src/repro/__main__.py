@@ -70,7 +70,7 @@ from repro.harness.tables import (
     table3_parameters,
     table4_benchmarks,
 )
-from repro.core.simulation import DEFAULT_INSTRUCTIONS
+from repro.core.results import DEFAULT_INSTRUCTIONS
 from repro.mechanisms.registry import ALL_MECHANISMS, EXTENSIONS, mechanism_info
 from repro.workloads.registry import ALL_BENCHMARKS
 

@@ -1,16 +1,57 @@
-"""Result containers for mechanism x benchmark sweeps."""
+"""Result containers for mechanism x benchmark sweeps.
+
+:class:`RunResult` and the run-length defaults live here, not in
+:mod:`repro.core.simulation`, so that the executor, the result store and
+the exhibits can hold and serve results without importing the machine.
+"""
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
+from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.core.simulation import RunResult
 from repro.mechanisms.registry import BASELINE
 
 if TYPE_CHECKING:  # deferred at runtime: repro.exec imports this module
     from repro.exec.policy import FailedRun
+
+#: Default trace length: scaled from the paper's 500M-instruction SimPoint
+#: traces to what cycle-level pure-Python simulation sustains (DESIGN.md).
+DEFAULT_INSTRUCTIONS = 30_000
+
+#: Fraction of each trace treated as cache warm-up (IPC measured after it).
+WARMUP_FRACTION = 0.2
+
+
+@dataclass
+class RunResult:
+    """Everything a single simulation produced."""
+
+    benchmark: str
+    mechanism: str
+    ipc: float
+    cycles: int
+    instructions: int
+    l1_miss_rate: float
+    l2_miss_rate: float
+    avg_load_latency: float
+    avg_memory_latency: float
+    memory_accesses: float
+    prefetches_issued: float
+    useful_prefetches: float
+    mechanism_table_accesses: float
+    stats: Dict[str, float] = field(default_factory=dict)
+
+    def speedup_over(self, base: "RunResult") -> float:
+        """IPC speedup of this run over ``base`` (same benchmark)."""
+        if self.benchmark != base.benchmark:
+            raise ValueError(
+                f"speedup across benchmarks: {self.benchmark} vs {base.benchmark}"
+            )
+        if base.ipc == 0:
+            return 0.0
+        return self.ipc / base.ipc
 
 
 class ResultSet:

@@ -7,59 +7,31 @@ This is the library's front door::
     print(result.ipc)
 
 Every figure and table in the paper reduces to grids of these runs.
+
+Importing this module loads the machine (cache, core, DRAM, kernel,
+mechanism base).  :class:`RunResult` and the run-length defaults are
+defined in :mod:`repro.core.results`, which does not, and are
+re-exported here.
 """
 
 from __future__ import annotations
 
 from contextlib import nullcontext
-from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.cache.hierarchy import MemoryHierarchy
 from repro.core.config import MachineConfig, baseline_config
+from repro.core.results import (  # noqa: F401  (re-exported by name)
+    DEFAULT_INSTRUCTIONS,
+    WARMUP_FRACTION,
+    RunResult,
+)
 from repro.cpu.ooo import CoreStats, OoOCore
 from repro.mechanisms.base import Mechanism
 from repro.mechanisms.registry import create
 from repro.obs.sampling import maybe_sampler
 from repro.obs.tracing import TRACER
 from repro.workloads.registry import build as build_workload
-
-#: Default trace length: scaled from the paper's 500M-instruction SimPoint
-#: traces to what cycle-level pure-Python simulation sustains (DESIGN.md).
-DEFAULT_INSTRUCTIONS = 30_000
-
-#: Fraction of each trace treated as cache warm-up (IPC measured after it).
-WARMUP_FRACTION = 0.2
-
-
-@dataclass
-class RunResult:
-    """Everything a single simulation produced."""
-
-    benchmark: str
-    mechanism: str
-    ipc: float
-    cycles: int
-    instructions: int
-    l1_miss_rate: float
-    l2_miss_rate: float
-    avg_load_latency: float
-    avg_memory_latency: float
-    memory_accesses: float
-    prefetches_issued: float
-    useful_prefetches: float
-    mechanism_table_accesses: float
-    stats: Dict[str, float] = field(default_factory=dict)
-
-    def speedup_over(self, base: "RunResult") -> float:
-        """IPC speedup of this run over ``base`` (same benchmark)."""
-        if self.benchmark != base.benchmark:
-            raise ValueError(
-                f"speedup across benchmarks: {self.benchmark} vs {base.benchmark}"
-            )
-        if base.ipc == 0:
-            return 0.0
-        return self.ipc / base.ipc
 
 
 def build_machine(

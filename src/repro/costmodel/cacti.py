@@ -20,10 +20,12 @@ ratios matter for the reproduction.
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Optional
+from typing import TYPE_CHECKING, Iterable, List, Optional
 
 from repro.core.config import CacheConfig, MachineConfig, baseline_config
-from repro.mechanisms.base import Mechanism, StructureSpec
+
+if TYPE_CHECKING:
+    from repro.mechanisms.base import Mechanism, StructureSpec
 
 #: mm^2 per SRAM bit at the modelled node (0.18 um, single-ported).
 _MM2_PER_BIT = 4.1e-7

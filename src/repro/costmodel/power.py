@@ -19,12 +19,14 @@ as TP.  Off-chip access power is excluded, as in the paper (footnote 4).
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.core.config import CacheConfig, MachineConfig, baseline_config
-from repro.core.simulation import RunResult
+from repro.core.results import RunResult
 from repro.costmodel.cacti import CactiModel
-from repro.mechanisms.base import Mechanism
+
+if TYPE_CHECKING:
+    from repro.mechanisms.base import Mechanism
 
 #: nJ per access for a structure of 1 KB, single-ported (0.18 um scale).
 _BASE_ENERGY_NJ = 0.08

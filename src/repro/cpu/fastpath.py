@@ -263,9 +263,6 @@ def _emit_hit(cache, is_write, is_ifetch, hierarchy, queued, *, prefix,
     lines += [
         # ports.acquire inlined: one ledger probe on the untouched-cycle
         # common case (_prune keeps the dict identity stable).
-        f"{i0}{p}floor = {p}ports._floor",
-        f"{i0}if {p}t < {p}floor:",
-        f"{i1}{p}t = {p}floor",
         f"{i0}{p}count = {p}ledger_get({p}t)",
         f"{i0}if {p}count is None:",
         f"{i1}{p}ledger[{p}t] = 1",

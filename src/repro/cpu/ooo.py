@@ -305,8 +305,7 @@ class OoOCore(Component):
             # common case.  _prune keeps the ledger dict's identity stable.
             res = fu_of[op]
             ledger = res._ledger
-            floor = res._floor
-            start = ready if ready > floor else floor
+            start = ready
             count = ledger.get(start)
             if count is None:
                 ledger[start] = 1
@@ -604,8 +603,7 @@ class OoOCore(Component):
             # MultiPortResource.acquire inlined, as in the interpreted loop.
             "        res = fu_of[op]",
             "        ledger = res._ledger",
-            "        floor = res._floor",
-            "        start = ready if ready > floor else floor",
+            "        start = ready",
             "        count = ledger.get(start)",
             "        if count is None:",
             "            ledger[start] = 1",

@@ -80,8 +80,7 @@ from typing import (
 )
 
 from repro.core.config import MachineConfig, baseline_config
-from repro.core.results import ResultSet
-from repro.core.simulation import DEFAULT_INSTRUCTIONS, RunResult
+from repro.core.results import DEFAULT_INSTRUCTIONS, ResultSet, RunResult
 from repro.exec import journal as log
 from repro.exec.checkpoint import Checkpointer, discard_checkpoints
 from repro.exec.faults import (

@@ -32,16 +32,8 @@ from repro.core.config import (
     SDRAMConfig,
     baseline_config,
 )
-from repro.core.simulation import (
-    DEFAULT_INSTRUCTIONS,
-    WARMUP_FRACTION,
-    RunResult,
-    run_trace,
-)
+from repro.core.results import DEFAULT_INSTRUCTIONS, WARMUP_FRACTION, RunResult
 from repro.mechanisms.registry import BASELINE, create
-from repro.trace.sampling import window
-from repro.trace.simpoint import simpoint_trace
-from repro.workloads.registry import build as build_workload
 
 #: Trace-selection kinds understood by :meth:`RunSpec.execute`.
 SELECT_WINDOW = "window"
@@ -140,7 +132,18 @@ class RunSpec:
         :func:`run_trace`.  It is deliberately *not* a spec field: a
         resumed run's result is bit-identical to an uninterrupted one, so
         checkpointing must never perturb ``content_hash``.
+
+        The simulator and the workload generator are imported here, on
+        the first spec a process simulates, so a process that only
+        hashes, stores or serves specs loads neither.  The names are
+        looked up in their defining modules on every call, never kept in
+        this module's globals.
         """
+        from repro.core.simulation import run_trace
+        from repro.trace.sampling import window
+        from repro.trace.simpoint import simpoint_trace
+        from repro.workloads.registry import build as build_workload
+
         total = self.trace_length or self.n_instructions
         trace, image = build_workload(self.benchmark, total)
         if self.selection is None:

@@ -5,7 +5,7 @@ a cache directory (default ``~/.cache/repro``, overridable with the
 ``REPRO_CACHE_DIR`` environment variable or the CLI's ``--cache-dir``).
 Each file carries a format version, the full spec description (so a human
 can audit what a hash means) and the complete
-:class:`~repro.core.simulation.RunResult`.
+:class:`~repro.core.results.RunResult`.
 
 Reads are forgiving: a missing, truncated, corrupted or
 version-mismatched file is a cache miss, never an error — the executor
@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
-from repro.core.simulation import RunResult
+from repro.core.results import RunResult
 from repro.exec.faults import active_plan, maybe_disk_full
 from repro.exec.runspec import RunSpec, payload_hash
 

@@ -46,6 +46,14 @@ import traceback
 from contextlib import suppress
 from typing import Callable, List, NoReturn, Optional, Tuple
 
+# What every spec runs, loaded with this module: the ``--jobs N`` driver
+# and ``repro.serve fleet`` import it just before they fork, so each
+# worker starts with the machine and the workload generator in memory
+# instead of importing them on its first spec.  Processes that fork no
+# worker load neither.
+import repro.core.simulation  # noqa: F401
+import repro.workloads.spec2000  # noqa: F401
+import repro.workloads.store  # noqa: F401
 from repro.exec.checkpoint import discard_checkpoints
 from repro.exec.executor import Attempts, run_attempts
 from repro.exec.faults import (

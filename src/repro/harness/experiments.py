@@ -36,7 +36,7 @@ from repro.core.config import (
     MachineConfig,
     baseline_config,
 )
-from repro.core.results import ResultSet
+from repro.core.results import DEFAULT_INSTRUCTIONS, ResultSet
 from repro.core.selection import (
     count_possible_winners,
     rank_mechanisms,
@@ -48,7 +48,6 @@ from repro.core.sensitivity import (
     sensitivity_split,
     subset_speedups,
 )
-from repro.core.simulation import DEFAULT_INSTRUCTIONS
 from repro.core.priorwork import comparison_pairs
 from repro.costmodel.cacti import CactiModel
 from repro.costmodel.power import PowerModel

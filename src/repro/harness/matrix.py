@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.core.simulation import DEFAULT_INSTRUCTIONS
+from repro.core.results import DEFAULT_INSTRUCTIONS
 from repro.exec import Executor
 from repro.harness.experiments import ExperimentResult, main_sweep
 from repro.mechanisms.registry import BASELINE

@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.core.config import baseline_config
-from repro.core.simulation import build_machine
 from repro.harness.experiments import ExperimentResult
 from repro.mechanisms.registry import ALL_MECHANISMS, BASELINE, create, mechanism_info
 from repro.workloads.registry import ALL_BENCHMARKS, ARTICLE_SELECTIONS
@@ -84,6 +83,8 @@ def table2_mechanisms() -> ExperimentResult:
 
 def table3_parameters() -> ExperimentResult:
     """Table 3: per-mechanism configuration, read from the live objects."""
+    from repro.core.simulation import build_machine
+
     rows: List[Dict] = []
     for name in ALL_MECHANISMS:
         if name == BASELINE:

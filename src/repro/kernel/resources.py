@@ -38,7 +38,7 @@ class MultiPortResource:
     11
     """
 
-    __slots__ = ("n_ports", "_ledger", "grants", "_floor")
+    __slots__ = ("n_ports", "_ledger", "grants")
 
     #: Ledger entries older than this many grants trigger a prune sweep.
     _PRUNE_EVERY = 8192
@@ -51,12 +51,11 @@ class MultiPortResource:
         self.n_ports = n_ports
         self._ledger: Dict[int, int] = {}
         self.grants = 0
-        self._floor = 0  # cycles below this are assumed fully drained
 
     def acquire(self, time: int) -> int:
         """Reserve a port at or after ``time``; return the granted cycle."""
         ledger = self._ledger
-        grant = time if time > self._floor else self._floor
+        grant = time
         count = ledger.get(grant)
         if count is None:
             # Untouched cycle — the common case on the hot path: one dict
@@ -82,19 +81,16 @@ class MultiPortResource:
         heap compaction and ``Cache.reset``).
         """
         horizon = current - 2048
-        if horizon <= self._floor:
-            return
         ledger = self._ledger
         # Most entries are stale by now: refilling with the few live ones
         # is cheaper than deleting the rest one by one.
         live = {cycle: n for cycle, n in ledger.items() if cycle >= horizon}
         ledger.clear()
         ledger.update(live)
-        self._floor = max(self._floor, 0)
 
     def earliest_grant(self, time: int) -> int:
         """Cycle at which an acquire at ``time`` would be granted (no reserve)."""
-        grant = time if time > self._floor else self._floor
+        grant = time
         while self._ledger.get(grant, 0) >= self.n_ports:
             grant += 1
         return grant
@@ -106,7 +102,6 @@ class MultiPortResource:
     def reset(self) -> None:
         self._ledger.clear()
         self.grants = 0
-        self._floor = 0
 
 
 class PipelinedResource:

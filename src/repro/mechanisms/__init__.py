@@ -23,31 +23,7 @@ GHB       Global History Buffer                  L2     2004
 
 Use :func:`repro.mechanisms.registry.create` to instantiate by acronym, and
 :data:`repro.mechanisms.registry.ALL_MECHANISMS` for the canonical study
-order (chronological, as in the paper's figures).
+order (chronological, as in the paper's figures).  The registry imports
+an implementation module only when :func:`create` first asks for it, so
+importing this package loads no mechanism.
 """
-
-from repro.mechanisms.base import (
-    Mechanism,
-    PrefetchQueue,
-    PrefetchRequest,
-    ProbeResult,
-    StructureSpec,
-)
-from repro.mechanisms.registry import (
-    ALL_MECHANISMS,
-    BASELINE,
-    create,
-    mechanism_info,
-)
-
-__all__ = [
-    "ALL_MECHANISMS",
-    "BASELINE",
-    "Mechanism",
-    "PrefetchQueue",
-    "PrefetchRequest",
-    "ProbeResult",
-    "StructureSpec",
-    "create",
-    "mechanism_info",
-]

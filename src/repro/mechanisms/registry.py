@@ -13,25 +13,11 @@ TK, CDP, CDPSP, TCP, GHB.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from importlib import import_module
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
-from repro.mechanisms.base import Mechanism
-from repro.mechanisms.cdp import ContentDirectedPrefetcher
-from repro.mechanisms.cdpsp import CDPPlusSP
-from repro.mechanisms.dbcp import DeadBlockCorrelatingPrefetcher
-from repro.mechanisms.eagerwb import EagerWriteback
-from repro.mechanisms.fvc import FrequentValueCache
-from repro.mechanisms.ghb import GlobalHistoryBuffer
-from repro.mechanisms.markov import MarkovPrefetcher
-from repro.mechanisms.streambuf import StreamBuffers
-from repro.mechanisms.stride import StridePrefetcher
-from repro.mechanisms.tagged import TaggedPrefetcher
-from repro.mechanisms.tcp import TagCorrelatingPrefetcher
-from repro.mechanisms.timekeeping import (
-    TimekeepingPrefetcher,
-    TimekeepingVictimCache,
-)
-from repro.mechanisms.victim import VictimCache
+if TYPE_CHECKING:
+    from repro.mechanisms.base import Mechanism
 
 BASELINE = "Base"
 
@@ -56,21 +42,23 @@ class MechanismInfo:
     description: str
 
 
-_FACTORIES: Dict[str, Callable[..., Mechanism]] = {
-    "TP": TaggedPrefetcher,
-    "VC": VictimCache,
-    "SP": StridePrefetcher,
-    "Markov": MarkovPrefetcher,
-    "FVC": FrequentValueCache,
-    "DBCP": DeadBlockCorrelatingPrefetcher,
-    "TKVC": TimekeepingVictimCache,
-    "TK": TimekeepingPrefetcher,
-    "CDP": ContentDirectedPrefetcher,
-    "CDPSP": CDPPlusSP,
-    "TCP": TagCorrelatingPrefetcher,
-    "GHB": GlobalHistoryBuffer,
-    "SB": StreamBuffers,
-    "EW": EagerWriteback,
+#: Each factory by dotted path: ``create`` imports the implementation
+#: module on first use, so the catalogue costs no mechanism import.
+_FACTORIES: Dict[str, str] = {
+    "TP": "repro.mechanisms.tagged.TaggedPrefetcher",
+    "VC": "repro.mechanisms.victim.VictimCache",
+    "SP": "repro.mechanisms.stride.StridePrefetcher",
+    "Markov": "repro.mechanisms.markov.MarkovPrefetcher",
+    "FVC": "repro.mechanisms.fvc.FrequentValueCache",
+    "DBCP": "repro.mechanisms.dbcp.DeadBlockCorrelatingPrefetcher",
+    "TKVC": "repro.mechanisms.timekeeping.TimekeepingVictimCache",
+    "TK": "repro.mechanisms.timekeeping.TimekeepingPrefetcher",
+    "CDP": "repro.mechanisms.cdp.ContentDirectedPrefetcher",
+    "CDPSP": "repro.mechanisms.cdpsp.CDPPlusSP",
+    "TCP": "repro.mechanisms.tcp.TagCorrelatingPrefetcher",
+    "GHB": "repro.mechanisms.ghb.GlobalHistoryBuffer",
+    "SB": "repro.mechanisms.streambuf.StreamBuffers",
+    "EW": "repro.mechanisms.eagerwb.EagerWriteback",
 }
 
 _INFO: Dict[str, MechanismInfo] = {
@@ -118,12 +106,13 @@ def create(name: str, **kwargs) -> Optional[Mechanism]:
             raise ValueError("the baseline takes no arguments")
         return None
     try:
-        factory = _FACTORIES[name]
+        path = _FACTORIES[name]
     except KeyError:
         raise KeyError(
             f"unknown mechanism {name!r}; known: {', '.join(ALL_MECHANISMS)}"
         ) from None
-    return factory(**kwargs)
+    module, _, cls = path.rpartition(".")
+    return getattr(import_module(module), cls)(**kwargs)
 
 
 def mechanism_info(name: str) -> MechanismInfo:

@@ -14,22 +14,14 @@
 
 Only the stdlib is imported here: arming the tracer never drags
 simulator modules in, so the kernel can import
-:data:`~repro.obs.tracing.TRACER` without a cycle.
+:data:`~repro.obs.tracing.TRACER` without a cycle.  The ledger's names
+are resolved on first use (:mod:`repro.lazy`), so the processes that
+only trace never import it.
 """
 
 from __future__ import annotations
 
-from repro.obs.ledger import (
-    DiffRow,
-    Ledger,
-    LedgerRecord,
-    default_ledger_path,
-    diff_records,
-    host_fingerprint,
-    make_record,
-    peak_rss_kb,
-    render_diff,
-)
+from repro.lazy import lazy_exports
 from repro.obs.sampling import IntervalSampler, maybe_sampler
 from repro.obs.tracing import (
     TRACER,
@@ -40,6 +32,14 @@ from repro.obs.tracing import (
     validate_trace,
     validate_trace_file,
 )
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    name: "repro.obs.ledger" for name in (
+        "DiffRow", "Ledger", "LedgerRecord", "default_ledger_path",
+        "diff_records", "host_fingerprint", "make_record", "peak_rss_kb",
+        "render_diff",
+    )
+})
 
 __all__ = [
     "DiffRow",

@@ -30,22 +30,20 @@ the result — not merely after it lands in the store.
 
 from __future__ import annotations
 
-from repro.serve.client import (
-    ServeExecutor,
-    ServeUnavailable,
-    SubmitOutcome,
-    SweepClient,
-)
-from repro.serve.protocol import PROTOCOL_VERSION, ProtocolError, spec_payload
-from repro.serve.server import SweepServer
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "PROTOCOL_VERSION",
-    "ProtocolError",
-    "ServeExecutor",
-    "ServeUnavailable",
-    "SubmitOutcome",
-    "SweepClient",
-    "SweepServer",
-    "spec_payload",
-]
+# Resolved on first use (:mod:`repro.lazy`): a ``--serve`` client loads
+# the client and the wire format, never the asyncio server.
+_EXPORTS = {
+    "PROTOCOL_VERSION": "repro.serve.protocol",
+    "ProtocolError": "repro.serve.protocol",
+    "ServeExecutor": "repro.serve.client",
+    "ServeUnavailable": "repro.serve.client",
+    "SubmitOutcome": "repro.serve.client",
+    "SweepClient": "repro.serve.client",
+    "SweepServer": "repro.serve.server",
+    "spec_payload": "repro.serve.protocol",
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+
+__all__ = list(_EXPORTS)

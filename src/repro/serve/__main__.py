@@ -43,7 +43,6 @@ from typing import List, Optional
 
 from repro.exec.fleet import DEFAULT_LEASE_TTL, Fleet
 from repro.exec.store import ResultStore
-from repro.exec.worker import Supervisor, Worker
 from repro.serve.server import SweepServer
 
 
@@ -77,6 +76,10 @@ def _cmd_server(args: argparse.Namespace) -> int:
 
 
 def _cmd_worker(args: argparse.Namespace) -> int:
+    # Imported by the commands that simulate: it loads the simulator,
+    # which the server and the client never need.
+    from repro.exec.worker import Worker
+
     store, fleet = _store_and_fleet(args)
     worker_id = args.worker_id or f"worker-{os.getpid()}"
     worker = Worker(fleet, store, worker_id,
@@ -94,6 +97,8 @@ def _cmd_worker(args: argparse.Namespace) -> int:
 
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
+    from repro.exec.worker import Supervisor, Worker
+
     store, fleet = _store_and_fleet(args)
     supervisor = Supervisor(
         fleet,

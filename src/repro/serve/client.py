@@ -27,7 +27,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.core.simulation import RunResult
+from repro.core.results import RunResult
 from repro.exec.executor import Executor
 from repro.exec.faults import stable_fraction
 from repro.exec.policy import FailedRun

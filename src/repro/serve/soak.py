@@ -110,11 +110,17 @@ def _say(message: str) -> None:
     print(f"soak: {message}", flush=True)
 
 
-def _base_env() -> Dict[str, str]:
-    """The inherited environment, scrubbed of ambient chaos/ledger state."""
+def _base_env(cache: Path) -> Dict[str, str]:
+    """The inherited environment, scrubbed of ambient chaos/ledger state.
+
+    ``REPRO_CACHE_DIR`` is ``cache``, the leg's own directory: the
+    children's workload store and code cache stay in the soak's scratch
+    with their results, never in the user's default cache.
+    """
     env = dict(os.environ)
-    for key in ("REPRO_FAULTS", "REPRO_LEDGER", "REPRO_CACHE_DIR"):
+    for key in ("REPRO_FAULTS", "REPRO_LEDGER"):
         env.pop(key, None)
+    env["REPRO_CACHE_DIR"] = str(cache)
     return env
 
 
@@ -182,7 +188,7 @@ def _run_leg(
     cache.mkdir(parents=True, exist_ok=True)
     sock = cache / "serve" / "serve.sock"
     server_log = cache / "server.stderr"
-    env = _base_env()
+    env = _base_env(cache)
 
     server_cmd = [
         sys.executable, "-m", "repro.serve", "server",
@@ -292,7 +298,7 @@ def _fsck(cache: Path) -> None:
     proc = subprocess.run(
         [sys.executable, "-m", "repro.exec", "fsck",
          "--cache-dir", str(cache)],
-        env=_base_env(), text=True, capture_output=True,
+        env=_base_env(cache), text=True, capture_output=True,
         timeout=SUBPROCESS_TIMEOUT,
     )
     if proc.returncode != 0:
@@ -312,8 +318,8 @@ def _soak(args: argparse.Namespace, root: Path) -> None:
          f"benchmarks={args.benchmarks}, n={args.n})")
     serial_cache = root / "serial"
     serial = subprocess.run(
-        _exhibit_cmd(args, serial_cache), env=_base_env(), text=True,
-        capture_output=True, timeout=SUBPROCESS_TIMEOUT,
+        _exhibit_cmd(args, serial_cache), env=_base_env(serial_cache),
+        text=True, capture_output=True, timeout=SUBPROCESS_TIMEOUT,
     )
     if serial.returncode != 0:
         raise SoakError(

@@ -10,14 +10,12 @@ workload generators encode the phase in the PC stream.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
-
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy is optional (gated at use)
-    np = None  # type: ignore[assignment]
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 from repro.isa.instr import PC
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: PC bits dropped when mapping a PC to its basic-block id.
 _BLOCK_SHIFT = 6
@@ -33,8 +31,11 @@ def basic_block_vectors(
     SimPoint prescribes.  The final partial interval is kept when it covers
     at least half an interval, dropped otherwise.
     """
-    if np is None:  # pragma: no cover - numpy present in the test env
-        raise ModuleNotFoundError("numpy is required for basic-block vectors")
+    try:  # numpy is optional: imported, and gated, at use
+        import numpy as np
+    except ImportError:  # pragma: no cover - numpy present in the test env
+        raise ModuleNotFoundError(
+            "numpy is required for basic-block vectors") from None
     if interval < 1:
         raise ValueError(f"interval must be positive, got {interval}")
     block_index: Dict[int, int] = {}

@@ -11,14 +11,12 @@ first SimPoint" and simulating one representative trace.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
-
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy is optional (gated at use)
-    np = None  # type: ignore[assignment]
+from typing import TYPE_CHECKING, List, Sequence, Tuple
 
 from repro.trace.bbv import basic_block_vectors
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -40,6 +38,8 @@ def _kmeans(
     data: np.ndarray, k: int, seed: int = 7, iterations: int = 40
 ) -> Tuple[np.ndarray, np.ndarray, float]:
     """Plain k-means; returns (labels, centroids, inertia)."""
+    import numpy as np
+
     rng = np.random.RandomState(seed)
     n = data.shape[0]
     centroids = data[rng.choice(n, size=k, replace=False)].copy()
@@ -64,6 +64,8 @@ def _kmeans(
 
 def _bic_score(inertia: float, n: int, k: int, dims: int) -> float:
     """Lower is better: inertia penalised by model complexity (BIC-like)."""
+    import numpy as np
+
     if n <= 1:
         return inertia
     return n * np.log(max(inertia / n, 1e-12)) + k * np.log(n) * max(dims, 1) * 0.05
@@ -73,7 +75,9 @@ def pick_simpoint(
     trace: Sequence, interval: int = 2000, max_k: int = 6, seed: int = 7
 ) -> SimPointResult:
     """Run the SimPoint pipeline on ``trace``; choose one representative."""
-    matrix, _ = basic_block_vectors(trace, interval)
+    matrix, _ = basic_block_vectors(trace, interval)  # gates numpy
+    import numpy as np
+
     n = matrix.shape[0]
     if n == 0:
         raise ValueError("trace too short for the chosen interval")

@@ -7,9 +7,9 @@ reports a confidence interval from the sample variance — turning "is this
 trace representative?" into a statistical statement.
 
 :func:`systematic_sample` extracts the windows; :func:`sampled_ipc` runs
-each window on a fresh machine (with a warm-up prefix, SMARTS' functional
-warming idea scaled down) and aggregates mean IPC with a CLT confidence
-interval.
+each window once on a fresh machine (with a warm-up prefix, SMARTS'
+functional warming idea scaled down) and aggregates mean IPC with a CLT
+confidence interval.
 """
 
 from __future__ import annotations
@@ -19,13 +19,8 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy is optional (gated at use)
-    np = None  # type: ignore[assignment]
-
 from repro.core.config import MachineConfig
-from repro.core.simulation import run_trace
+from repro.core.simulation import build_machine
 
 
 @dataclass(frozen=True)
@@ -82,9 +77,16 @@ def sampled_ipc(
     config: Optional[MachineConfig] = None,
     image=None,
 ) -> SampledEstimate:
-    """SMARTS estimate of a trace's IPC from systematic windows."""
-    if np is None:  # pragma: no cover - numpy present in the test env
-        raise ModuleNotFoundError("numpy is required for SMARTS estimates")
+    """SMARTS estimate of a trace's IPC from systematic windows.
+
+    Each window runs once, on a fresh machine, measured from the end of
+    its warm-up prefix.
+    """
+    try:  # numpy is optional: imported, and gated, at use
+        import numpy as np
+    except ImportError:  # pragma: no cover - numpy present in the test env
+        raise ModuleNotFoundError(
+            "numpy is required for SMARTS estimates") from None
     if not 0 < confidence < 1:
         raise ValueError(f"confidence must be in (0,1), got {confidence}")
     ipcs = []
@@ -93,17 +95,8 @@ def sampled_ipc(
         for slice_, measure_from in systematic_sample(
             trace, n_windows, window, warmup
         ):
-            result = run_trace(slice_, None, config=config, image=image,
-                               warmup_fraction=0.0)
-            # Re-run measurement windowing by hand: the helper gives
-            # whole-slice stats, so measure the window only.
-            if measure_from:
-                from repro.core.simulation import build_machine
-                core, hierarchy = build_machine(config, None, image)
-                stats = core.run(slice_, measure_from=measure_from)
-                ipcs.append(stats.ipc)
-            else:
-                ipcs.append(result.ipc)
+            core, _ = build_machine(config, None, image)
+            ipcs.append(core.run(slice_, measure_from=measure_from).ipc)
     data = np.asarray(ipcs)
     mean = float(data.mean())
     if len(data) > 1:

@@ -7,31 +7,12 @@ DESIGN.md: 26 deterministic synthetic trace generators, one per benchmark,
 each parameterised to mimic the published memory behaviour *class* of its
 namesake (working-set size, stride structure, pointer intensity, value
 locality, branch behaviour).  Traces come with a functional
-:class:`MemoryImage` holding real data values — linked structures whose
+:class:`~repro.workloads.image.MemoryImage` holding real data values — linked structures whose
 fields contain genuine pointers (for CDP) and value distributions with
 controlled frequent-value locality (for FVC).
 
 Use :func:`repro.workloads.registry.build` to get ``(trace, image)`` for a
-benchmark by name; :data:`ALL_BENCHMARKS` lists the canonical 26 names.
+benchmark by name; :data:`repro.workloads.registry.ALL_BENCHMARKS` lists
+the canonical 26 names.  The registry imports the generator only when a
+build needs it, so importing this package generates and loads nothing.
 """
-
-from repro.workloads.image import MemoryImage
-from repro.workloads.base import SyntheticWorkload, WorkloadSpec
-from repro.workloads.registry import (
-    ALL_BENCHMARKS,
-    FP_BENCHMARKS,
-    INT_BENCHMARKS,
-    build,
-    get_spec,
-)
-
-__all__ = [
-    "ALL_BENCHMARKS",
-    "FP_BENCHMARKS",
-    "INT_BENCHMARKS",
-    "MemoryImage",
-    "SyntheticWorkload",
-    "WorkloadSpec",
-    "build",
-    "get_spec",
-]

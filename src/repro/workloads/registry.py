@@ -16,12 +16,11 @@ document the substitution here and in DESIGN.md.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, List, Tuple
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
-from repro.workloads import store
-from repro.workloads.base import SyntheticWorkload, WorkloadSpec
-from repro.workloads.image import MemoryImage
-from repro.workloads.spec2000 import SPECS
+if TYPE_CHECKING:
+    from repro.workloads.base import WorkloadSpec
+    from repro.workloads.image import MemoryImage
 
 FP_BENCHMARKS: Tuple[str, ...] = (
     "ammp", "applu", "apsi", "art", "equake", "facerec", "fma3d", "galgel",
@@ -58,6 +57,8 @@ LOW_SENSITIVITY: Tuple[str, ...] = (
 
 def get_spec(name: str) -> WorkloadSpec:
     """Return the workload specification for benchmark ``name``."""
+    from repro.workloads.spec2000 import SPECS
+
     try:
         return SPECS[name]
     except KeyError:
@@ -84,8 +85,13 @@ def build(
 
     Builds are memoised twice: in process by ``lru_cache``, and on disk by
     :mod:`repro.workloads.store` so fresh processes (CLI runs, ledger
-    records, fleet workers) skip generation entirely.
+    records, fleet workers) skip generation entirely.  The generator and
+    the store are imported on the first call, not with this module, so
+    the benchmark catalogue costs no generator import.
     """
+    from repro.workloads import store
+    from repro.workloads.base import SyntheticWorkload
+
     spec = get_spec(name)  # validates the name before any cache probe
     cached = store.load(name, n_instructions)
     if cached is not None:

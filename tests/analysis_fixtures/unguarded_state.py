@@ -24,9 +24,6 @@ def replay(pc, addr, time, value=None):
     t = time if next_start <= time else next_start
     pipe._next_start = t + 1
     pipe.accepts += 1
-    floor = ports._floor
-    if t < floor:
-        t = floor
     count = ledger_get(t)
     if count is None:
         ledger[t] = 1

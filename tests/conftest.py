@@ -1,7 +1,8 @@
 """Shared test configuration.
 
 Registers a deterministic hypothesis profile (no wall-clock deadlines —
-simulation-backed properties have variable runtimes), keeps the
+simulation-backed properties have variable runtimes), points every
+on-disk cache at a directory of the session's own, keeps the
 workload-trace cache from accumulating across the whole session, and
 provides the check that a ``jobs > 1`` batch left no worker process
 and no private queue directory behind.
@@ -21,6 +22,20 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("repro")
+
+
+@pytest.fixture(autouse=True, scope="session")
+def _session_cache_dir(tmp_path_factory):
+    """``$REPRO_CACHE_DIR`` for the whole session, subprocesses included.
+
+    The result store, the workload store and the code cache default to
+    ``~/.cache/repro``; the suite must not fill the user's.  A test of
+    the default location sets or unsets the variable itself.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("REPRO_CACHE_DIR",
+                     str(tmp_path_factory.mktemp("repro-cache")))
+        yield
 
 
 @pytest.fixture(autouse=True, scope="module")

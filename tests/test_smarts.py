@@ -72,6 +72,28 @@ class TestSampledIPC:
                                image=image)
         assert estimate.mean_ipc > 0
 
+    def test_each_window_simulates_once(self, monkeypatch):
+        """One core run per window, over the window and its warm-up
+        prefix; the window IPCs are pinned to their recorded values."""
+        from repro.cpu.ooo import OoOCore
+
+        lengths = []
+        run = OoOCore.run
+
+        def counting(self, trace, *args, **kwargs):
+            lengths.append(len(trace))
+            return run(self, trace, *args, **kwargs)
+
+        monkeypatch.setattr(OoOCore, "run", counting)
+        trace, image = build("gzip", 12000)
+        estimate = sampled_ipc(trace, n_windows=4, window=1000, warmup=1000,
+                               image=image)
+        assert lengths == [1000, 2000, 2000, 2000]
+        assert estimate.window_ipcs == (
+            0.03805464647233427, 0.11704119850187265,
+            0.12889920082495487, 0.11041183614883515,
+        )
+
     def test_rejects_bad_confidence(self):
         with pytest.raises(ValueError):
             sampled_ipc(_trace(), confidence=1.5)
