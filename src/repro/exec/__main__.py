@@ -49,6 +49,13 @@ disk-hygiene defects, not correctness ones; ``--prune`` removes them
 along with superseded snapshots (anything older than the newest sound
 one per spec).
 
+``fsck`` also counts the workload store's files
+(``<cache>/workloads/*.mar``) written under a generator digest other
+than the running interpreter's: no build here reads them again, so they
+too are disk hygiene, reported with their size and never a defect.
+``--prune`` deletes them.  The digest is read from the generator's
+source files without importing the generator.
+
 Every invocation appends its report as one ``fsck`` record to
 ``<journal-dir>/fsck.jsonl`` — the log format of the fleet queues
 (:mod:`repro.exec.journal`) — so repairs are themselves journaled.  Exit
@@ -62,7 +69,7 @@ import argparse
 import shutil
 import sys
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.exec.fleet import Fleet
 from repro.exec.journal import FSCK_LOG, KIND_FSCK, append_record, versioned
@@ -153,6 +160,28 @@ def _audit_ckpts(store: ResultStore, prune: bool) -> dict:
     }
 
 
+def _audit_workloads(root: Path, prune: bool) -> Dict[str, object]:
+    """Count (and under ``prune`` delete) stale workload-store files.
+
+    A file under another generator digest is never read again, so it is
+    reported but never a defect: the exit status ignores it.
+    """
+    from repro.workloads.digest import stale_files
+
+    stale = stale_files(root / "workloads")
+    size = sum(path.stat().st_size for path in stale)
+    if stale:
+        line = (f"  workloads: {len(stale)} file(s) under a stale generator "
+                f"digest, {size} bytes")
+        if prune:
+            for path in stale:
+                path.unlink()
+            line += f"; pruned {len(stale)}"
+        print(line + ("" if prune else " (re-run with --prune to remove)"))
+    names = [path.name for path in stale]
+    return {"stale": names, "bytes": size, "pruned": names if prune else []}
+
+
 def _cmd_fsck(args: argparse.Namespace) -> int:
     store = ResultStore(args.cache_dir)  # None -> default cache dir
     report = store.fsck(prune=args.prune, migrate=args.migrate)
@@ -181,6 +210,7 @@ def _cmd_fsck(args: argparse.Namespace) -> int:
                 pruned_journals.append(name)
                 print(f"  pruned {name}")
     ckpt_report = _audit_ckpts(store, args.prune)
+    workloads_report = _audit_workloads(store.root, args.prune)
 
     # The repair is itself journaled: one fsck record in the log format
     # of the queues it lives beside.
@@ -188,6 +218,7 @@ def _cmd_fsck(args: argparse.Namespace) -> int:
     payload["pruned_journals"] = pruned_journals
     payload["fleet_defects"] = fleet_defects
     payload["checkpoints"] = ckpt_report
+    payload["workloads"] = workloads_report
     append_record(store.journal_dir / FSCK_LOG,
                   versioned(KIND_FSCK, sweep="fsck", report=payload))
 
@@ -218,8 +249,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                       help="result-store directory (default ~/.cache/repro "
                            "or $REPRO_CACHE_DIR)")
     fsck.add_argument("--prune", action="store_true",
-                      help="remove defective entries, stale temps and "
-                           "finished sweep queues")
+                      help="remove defective entries, stale temps, "
+                           "finished sweep queues and stale workloads")
     fsck.add_argument("--migrate", action="store_true",
                       help="move flat-layout entries into their hash-prefix "
                            "shards before scanning (idempotent, atomic per "

@@ -18,8 +18,8 @@ methodology effect this reproduction shows as well.
 
 from __future__ import annotations
 
-from collections import Counter, OrderedDict
-from typing import List, Optional, Tuple
+from collections import OrderedDict
+from typing import Dict, List, Optional, Tuple
 
 from repro.mechanisms.base import Mechanism, ProbeResult, StructureSpec
 
@@ -40,7 +40,11 @@ class FrequentValueCache(Mechanism):
     def __init__(self, name: Optional[str] = None, parent=None):
         super().__init__(name, parent)
         self._entries: "OrderedDict[int, bool]" = OrderedDict()  # block -> dirty
-        self._counts: Counter = Counter()
+        #: Sampled value -> [-count, first-seen index]: ascending order of
+        #: these keys is ``Counter.most_common``'s ranking.
+        self._ranks: Dict[int, List[int]] = {}
+        #: The N_FREQUENT best-ranked sampled values, best first.
+        self._top: List[int] = []
         self._sampled = 0
         self._frequent: Optional[frozenset] = None
         self.st_captures = self.add_stat("captures", "compressible victims stored")
@@ -53,20 +57,27 @@ class FrequentValueCache(Mechanism):
     def _observe(self, words: Tuple[int, ...]) -> None:
         if self._frequent is not None:
             return
-        self._counts.update(words)
+        ranks = self._ranks
+        for word in words:
+            rank = ranks.get(word)
+            if rank is None:
+                ranks[word] = [-1, len(ranks)]
+            else:
+                rank[0] -= 1
+        # Counts only grow, so a value this line did not touch cannot pass
+        # any of the current top: only they and this line's words compete.
+        top = sorted({*self._top, *words}, key=ranks.__getitem__)
+        self._top = top[:self.N_FREQUENT]
         self._sampled += len(words)
         if self._sampled >= self.WARMUP_SAMPLES:
-            top = [value for value, _ in self._counts.most_common(self.N_FREQUENT)]
-            self._frequent = frozenset(top)
-            self._counts.clear()
+            self._frequent = frozenset(self._top)
+            ranks.clear()
 
     def frequent_values(self) -> frozenset:
         """The current frequent-value set (pre-freeze: best guess so far)."""
         if self._frequent is not None:
             return self._frequent
-        return frozenset(
-            value for value, _ in self._counts.most_common(self.N_FREQUENT)
-        )
+        return frozenset(self._top)
 
     def _compressible(self, words: Tuple[int, ...]) -> bool:
         if not words:

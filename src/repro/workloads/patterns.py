@@ -25,7 +25,7 @@ stand-ins get their distinct memory personalities:
 from __future__ import annotations
 
 import random
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 from repro.workloads.image import WORD_BYTES, MemoryImage
 
@@ -36,25 +36,21 @@ _INIT_WORDS_CAP = 32768
 #: The skewed value set used for frequent-value locality (FVC).
 FREQUENT_VALUES = (0, 1, 2, 4, 16, 255, 1024, 4096)
 
-#: Bits per draw of ``choice(FREQUENT_VALUES)`` (see :func:`randbelow`).
+# The per-word and per-access ``randrange(n)``, ``choice(seq)`` and
+# ``shuffle`` draws below are made inline, as CPython's own
+# ``Random._randbelow`` makes them on 3.9-3.13: ``getrandbits(
+# n.bit_length())`` until the result is below ``n``.  The bit widths are
+# computed once, here or when an engine is built.
+
+#: Bits per draw of ``choice(FREQUENT_VALUES)``.
 FREQUENT_BITS = len(FREQUENT_VALUES).bit_length()
 #: A value outside the frequent set: ``randrange(1 << 32) | (1 << 33)``.
 WIDE_VALUES = 1 << 32
 WIDE_BITS = WIDE_VALUES.bit_length()
 WIDE_TAG = 1 << 33
-
-
-def randbelow(getrandbits: Callable[[int], int], n: int) -> int:
-    """``rng.randrange(n)`` (and ``choice``'s index), with the same draws.
-
-    CPython's own ``Random._randbelow`` on 3.9-3.13, without the call
-    layers; the generator's two hottest loops inline it.
-    """
-    bits = n.bit_length()
-    r = getrandbits(bits)
-    while r >= n:
-        r = getrandbits(bits)
-    return r
+#: A pointer node's plain payload word: ``randrange(1 << 20)``.
+PAYLOAD_VALUES = 1 << 20
+PAYLOAD_BITS = PAYLOAD_VALUES.bit_length()
 
 
 class PatternEngine:
@@ -133,20 +129,25 @@ class RandomEngine(PatternEngine):
         self._n_words = working_set // WORD_BYTES
         if self._n_words < 1:
             raise ValueError(f"working_set {working_set} holds no word")
+        self._bits = self._n_words.bit_length()
 
     def setup(self, image: MemoryImage, value_locality: float) -> None:
         self._init_region(image, self.working_set, value_locality)
 
     def next(self) -> int:
-        return self.base + randbelow(self._getrandbits,
-                                     self._n_words) * WORD_BYTES
+        getrandbits, n_words, bits = (self._getrandbits, self._n_words,
+                                      self._bits)
+        r = getrandbits(bits)  # randrange(n_words)
+        while r >= n_words:
+            r = getrandbits(bits)
+        return self.base + r * WORD_BYTES
 
 
 class HotZipfEngine(PatternEngine):
     """Skewed accesses over a small hot region (approximate Zipf).
 
     Implemented as repeated halving: with probability ``skew`` stay in the
-    hotter half of the remaining range.
+    hotter half of the remaining range.  Each level draws one ``random()``.
     """
 
     def __init__(
@@ -158,13 +159,28 @@ class HotZipfEngine(PatternEngine):
         self.working_set = working_set
         self.skew = skew
         self._n_words = working_set // WORD_BYTES
+        # A range of even size splits into equal halves, so while the walk
+        # halves n_words = tail * 2**k, the colder half of each level starts
+        # a fixed distance past the hotter one: n_words >> 1, >> 2, ... tail.
+        halves = []
+        tail = self._n_words
+        while tail > 1 and not tail & 1:
+            tail >>= 1
+            halves.append(tail)
+        self._halves = tuple(halves)
+        self._tail = tail
 
     def setup(self, image: MemoryImage, value_locality: float) -> None:
         self._init_region(image, self.working_set, value_locality)
 
     def next(self) -> int:
-        lo, hi = 0, self._n_words
         random_, skew = self._random, self.skew
+        lo = 0
+        for half in self._halves:
+            if random_() >= skew:
+                lo += half
+        # The odd tail's halves differ in size: walk them one by one.
+        hi = lo + self._tail
         while hi - lo > 1:
             mid = (lo + hi) >> 1
             if random_() < skew:
@@ -223,14 +239,19 @@ class LoopSequenceEngine(PatternEngine):
             ]
         self._pos = 0
         self._n_words = n_words
+        self._bits = n_words.bit_length()
 
     def setup(self, image: MemoryImage, value_locality: float) -> None:
         self._init_region(image, self.working_set, value_locality)
 
     def next(self) -> int:
         if self._random() < self.noise:
-            return self.base + randbelow(self._getrandbits,
-                                         self._n_words) * WORD_BYTES
+            getrandbits, n_words, bits = (self._getrandbits, self._n_words,
+                                          self._bits)
+            r = getrandbits(bits)  # randrange(n_words)
+            while r >= n_words:
+                r = getrandbits(bits)
+            return self.base + r * WORD_BYTES
         pos = self._pos
         self._pos = (pos + 1) % len(self._sequence)
         return self._sequence[pos]
@@ -329,29 +350,40 @@ class PointerChaseEngine(PatternEngine):
         self.opaque_hops = opaque_hops
         self._image: Optional[MemoryImage] = None
         self._members: List[List[int]] = []
+        self._member_bits = 0
+        self._shortcut_bits = (n_next - 1).bit_length()
         self._cursors: List[int] = []
         self._chain = 0
 
     def setup(self, image: MemoryImage, value_locality: float) -> None:
         """Build the chains in the image, node by node.
 
-        Per node, in this order: the ring pointer, each shortcut
-        (``choice(members)``), then each payload word in offset order —
-        ``choice(node_addrs)`` with probability ``payload_pointers``,
-        else ``randrange(1 << 20)``.
+        First ``shuffle`` the node order.  Then per node, in this order:
+        the ring pointer, each shortcut (``choice(members)``), then each
+        payload word in offset order — ``choice(node_addrs)`` with
+        probability ``payload_pointers``, else ``randrange(1 << 20)``.
         """
         self._image = image
-        order = list(range(self.n_nodes))
-        self.rng.shuffle(order)
+        n_nodes = self.n_nodes
+        random_, getrandbits = self._random, self._getrandbits
+        order = list(range(n_nodes))
+        for i in range(n_nodes - 1, 0, -1):
+            bits = (i + 1).bit_length()
+            j = getrandbits(bits)  # randrange(i + 1)
+            while j > i:
+                j = getrandbits(bits)
+            order[i], order[j] = order[j], order[i]
         node_addrs = [self.base + slot * self.node_size for slot in order]
-        per_chain = max(1, self.n_nodes // self.n_chains)
+        node_bits = n_nodes.bit_length()
+        # Every chain that gets a node gets exactly per_chain of them.
+        per_chain = max(1, n_nodes // self.n_chains)
+        member_bits = self._member_bits = per_chain.bit_length()
         next_offsets = [
             self.next_offset + k * WORD_BYTES for k in range(self.n_next)
         ]
         ring, shortcuts = next_offsets[0], next_offsets[1:]
         payload = [off for off in range(0, self.node_size, WORD_BYTES)
                    if off not in next_offsets]
-        random_, getrandbits = self._random, self._getrandbits
         payload_pointers = self.payload_pointers
         words = image._words
         self._members = []
@@ -360,27 +392,33 @@ class PointerChaseEngine(PatternEngine):
             if not members:
                 continue
             self._members.append(members)
-            n_members = len(members)
             for i, addr in enumerate(members):
                 # Offsets are word-aligned, so each word's key is the node's
                 # aligned address plus the offset.
                 node = addr & -WORD_BYTES
                 # First successor: the ring; extras: shortcuts in-chain.
-                words[node + ring] = members[(i + 1) % n_members]
+                words[node + ring] = members[(i + 1) % per_chain]
                 for offset in shortcuts:
-                    words[node + offset] = members[
-                        randbelow(getrandbits, n_members)]
+                    r = getrandbits(member_bits)
+                    while r >= per_chain:
+                        r = getrandbits(member_bits)
+                    words[node + offset] = members[r]
                 # Payload words around the pointers.
                 for off in payload:
                     if payload_pointers and random_() < payload_pointers:
-                        words[node + off] = node_addrs[
-                            randbelow(getrandbits, len(node_addrs))]
+                        r = getrandbits(node_bits)
+                        while r >= n_nodes:
+                            r = getrandbits(node_bits)
+                        words[node + off] = node_addrs[r]
                     else:
-                        words[node + off] = randbelow(getrandbits, 1 << 20)
-            image.writes += n_members * (len(next_offsets) + len(payload))
-        image.note_heap(self.base, self.base + self.n_nodes * self.node_size)
+                        r = getrandbits(PAYLOAD_BITS)
+                        while r >= PAYLOAD_VALUES:
+                            r = getrandbits(PAYLOAD_BITS)
+                        words[node + off] = r
+            image.writes += per_chain * (len(next_offsets) + len(payload))
+        image.note_heap(self.base, self.base + n_nodes * self.node_size)
         self._cursors = [
-            node_addrs[min(chain * per_chain, self.n_nodes - 1)]
+            node_addrs[min(chain * per_chain, n_nodes - 1)]
             for chain in range(self.n_chains)
         ]
 
@@ -392,15 +430,21 @@ class PointerChaseEngine(PatternEngine):
         addr = self._cursors[chain]
         which = 0
         if self.n_next > 1 and self._random() < 0.35:
-            # randrange(1, n_next)
-            which = 1 + randbelow(self._getrandbits, self.n_next - 1)
+            n, bits = self.n_next - 1, self._shortcut_bits
+            which = self._getrandbits(bits)  # randrange(1, n_next) - 1
+            while which >= n:
+                which = self._getrandbits(bits)
+            which += 1
         pointer_addr = addr + self.next_offset + which * WORD_BYTES
         if self.opaque_hops and self._random() < self.opaque_hops:
             # Computed jump: the load still touches the node, but the next
             # target never appears as a stored pointer in the fetched line.
             members = self._members[chain % len(self._members)]
-            self._cursors[chain] = members[
-                randbelow(self._getrandbits, len(members))]
+            n, bits = len(members), self._member_bits
+            r = self._getrandbits(bits)  # randrange(len(members))
+            while r >= n:
+                r = self._getrandbits(bits)
+            self._cursors[chain] = members[r]
             return pointer_addr
         nxt = self._image.read(pointer_addr)
         if nxt < self.base:  # defensive: broken chain falls back to restart

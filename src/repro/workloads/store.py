@@ -1,9 +1,10 @@
 """On-disk cache for generated workloads.
 
 Building a synthetic trace is deterministic but not free: at 8k
-instructions, the seeded RNG draws and image writes cost 0.5-4.4x (median
-1.1x) the wall time of simulating the benchmark under Base on the fast
-path, and mcf's pointer chains cost the most (one CPU, Python 3.11).
+instructions, the seeded RNG draws and image writes cost 0.4-4.4x (median
+1.0x) the wall time of simulating the benchmark under Base on the fast
+path, and mcf's pointer chains cost the most (one CPU of a shared 2-CPU
+host, Python 3.11, median of three builds and three runs each).
 Every fresh process (each CLI run, each fleet worker) used to pay that
 cost again.  This store memoises the finished ``(trace, image)`` pair on
 disk, keyed by benchmark, length and a digest of the generator sources,
@@ -16,10 +17,11 @@ plain ints, tuples, lists and dicts — which loads an order of magnitude
 faster than rebuilding.  Correctness guards:
 
 * the file name embeds a SHA-256 digest over the workload generator
-  sources (:data:`GENERATOR_MODULES`, the ISA opcodes included) **and**
-  the interpreter's cache tag, so editing any generator or switching
-  Python versions invalidates every stale entry rather than silently
-  replaying it;
+  sources (:data:`~repro.workloads.digest.GENERATOR_MODULES`, the ISA
+  opcodes included) **and** the interpreter's cache tag, so editing any
+  generator or switching Python versions invalidates every stale entry
+  rather than silently replaying it (``python -m repro.exec fsck``
+  reports the stale files and ``--prune`` deletes them);
 * a corrupt or truncated file is treated as a miss and rebuilt in place;
 * writes go through a temp file + :func:`os.replace`, so a crashed or
   concurrent builder can never publish a half-written entry (same
@@ -34,33 +36,17 @@ disable entirely.
 
 from __future__ import annotations
 
-import hashlib
-import importlib
 import marshal
 import os
-import sys
 import tempfile
 from array import array
 from pathlib import Path
 from typing import List, Optional, Tuple
 
+from repro.workloads.digest import generator_digest
 from repro.workloads.image import MemoryImage
 
 Trace = List[Tuple[int, int, int, int, int]]
-
-#: Bumped when the serialised layout changes shape.
-_FORMAT = 2
-
-#: Every module whose source a build's output depends on: the generator
-#: modules and each ``repro`` module they import (the trace records carry
-#: ``repro.isa.instr.Op`` codes).
-GENERATOR_MODULES = (
-    "repro.isa.instr",
-    "repro.workloads.base",
-    "repro.workloads.image",
-    "repro.workloads.patterns",
-    "repro.workloads.spec2000",
-)
 
 _digest_cache: Optional[str] = None
 
@@ -77,14 +63,10 @@ def cache_dir() -> Path:
 
 
 def _generator_digest() -> str:
-    """Digest of everything a build's output depends on."""
+    """:func:`~repro.workloads.digest.generator_digest`, once per process."""
     global _digest_cache
     if _digest_cache is None:
-        h = hashlib.sha256()
-        h.update(f"format={_FORMAT};tag={sys.implementation.cache_tag}".encode())
-        for name in GENERATOR_MODULES:
-            h.update(Path(importlib.import_module(name).__file__).read_bytes())
-        _digest_cache = h.hexdigest()[:16]
+        _digest_cache = generator_digest()
     return _digest_cache
 
 

@@ -1,5 +1,10 @@
 """White-box tests for mechanism internals that black-box runs can miss."""
 
+import random
+from collections import Counter
+
+import pytest
+
 from repro.cache.hierarchy import MemoryHierarchy
 from repro.core.config import baseline_config
 from repro.mechanisms.registry import create
@@ -89,8 +94,30 @@ class TestVCInternals:
 class TestFVCInternals:
     def test_frequent_value_table_is_capped_at_seven(self):
         fvc = create("FVC")
-        fvc._counts.update(range(100))
+        fvc._observe(tuple(range(100)))
         assert len(fvc.frequent_values()) <= fvc.N_FREQUENT
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_ranking_matches_most_common_after_every_line(self, seed):
+        """The incrementally kept top values are ``most_common``'s, ties
+        broken by first-seen order, after every line and at the freeze."""
+        rng = random.Random(seed)
+        alphabet = rng.randint(6, 24)
+        fresh = rng.choice([0.0, 0.2, 0.6])  # share of never-repeated words
+        fvc = create("FVC")
+        counts: Counter = Counter()
+        while fvc._frequent is None:
+            line = tuple(
+                rng.randrange(1 << 40) if rng.random() < fresh
+                else rng.randrange(alphabet)
+                for _ in range(4))
+            fvc._observe(line)
+            counts.update(line)
+            expected = [v for v, _ in counts.most_common(fvc.N_FREQUENT)]
+            assert fvc._top == expected
+            assert fvc.frequent_values() == frozenset(expected)
+        assert sum(counts.values()) >= fvc.WARMUP_SAMPLES
+        assert fvc._ranks == {}
 
 
 class TestCDPSPForwarding:

@@ -188,3 +188,158 @@ class TestPointerChaseEngine:
         second = image.read(node + 8)
         assert image.looks_like_pointer(first)
         assert image.looks_like_pointer(second)
+
+
+# -- every inlined draw against the loop it replaced ----------------------------
+
+#: Word counts beyond 0-400: primes, powers of two, and m * 2**k with odd
+#: tails m up to 31 (the specs' hot sets are 1,024-3,584 words).
+_PRIMES = (401, 509, 997, 1021, 2039, 4093)
+_POWERS = tuple(1 << k for k in range(13))
+_ODD_TAILS = tuple(m << k for m in range(1, 32, 2) for k in (1, 5, 9))
+WORD_COUNTS = tuple(range(401)) + _PRIMES + _POWERS + _ODD_TAILS
+SKEWS = (0.5, 0.6, 0.75, 0.9, 0.97, 0.999)
+
+
+def _reference_hot(rng, n_words, skew):
+    """``HotZipfEngine.next`` as first written: halve the whole range."""
+    lo, hi = 0, n_words
+    while hi - lo > 1:
+        mid = (lo + hi) >> 1
+        if rng.random() < skew:
+            hi = mid
+        else:
+            lo = mid
+    return BASE + lo * 8
+
+
+def _reference_chains(rng, n_nodes, node_size, next_offset, n_chains,
+                      payload_pointers, n_next):
+    """``PointerChaseEngine.setup`` as first written, on ``rng``'s own
+    ``shuffle``/``choice``/``randrange``: (words, members, cursors)."""
+    words = {}
+    order = list(range(n_nodes))
+    rng.shuffle(order)
+    node_addrs = [BASE + slot * node_size for slot in order]
+    per_chain = max(1, n_nodes // n_chains)
+    next_offsets = [next_offset + k * 8 for k in range(n_next)]
+    payload = [off for off in range(0, node_size, 8)
+               if off not in next_offsets]
+    chains = []
+    for chain in range(n_chains):
+        members = node_addrs[chain * per_chain:(chain + 1) * per_chain]
+        if not members:
+            continue
+        chains.append(members)
+        for i, addr in enumerate(members):
+            words[addr + next_offsets[0]] = members[(i + 1) % len(members)]
+            for offset in next_offsets[1:]:
+                words[addr + offset] = rng.choice(members)
+            for off in payload:
+                if payload_pointers and rng.random() < payload_pointers:
+                    words[addr + off] = rng.choice(node_addrs)
+                else:
+                    words[addr + off] = rng.randrange(1 << 20)
+    cursors = [node_addrs[min(chain * per_chain, n_nodes - 1)]
+               for chain in range(n_chains)]
+    return words, chains, cursors
+
+
+def _reference_walk(rng, words, chains, cursors, next_offset, n_next,
+                    opaque_hops, steps):
+    """``PointerChaseEngine.next`` as first written, ``steps`` times."""
+    out = []
+    n_chains = len(cursors)
+    for step in range(steps):
+        chain = step % n_chains
+        which = 0
+        if n_next > 1 and rng.random() < 0.35:
+            which = rng.randrange(1, n_next)
+        pointer_addr = cursors[chain] + next_offset + which * 8
+        out.append(pointer_addr)
+        if opaque_hops and rng.random() < opaque_hops:
+            cursors[chain] = rng.choice(chains[chain % len(chains)])
+            continue
+        nxt = words[pointer_addr]
+        if nxt < BASE:
+            nxt = cursors[(chain + 1) % n_chains]
+        cursors[chain] = nxt
+    return out
+
+
+class TestDrawsMatchTheLoopsTheyReplaced:
+    """Each rewritten draw site makes the same ``random.Random`` calls, in
+    the same order, as its original loop: same outputs, same final state."""
+
+    @pytest.mark.parametrize("skew", SKEWS)
+    def test_hot_walk(self, skew):
+        for n_words in WORD_COUNTS:
+            rng, ref = random.Random(n_words), random.Random(n_words)
+            # Bytes past the last whole word hold no word of their own.
+            engine = HotZipfEngine(BASE, rng, working_set=n_words * 8 + 5,
+                                   skew=skew)
+            got = [engine.next() for _ in range(40)]
+            assert got == [_reference_hot(ref, n_words, skew)
+                           for _ in range(40)], n_words
+            assert rng.getstate() == ref.getstate(), n_words
+
+    def test_random_engine(self):
+        for n_words in WORD_COUNTS[1:]:
+            rng, ref = random.Random(n_words), random.Random(n_words)
+            engine = RandomEngine(BASE, rng, working_set=n_words * 8)
+            got = [engine.next() for _ in range(40)]
+            assert got == [BASE + ref.randrange(n_words) * 8
+                           for _ in range(40)], n_words
+            assert rng.getstate() == ref.getstate(), n_words
+
+    @pytest.mark.parametrize("noise", [0.0, 0.3, 1.0])
+    def test_loop_sequence_noise(self, noise):
+        for n_words in WORD_COUNTS[1::7]:
+            rng, ref = random.Random(n_words), random.Random(n_words)
+            engine = LoopSequenceEngine(BASE, rng, working_set=n_words * 8,
+                                        sequence_length=12, noise=noise)
+            sequence = [BASE + ref.randrange(n_words) * 8 for _ in range(12)]
+            expected, pos = [], 0
+            for _ in range(40):
+                if ref.random() < noise:
+                    expected.append(BASE + ref.randrange(n_words) * 8)
+                else:
+                    expected.append(sequence[pos])
+                    pos = (pos + 1) % 12
+            assert [engine.next() for _ in range(40)] == expected, n_words
+            assert rng.getstate() == ref.getstate(), n_words
+
+    @pytest.mark.parametrize("n_nodes,n_chains", [
+        (1, 1), (2, 1), (3, 4), (7, 2), (97, 1), (100, 3), (64, 4),
+        (1000, 6), (1023, 5),
+    ])
+    @pytest.mark.parametrize("n_next,payload_pointers,opaque_hops", [
+        (1, 0.0, 0.0), (1, 0.45, 0.0), (2, 0.1, 0.6), (3, 1.0, 0.15),
+    ])
+    def test_pointer_chase(self, n_nodes, n_chains, n_next, payload_pointers,
+                           opaque_hops):
+        node_size, next_offset = 96, 8
+        rng, ref = random.Random(n_nodes), random.Random(n_nodes)
+        image = MemoryImage()
+        engine = PointerChaseEngine(
+            BASE, rng, n_nodes=n_nodes, node_size=node_size,
+            next_offset=next_offset, n_chains=n_chains,
+            payload_pointers=payload_pointers, n_next=n_next,
+            opaque_hops=opaque_hops)
+        engine.setup(image, value_locality=0.3)
+        words, chains, cursors = _reference_chains(
+            ref, n_nodes, node_size, next_offset, n_chains, payload_pointers,
+            n_next)
+        assert list(image._words.items()) == list(words.items())
+        assert image.writes == len(words)
+        assert (image.heap_lo, image.heap_hi) == (
+            BASE, BASE + n_nodes * node_size)
+        assert engine._members == chains
+        assert engine._cursors == cursors
+        assert rng.getstate() == ref.getstate()
+
+        steps = 3 * n_nodes + 10
+        got = [engine.next() for _ in range(steps)]
+        assert got == _reference_walk(ref, words, chains, cursors,
+                                      next_offset, n_next, opaque_hops, steps)
+        assert rng.getstate() == ref.getstate()

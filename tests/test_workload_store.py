@@ -5,6 +5,7 @@ build in process and on disk, and every run of that pair shares its one
 memory image.  These tests pin the two ways that sharing could hand a
 run the wrong workload: a stored build replayed after an edit the store's
 digest did not see, and an image left holding a sliced run's stores.
+The last test covers fsck's audit of files under stale digests.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from typing import Set
 import pytest
 
 from repro.core.simulation import run_benchmark
+from repro.exec.__main__ import main as exec_main
 from repro.exec.runspec import RunSpec
 from repro.trace.smarts import sampled_ipc
 from repro.workloads import base, registry, store
@@ -126,3 +128,40 @@ def test_value_based_result_does_not_depend_on_earlier_slices(
     after = spec("FVC", window).execute()
     registry.clear_cache()
     assert (after.ipc, after.stats) == (fresh.ipc, fresh.stats)
+
+
+def test_fsck_reports_and_prunes_builds_of_other_generators(
+        tmp_path, monkeypatch, capsys):
+    """Stored builds under another generator digest are reported with
+    their size and deleted by ``--prune``, without changing the exit
+    status; the current build stays and ``registry.build`` still reads
+    it."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    registry.clear_cache()
+    registry.build(BENCH, SLICE)
+    current = store.path_for(BENCH, SLICE)
+    stale = [current.with_name(f"{BENCH}-{SLICE}-{'0' * 16}.mar"),
+             current.with_name(f"gzip-{FULL}-{'f' * 16}.mar")]
+    for path in stale:
+        path.write_bytes(current.read_bytes())
+    size = sum(path.stat().st_size for path in stale)
+    fsck = ["fsck", "--cache-dir", str(tmp_path)]
+
+    assert exec_main(fsck) == 0
+    assert (f"workloads: 2 file(s) under a stale generator digest, "
+            f"{size} bytes (re-run with --prune to remove)"
+            in capsys.readouterr().out)
+    assert all(path.exists() for path in stale)
+
+    assert exec_main(fsck + ["--prune"]) == 0
+    assert f"digest, {size} bytes; pruned 2" in capsys.readouterr().out
+    assert list(current.parent.iterdir()) == [current]
+
+    def no_generation(self, n_instructions):
+        raise AssertionError("the stored build was not read")
+
+    registry.clear_cache()
+    monkeypatch.setattr(SyntheticWorkload, "build", no_generation)
+    _trace, image = registry.build(BENCH, SLICE)
+    assert image._pending is not None
+    registry.clear_cache()
