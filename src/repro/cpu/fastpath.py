@@ -51,14 +51,6 @@ EVENT_DRAINS = 1
 ABORT_QUEUED_PREFETCH = 2
 ABORT_MISS = 3
 
-#: Bump whenever the emitters change *semantics* without changing the
-#: emitted source text — what a binding name refers to, what the exec
-#: namespace carries, where the caller splices the block.  The constant is
-#: folded into the disk code-cache key (:mod:`repro.cpu.codecache`), so an
-#: emitter edit can never replay a stale generated code object written by
-#: an older emitter under the same source digest.
-EMITTER_VERSION = 2
-
 ReplayFn = Callable[..., Optional[int]]
 
 
@@ -467,9 +459,7 @@ class TraceSpeculator:
             """Generate + compile the linear hit sequence for one kind."""
             source, namespace = emit_replay_source(hierarchy, kind)
             namespace["counts_"] = self.counts
-            code = codecache.load_or_compile(
-                source, "<repro.cpu.fastpath>", version=EMITTER_VERSION
-            )
+            code = codecache.load_or_compile(source, "<repro.cpu.fastpath>")
             exec(code, namespace)  # noqa: S102 - closed namespace, own source
             return namespace["replay"]
 

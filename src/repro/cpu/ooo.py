@@ -32,7 +32,7 @@ from typing import Dict, Optional, Sequence
 from repro.cache.hierarchy import MemoryHierarchy
 from repro.core.config import CoreConfig
 from repro.cpu import codecache
-from repro.cpu.fastpath import EMITTER_VERSION, TraceSpeculator, emit_hit_inline
+from repro.cpu.fastpath import TraceSpeculator, emit_hit_inline
 from repro.hotpath import hotpath
 from repro.isa.instr import FU_LATENCY, FU_POOL, Op
 from repro.kernel.module import Component
@@ -415,8 +415,8 @@ class OoOCore(Component):
         Emission (:meth:`_emit_fast_loop`) and compilation are split so the
         SIM8xx guard-completeness verifier can obtain the exact source the
         fast path will run without executing anything.  Code objects are
-        cached by source + emitter version (the only variation is baked
-        constants), so repeated runs of one machine shape recompile nothing.
+        memoised by source (the only variation is baked constants), so
+        repeated runs of one machine shape in a process recompile nothing.
         """
         ckpt_every = checkpoint.every if checkpoint is not None else 0
         ckpt_cut = (self._checkpoint_cut(checkpoint, speculator)
@@ -424,9 +424,7 @@ class OoOCore(Component):
         source, bind = self._emit_fast_loop(
             speculator.counts, sampler,
             ckpt_cut=ckpt_cut, ckpt_every=ckpt_every, resume=resume)
-        code = codecache.load_or_compile(
-            source, "<repro.cpu.ooo.fastloop>", version=EMITTER_VERSION
-        )
+        code = codecache.load_or_compile(source, "<repro.cpu.ooo.fastloop>")
         namespace = {f"g_{name}": obj for name, obj in bind.items()}
         exec(code, namespace)  # noqa: S102 - closed namespace, own source
         return namespace["run_loop"]

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.cachedir import default_cache_dir
 from repro.exec.executor import Executor
 from repro.exec.faults import (
     FaultPlan,
@@ -56,7 +57,7 @@ from repro.exec.shutdown import (
     ShutdownManager,
     SweepInterrupted,
 )
-from repro.exec.store import FsckReport, ResultStore, default_cache_dir
+from repro.exec.store import FsckReport, ResultStore
 from repro.exec.telemetry import RunRecord, Telemetry
 
 __all__ = [

@@ -5,7 +5,6 @@ Examples::
     python -m repro.exec fsck                       # verify the default store
     python -m repro.exec fsck --cache-dir .cache    # a specific store
     python -m repro.exec fsck --prune               # remove what fails
-    python -m repro.exec fsck --migrate             # shard flat v3 entries
 
 ``fsck`` runs the offline integrity pass over every result-store entry
 (:meth:`~repro.exec.store.ResultStore.verify_entry` — parse, version,
@@ -14,13 +13,11 @@ temp files stranded by killed writers, and audits every fleet queue
 found alongside the store (below).  ``--prune`` removes defective
 entries and stale temps.
 
-``fsck`` also understands the sharded layout (``ab/<hash>.json``): it
-audits every shard, cross-checks each entry's shard prefix against its
-filename hash (a misfiled entry is a defect — reads probe only the
-right shard), and counts entries still in the flat pre-shard layout.
-``--migrate`` moves those into their shards first — idempotent and
-atomic per entry (one ``os.replace`` each), so it is safe to interrupt
-and safe to run while readers are live.
+``fsck`` audits every shard of the sharded layout (``ab/<hash>.json``)
+and cross-checks each entry's shard prefix against its filename hash:
+a misfiled entry is a defect, since reads probe only the right shard.
+Entries at the store root (the pre-shard layout) are misfiled too.
+``--migrate`` is still accepted and does nothing.
 
 Every fleet queue under the cache is audited the same way: the sweep
 service's (``<cache>/serve/``) and each sweep's
@@ -51,16 +48,17 @@ one per spec).
 
 ``fsck`` also counts the workload store's files
 (``<cache>/workloads/*.mar``) written under a generator digest other
-than the running interpreter's: no build here reads them again, so they
-too are disk hygiene, reported with their size and never a defect.
-``--prune`` deletes them.  The digest is read from the generator's
-source files without importing the generator.
+than the running interpreter's, and the temps killed builders left
+there: no build here reads either again, so they too are disk hygiene,
+reported and never a defect.  ``--prune`` deletes them.  The digest is
+read from the generator's source files without importing the generator.
 
 Every invocation appends its report as one ``fsck`` record to
 ``<journal-dir>/fsck.jsonl`` — the log format of the fleet queues
 (:mod:`repro.exec.journal`) — so repairs are themselves journaled.  Exit
 status: 0 when the store is clean (or everything defective was pruned),
-1 when defects remain.
+1 when defects remain, 2 when the cache directory does not exist (it is
+never created).
 """
 
 from __future__ import annotations
@@ -71,6 +69,7 @@ import sys
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
+from repro.cachedir import stale_temps
 from repro.exec.fleet import Fleet
 from repro.exec.journal import FSCK_LOG, KIND_FSCK, append_record, versioned
 from repro.exec.store import ResultStore
@@ -105,10 +104,7 @@ def _audit_queue(name: str, root: Path, store: ResultStore,
                   else ", complete"))
     defects = 0
     for spec_hash in sorted(snap.quarantined):
-        path = store.shard_path(spec_hash)
-        if not path.exists():
-            path = store.flat_path(spec_hash)
-        if not path.exists() or store.verify_entry(path) is not None:
+        if store.verify_entry(store.shard_path(spec_hash)) is not None:
             # Consistent: the poison verdict and the store hole agree
             # (a defective entry reads as a hole too).
             continue
@@ -149,6 +145,8 @@ def _audit_ckpts(store: ResultStore, prune: bool) -> dict:
         for rel, why in audit.defective:
             print(f"  checkpoint {rel}: {why}"
                   + ("" if prune else " (re-run with --prune to remove)"))
+        for rel in audit.stale_temps:
+            print(f"  TMP  ckpt/{rel}: stale temp from a dead writer")
     return {
         "scanned": audit.scanned,
         "ok": audit.ok,
@@ -163,12 +161,14 @@ def _audit_ckpts(store: ResultStore, prune: bool) -> dict:
 def _audit_workloads(root: Path, prune: bool) -> Dict[str, object]:
     """Count (and under ``prune`` delete) stale workload-store files.
 
-    A file under another generator digest is never read again, so it is
-    reported but never a defect: the exit status ignores it.
+    A file under another generator digest, or a temp whose builder is
+    dead, is never read again, so it is reported but never a defect:
+    the exit status ignores it.
     """
     from repro.workloads.digest import stale_files
 
-    stale = stale_files(root / "workloads")
+    directory = root / "workloads"
+    stale = stale_files(directory)
     size = sum(path.stat().st_size for path in stale)
     if stale:
         line = (f"  workloads: {len(stale)} file(s) under a stale generator "
@@ -178,13 +178,25 @@ def _audit_workloads(root: Path, prune: bool) -> Dict[str, object]:
                 path.unlink()
             line += f"; pruned {len(stale)}"
         print(line + ("" if prune else " (re-run with --prune to remove)"))
+    temps = stale_temps(directory)
+    for path in temps:
+        print(f"  TMP  workloads/{path.name}: stale temp from a dead writer")
+        if prune:
+            path.unlink()
+            print(f"  pruned workloads/{path.name}")
     names = [path.name for path in stale]
-    return {"stale": names, "bytes": size, "pruned": names if prune else []}
+    temp_names = [path.name for path in temps]
+    return {"stale": names, "bytes": size, "stale_temps": temp_names,
+            "pruned": names + temp_names if prune else []}
 
 
 def _cmd_fsck(args: argparse.Namespace) -> int:
     store = ResultStore(args.cache_dir)  # None -> default cache dir
-    report = store.fsck(prune=args.prune, migrate=args.migrate)
+    if not store.root.is_dir():
+        # A mistyped path must not pass the audit (or be created by it).
+        print(f"fsck: no cache directory at {store.root}", file=sys.stderr)
+        return 2
+    report = store.fsck(prune=args.prune)
     print(report.render())
 
     fleet_defects = _audit_queue("serve", store.serve_dir, store,
@@ -252,9 +264,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                       help="remove defective entries, stale temps, "
                            "finished sweep queues and stale workloads")
     fsck.add_argument("--migrate", action="store_true",
-                      help="move flat-layout entries into their hash-prefix "
-                           "shards before scanning (idempotent, atomic per "
-                           "entry)")
+                      help="does nothing; kept so existing scripts run "
+                           "(entries at the store root are misfiled "
+                           "defects that --prune removes)")
     args = parser.parse_args(argv)
     if args.subcommand == "fsck":
         return _cmd_fsck(args)

@@ -26,9 +26,9 @@ File format (one checkpoint per file)::
     | pickled machine (payload_bytes bytes)                      |
     +------------------------------------------------------------+
 
-Writes follow the result store's discipline: same-directory temp file,
-flush, ``fsync``, ``os.replace`` — a crash mid-write leaves a stray
-``.tmp`` (swept by ``fsck --prune``), never a torn ``.ckpt``.  Reads
+Writes go through :func:`repro.cachedir.atomic_write`, durably, as the
+result store's do — a crash mid-write leaves a stray ``.tmp`` (swept by
+``fsck --prune``), never a torn ``.ckpt``.  Reads
 verify everything the header declares; a checkpoint failing any check is
 skipped in favour of the next-older one, and a spec with no sound
 checkpoint simply starts from scratch.  Checkpoints are an attempt-local
@@ -48,13 +48,13 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.cachedir import atomic_write, stale_temps
 from repro.exec.faults import (
     FaultPlan,
     InjectedCrash,
     maybe_corrupt_checkpoint,
     should_kill_midrun,
 )
-from repro.exec.store import temp_owner_alive
 
 #: On-disk checkpoint format version; bump on layout changes.  A version
 #: mismatch is a *defect* (the reader cannot trust the payload), so old
@@ -114,23 +114,8 @@ def write_checkpoint(
     header_line = json.dumps(
         header, sort_keys=True, separators=(",", ":")
     ).encode("utf-8") + b"\n"
-    directory.mkdir(parents=True, exist_ok=True)
     final = checkpoint_path(directory, index)
-    tmp = final.with_name(f".{final.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as handle:
-            handle.write(header_line)
-            handle.write(payload)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, final)
-    except OSError:
-        try:
-            tmp.unlink()
-        # simlint: allow[SIM601] failed-write cleanup is best-effort
-        except OSError:
-            pass
-        raise
+    atomic_write(final, header_line + payload, durable=True)
     return final
 
 
@@ -377,9 +362,7 @@ def audit_checkpoints(
                 audit.superseded.append(rel)
                 if prune:
                     remove(path)
-        for stray in sorted(spec_dir.glob(".*.tmp")):
-            if temp_owner_alive(stray):
-                continue  # a live writer is about to rename it
+        for stray in stale_temps(spec_dir):
             audit.stale_temps.append(f"{spec_hash}/{stray.name}")
             if prune:
                 remove(stray)

@@ -85,7 +85,6 @@ with :func:`set_active_plan`.
 
 from __future__ import annotations
 
-import errno
 import hashlib
 import os
 import time
@@ -441,20 +440,12 @@ def should_fill_disk(
     count; only first-lease writes consult the schedule, so the write
     after a release-and-reclaim always goes through and a chaos fleet
     provably converges — the same one-shot shape as ``kill-worker``.
-    The WAL tear itself is performed by
-    :func:`repro.exec.journal.append_record`.
+    The tear itself is performed by the writer:
+    :func:`repro.cachedir.atomic_write` for a store entry,
+    :func:`repro.exec.journal.append_record` for a WAL line.
     """
     return (plan is not None and attempt == 1
             and plan.decide("disk-full", key, 1))
-
-
-def maybe_disk_full(
-    plan: Optional[FaultPlan], key: str, attempt: int,
-) -> None:
-    """Raise ``OSError(ENOSPC)`` when :func:`should_fill_disk` says so."""
-    if should_fill_disk(plan, key, attempt):
-        raise OSError(errno.ENOSPC,
-                      f"injected disk-full (chaos) writing {key}")
 
 
 def should_corrupt_journal(

@@ -41,7 +41,6 @@ annotated ``FailedRun`` holes exactly like worker failures do.
 from __future__ import annotations
 
 import asyncio
-import json
 import sys
 import time
 from dataclasses import dataclass, field
@@ -601,22 +600,10 @@ class SweepServer:
     def _load_entry(self, spec_hash: str) -> Optional[Dict[str, Any]]:
         """The verified store entry for ``spec_hash``, or None.
 
-        Runs in a worker thread.  Uses the store's own offline
-        verification (parse, version, checksum, addressing) so a rotted
-        entry is a miss that re-simulates, exactly as ``get`` would
-        treat it — the service never streams a result the store could
-        not vouch for.
+        Runs in a worker thread.  One read of the shard entry under the
+        store's own offline verification (parse, version, checksum,
+        addressing), so a rotted entry is a miss that re-simulates,
+        exactly as ``get`` would treat it — the service never streams a
+        result the store could not vouch for.
         """
-        for path in (self.store.shard_path(spec_hash),
-                     self.store.flat_path(spec_hash)):
-            if self.store.verify_entry(path) is None:
-                try:
-                    payload = json.loads(path.read_text("utf-8"))
-                except (OSError, ValueError):
-                    # Vanished (or rotted) between verify and read:
-                    # fall through to the other layout rather than
-                    # declaring a miss the flat path could still serve.
-                    continue
-                if isinstance(payload, dict):
-                    return payload
-        return None
+        return self.store.read_entry(self.store.shard_path(spec_hash))[0]

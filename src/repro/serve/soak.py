@@ -114,8 +114,8 @@ def _base_env(cache: Path) -> Dict[str, str]:
     """The inherited environment, scrubbed of ambient chaos/ledger state.
 
     ``REPRO_CACHE_DIR`` is ``cache``, the leg's own directory: the
-    children's workload store and code cache stay in the soak's scratch
-    with their results, never in the user's default cache.
+    children's workload store stays in the soak's scratch with their
+    results, never in the user's default cache.
     """
     env = dict(os.environ)
     for key in ("REPRO_FAULTS", "REPRO_LEDGER"):

@@ -10,9 +10,10 @@ cost again.  This store memoises the finished ``(trace, image)`` pair on
 disk, keyed by benchmark, length and a digest of the generator sources,
 so a build is paid once per machine instead of once per process.
 
-Layout: one file per ``(benchmark, n)`` under
-``$REPRO_CACHE_DIR/workloads/`` (default ``~/.cache/repro/workloads``),
-next to the executor's result store.  The payload is ``marshal``-encoded —
+Layout: one file per ``(benchmark, n)`` under ``<root>/workloads/``,
+where ``<root>`` is :func:`repro.cachedir.default_cache_dir`
+(``$REPRO_CACHE_DIR``, else ``~/.cache/repro``), next to the executor's
+result store.  The payload is ``marshal``-encoded —
 plain ints, tuples, lists and dicts — which loads an order of magnitude
 faster than rebuilding.  Correctness guards:
 
@@ -23,43 +24,32 @@ faster than rebuilding.  Correctness guards:
   rather than silently replaying it (``python -m repro.exec fsck``
   reports the stale files and ``--prune`` deletes them);
 * a corrupt or truncated file is treated as a miss and rebuilt in place;
-* writes go through a temp file + :func:`os.replace`, so a crashed or
-  concurrent builder can never publish a half-written entry (same
-  discipline as the result store).
+* writes go through :func:`repro.cachedir.atomic_write`, so a crashed or
+  concurrent builder can never publish a half-written entry.  They are
+  not ``fsync``'d: a build a crash loses reads as a miss and is rebuilt.
+  A killed builder's temp is one that ``fsck`` lists and ``--prune``
+  removes.
 
 The restored image is shared across runs on the same terms as the
 in-process memo's (see :func:`repro.workloads.registry.build`).  Its
 read/write counters are reset to their build-time values so a disk hit is
-indistinguishable from a fresh build.  Set ``REPRO_WORKLOAD_CACHE=0`` to
-disable entirely.
+indistinguishable from a fresh build.
 """
 
 from __future__ import annotations
 
 import marshal
-import os
-import tempfile
 from array import array
 from pathlib import Path
 from typing import List, Optional, Tuple
 
+from repro.cachedir import atomic_write, default_cache_dir
 from repro.workloads.digest import generator_digest
 from repro.workloads.image import MemoryImage
 
 Trace = List[Tuple[int, int, int, int, int]]
 
 _digest_cache: Optional[str] = None
-
-
-def enabled() -> bool:
-    return os.environ.get("REPRO_WORKLOAD_CACHE", "1") != "0"
-
-
-def cache_dir() -> Path:
-    """``$REPRO_CACHE_DIR``/workloads, else ``~/.cache/repro/workloads``."""
-    env = os.environ.get("REPRO_CACHE_DIR")
-    root = Path(env).expanduser() if env else Path.home() / ".cache" / "repro"
-    return root / "workloads"
 
 
 def _generator_digest() -> str:
@@ -71,13 +61,12 @@ def _generator_digest() -> str:
 
 
 def path_for(name: str, n_instructions: int) -> Path:
-    return cache_dir() / f"{name}-{n_instructions}-{_generator_digest()}.mar"
+    return (default_cache_dir() / "workloads"
+            / f"{name}-{n_instructions}-{_generator_digest()}.mar")
 
 
 def load(name: str, n_instructions: int) -> Optional[Tuple[Trace, MemoryImage]]:
     """Return the cached ``(trace, image)`` or ``None`` on any miss."""
-    if not enabled():
-        return None
     try:
         blob = path_for(name, n_instructions).read_bytes()
         payload = marshal.loads(blob)
@@ -107,8 +96,6 @@ def load(name: str, n_instructions: int) -> Optional[Tuple[Trace, MemoryImage]]:
 
 def save(name: str, n_instructions: int, trace: Trace, image: MemoryImage) -> None:
     """Publish a freshly built workload (best effort: failures are silent)."""
-    if not enabled():
-        return
     image._materialize()  # fold any pending base under overlay writes
     words = image._words
     try:
@@ -131,15 +118,7 @@ def save(name: str, n_instructions: int, trace: Trace, image: MemoryImage) -> No
         image.writes,
     )
     try:
-        target = path_for(name, n_instructions)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=str(target.parent), suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(marshal.dumps(payload))
-            os.replace(tmp, target)
-        except BaseException:
-            os.unlink(tmp)
-            raise
+        atomic_write(path_for(name, n_instructions), marshal.dumps(payload),
+                     durable=False)
     except OSError:
         return

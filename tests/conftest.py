@@ -28,7 +28,7 @@ settings.load_profile("repro")
 def _session_cache_dir(tmp_path_factory):
     """``$REPRO_CACHE_DIR`` for the whole session, subprocesses included.
 
-    The result store, the workload store and the code cache default to
+    The result store and the workload store default to
     ``~/.cache/repro``; the suite must not fill the user's.  A test of
     the default location sets or unsets the variable itself.
     """

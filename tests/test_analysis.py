@@ -1,6 +1,8 @@
 """simlint static analyzer, the runtime sanitizer, and store atomicity."""
 
 import dataclasses
+import errno
+import io
 import os
 import subprocess
 import sys
@@ -10,11 +12,13 @@ import pytest
 
 from repro.analysis import all_rules, analyze_paths
 from repro.cache.hierarchy import MemoryHierarchy
+from repro.cachedir import temp_owner_alive
 from repro.core.config import baseline_config
 from repro.core.simulation import RunResult
 from repro.exec import ResultStore, RunSpec
-from repro.exec.checkpoint import audit_checkpoints
-from repro.exec.store import temp_owner_alive
+from repro.exec.checkpoint import audit_checkpoints, write_checkpoint
+from repro.workloads import store as workload_store
+from repro.workloads.image import MemoryImage
 from repro.mechanisms.base import Mechanism
 from repro.kernel.engine import Event, Simulator
 from repro.sanitize import SanitizeError
@@ -356,11 +360,52 @@ def test_failed_write_preserves_existing_entry(tmp_path, monkeypatch):
     def explode(src, dst):
         raise OSError("disk full")
 
-    monkeypatch.setattr("repro.exec.store.os.replace", explode)
+    monkeypatch.setattr("repro.cachedir.os.replace", explode)
     with pytest.raises(OSError):
         store.put(spec, _result(mechanism="TP"))
     assert store.path_for(spec).read_text("utf-8") == before
     assert list(tmp_path.glob(".*.tmp")) == []
+
+
+class _TornFile(io.FileIO):
+    """A file whose first write lands half its bytes, then fails."""
+
+    def write(self, data):
+        super().write(bytes(data[: len(data) // 2]))
+        raise OSError(errno.ENOSPC, "no space left on device (test)")
+
+
+def _write_with(caller, root):
+    """Write one file of ``caller``'s kind under ``root``."""
+    if caller == "put":
+        ResultStore(root).put(RunSpec("swim", "Base", n_instructions=500),
+                              _result())
+    elif caller == "checkpoint":
+        write_checkpoint(root / "ckpt" / ("f" * 16), "f" * 16, 700,
+                         {"records": 700})
+    else:
+        workload_store.save("swim", 500, [], MemoryImage())
+
+
+@pytest.mark.parametrize("caller", ["put", "checkpoint", "workload"])
+def test_failed_write_leaves_no_temp_and_no_file(tmp_path, monkeypatch,
+                                                 caller):
+    """An OSError mid-write removes the temp and publishes nothing; the
+    workload store, a best-effort cache, swallows the error."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    monkeypatch.setattr("repro.cachedir.open",
+                        lambda path, mode: _TornFile(path, "w"),
+                        raising=False)
+    if caller == "workload":
+        _write_with(caller, tmp_path)
+    else:
+        with pytest.raises(OSError):
+            _write_with(caller, tmp_path)
+    assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
+    monkeypatch.undo()
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    _write_with(caller, tmp_path)  # the same write lands with room
+    assert len([p for p in tmp_path.rglob("*") if p.is_file()]) == 1
 
 
 def test_sweep_removes_dead_writers_temp(tmp_path):

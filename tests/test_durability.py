@@ -694,7 +694,7 @@ def test_checksum_catches_parseable_bit_rot(tmp_path, capsys):
     assert store.get(spec) is not None
 
 
-def test_v2_entries_read_without_checksum(tmp_path):
+def test_v2_entries_read_as_counted_misses(tmp_path, capsys):
     store = ResultStore(tmp_path / "cache")
     spec = RunSpec("swim", n_instructions=N)
     (original,) = Executor(jobs=1, store=store).run([spec])
@@ -703,17 +703,23 @@ def test_v2_entries_read_without_checksum(tmp_path):
     assert payload["version"] == STORE_VERSION
     assert payload["checksum"] == result_checksum(payload["result"])
 
-    # Rewrite as a warm pre-checksum cache entry: still a hit.
+    # A pre-checksum (v2) entry is one counted version-mismatch miss.
     payload["version"] = 2
     del payload["checksum"]
     path.write_text(json.dumps(payload, sort_keys=True, indent=1))
-    assert store.get(spec) is not None
-    assert store.corrupt_reads == 0
-    # ...but a v3 entry without its checksum is defective.
+    assert store.get(spec) is None
+    assert store.corrupt_reads == 1
+    assert "version mismatch (entry 2, want 3)" in capsys.readouterr().err
+    assert "version mismatch" in dict(store.fsck().problems)[path.name]
+    # ...and so is a current entry without its checksum.
     payload["version"] = STORE_VERSION
     path.write_text(json.dumps(payload, sort_keys=True, indent=1))
     assert store.get(spec) is None
-    assert store.corrupt_reads == 1
+    assert store.corrupt_reads == 2
+    # The executor counts the same miss, re-simulates and rewrites it.
+    (again,) = Executor(jobs=1, store=store).run([spec])
+    assert dataclasses.asdict(again) == dataclasses.asdict(original)
+    assert store.get(spec) is not None and store.corrupt_reads == 3
 
 
 def test_fsck_detects_and_prunes(tmp_path, capsys):
@@ -1093,6 +1099,44 @@ def test_fsck_cli_detects_then_prunes(tmp_path):
     assert len(reports) == 3
     assert all(r["kind"] == "fsck" for r in reports)
     assert reports[1]["report"]["pruned"] == [victim.name]
+
+
+def test_fsck_of_a_missing_cache_dir_fails_and_creates_nothing(tmp_path,
+                                                              capsys):
+    from repro.exec.__main__ import main
+
+    missing = tmp_path / "no" / "such" / "dir"
+    assert main(["fsck", "--cache-dir", str(missing)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"fsck: no cache directory at {missing}\n"
+    assert "clean" not in captured.out
+    assert not (tmp_path / "no").exists()
+
+
+@pytest.mark.parametrize("where", ["shard", "ckpt", "workloads"])
+def test_fsck_lists_and_prunes_a_dead_writers_temp(tmp_path, capsys, where):
+    """A temp whose writer died is listed by fsck and removed by
+    ``--prune``, wherever a cache writer puts one."""
+    from repro.exec.__main__ import main
+
+    cache = tmp_path / "cache"
+    temp = cache / {
+        "shard": f"ab/.ab{'0' * 62}.json.999999999.tmp",
+        "ckpt": f"ckpt/{'f' * 16}/.000000000700.ckpt.999999999.tmp",
+        "workloads": "workloads/.swim-2000-0123456789abcdef.mar.999999999.tmp",
+    }[where]
+    temp.parent.mkdir(parents=True)
+    temp.write_bytes(b"partial")
+    fsck = ["fsck", "--cache-dir", str(cache)]
+
+    main(fsck)
+    assert temp.name in capsys.readouterr().out
+    assert temp.exists()
+    main(fsck + ["--prune"])
+    assert temp.name in capsys.readouterr().out
+    assert not temp.exists()
+    assert main(fsck) == 0
+    assert temp.name not in capsys.readouterr().out
 
 
 def test_fsck_audits_every_queue_and_prunes_finished_sweeps(tmp_path,

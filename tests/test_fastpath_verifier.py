@@ -8,6 +8,10 @@ agreement *necessary* cannot silently erode.
 """
 
 import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -21,7 +25,6 @@ from repro.analysis.fastpath import (
 from repro.core.simulation import build_machine
 from repro.cpu import codecache
 from repro.cpu.fastpath import (
-    EMITTER_VERSION,
     GUARDS,
     STATE_OF_BINDING,
     emit_replay_source,
@@ -206,29 +209,49 @@ def test_verify_rejects_unparseable_source():
     assert any(rule == "SIM801" for rule, _, _ in findings)
 
 
-# -- codecache versioning (satellite: emitter version in the SHA key) ----------
+# -- the code memo: one code object per source, compiled once ------------------
 
-def test_codecache_version_partitions_the_key(tmp_path, monkeypatch):
-    monkeypatch.setattr(codecache, "cache_dir", lambda: tmp_path)
-    codecache._MEMO.clear()
+def test_codecache_compiles_each_source_once(monkeypatch):
+    compiled = []
+    real_compile = compile
+
+    def counting_compile(source, filename, mode):
+        compiled.append(source)
+        return real_compile(source, filename, mode)
+
+    monkeypatch.setattr("builtins.compile", counting_compile)
     source = "def f():\n    return 41\n"
-    code_v0 = codecache.load_or_compile(source, "<test>", version=0)
-    code_v1 = codecache.load_or_compile(source, "<test>", version=1)
-    assert codecache._path_for(source, 0) != codecache._path_for(source, 1)
-    assert (0, source) in codecache._MEMO and (1, source) in codecache._MEMO
-    ns0, ns1 = {}, {}
-    exec(code_v0, ns0)
-    exec(code_v1, ns1)
-    assert ns0["f"]() == ns1["f"]() == 41
+    codecache._MEMO.pop(source, None)
+    first = codecache.load_or_compile(source, "<test>")
+    assert codecache.load_or_compile(source, "<test>") is first
+    assert compiled == [source]
+    namespace = {}
+    exec(first, namespace)
+    assert namespace["f"]() == 41
 
 
-def test_speculator_compiles_under_current_emitter_version():
+def test_speculator_shares_one_code_object_per_source():
     _, hierarchy = build_machine(None, None, MemoryImage())
     source, _ = emit_replay_source(hierarchy, "load")
-    codecache.load_or_compile(
-        source, "<repro.cpu.fastpath>", version=EMITTER_VERSION
-    )
-    assert (EMITTER_VERSION, source) in codecache._MEMO
+    code = codecache.load_or_compile(source, "<repro.cpu.fastpath>")
+    assert codecache._MEMO[source] is code
+    _, other = build_machine(None, None, MemoryImage())
+    again, _ = emit_replay_source(other, "load")
+    assert again == source
+    assert codecache.load_or_compile(again, "<repro.cpu.fastpath>") is code
+
+
+def test_simulation_writes_no_code_to_disk(tmp_path):
+    """Generated code lives in the process only: a fresh interpreter's
+    fast-path run leaves its workload under the cache root and nothing
+    else."""
+    env = dict(os.environ, REPRO_CACHE_DIR=str(tmp_path),
+               PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", "run", "swim", "GHB", "--n", "1500",
+         "--no-cache"], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["workloads"]
 
 
 # -- the standalone marker ----------------------------------------------------

@@ -609,24 +609,6 @@ def test_pending_fleet_spec_is_adopted_as_shared_work(service):
         {spec.content_hash: 1}
 
 
-def test_load_entry_falls_through_to_the_flat_layout(service, monkeypatch):
-    """A shard entry that verifies but fails to read is not a miss.
-
-    The flat-layout entry must still be probed — returning None would
-    surface a WAL-promised result as a spurious failure.
-    """
-    spec = _spec()
-    service.store.put(spec, spec.execute())
-    os.replace(service.store.shard_path(spec.content_hash),
-               service.store.flat_path(spec.content_hash))
-    # Make verify pass for both paths: the shard read now fails (the
-    # file is gone) and must fall through to the flat entry.
-    monkeypatch.setattr(service.store, "verify_entry", lambda path: None)
-    entry = service.server._load_entry(spec.content_hash)
-    assert entry is not None
-    assert entry["result"]
-
-
 def test_two_clients_share_inflight_work_exactly_once(service):
     """The tentpole invariant: overlap is shared, never re-simulated.
 
@@ -815,45 +797,51 @@ def test_cli_serve_kill_worker_chaos_converges_bit_identically(tmp_path):
             server.kill()
 
 
-# -- sharded store & migration -------------------------------------------------
+# -- sharded store ----------------------------------------------------------------
 
-def test_store_shards_new_entries_and_reads_flat_layout(tmp_path):
-    store = ResultStore(tmp_path / "cache")
-    spec = _spec()
-    result = spec.execute()
-    store.put(spec, result)
-    sharded = store.shard_path(spec.content_hash)
-    assert sharded.exists()
-    assert sharded.parent.name == spec.content_hash[:2]
-    # A flat (pre-shard) entry is read transparently.
-    flat_spec = _spec("VC")
-    store.put(flat_spec, flat_spec.execute())
-    moved_to_flat = store.flat_path(flat_spec.content_hash)
-    os.replace(store.shard_path(flat_spec.content_hash), moved_to_flat)
-    assert store.get(flat_spec) is not None
-    assert len(store) == 2
-
-
-def test_fsck_migrate_is_idempotent_and_counts_flat_entries(tmp_path):
+def test_store_shards_entries_and_a_root_entry_is_misfiled(tmp_path, capsys):
     store = ResultStore(tmp_path / "cache")
     spec = _spec()
     store.put(spec, spec.execute())
-    os.replace(store.shard_path(spec.content_hash),
-               store.flat_path(spec.content_hash))
+    sharded = store.shard_path(spec.content_hash)
+    assert sharded.exists()
+    assert sharded.parent.name == spec.content_hash[:2]
+    # An entry at the store root (the pre-shard layout) is never read:
+    # a plain miss for get, a misfiled-entry defect for fsck.
+    root_spec = _spec("VC")
+    store.put(root_spec, root_spec.execute())
+    at_root = store.root / f"{root_spec.content_hash}.json"
+    os.replace(store.shard_path(root_spec.content_hash), at_root)
+    assert store.get(root_spec) is None and store.corrupt_reads == 0
+    assert len(store) == 1
+    assert "misfiled" in store.verify_entry(at_root)
 
     report = store.fsck()
-    assert report.flat_entries == 1 and not report.problems
+    assert report.scanned == 2 and report.ok == 1
+    assert "store root" in dict(report.problems)[at_root.name]
+    assert store.fsck(prune=True).pruned == [at_root.name]
+    assert not at_root.exists() and store.fsck().clean
 
-    report = store.fsck(migrate=True)
-    assert report.migrated == 1 and report.flat_entries == 0
-    assert store.shard_path(spec.content_hash).exists()
-    assert not store.flat_path(spec.content_hash).exists()
-    assert store.get(spec) is not None
 
-    # Idempotent: a second migrate moves nothing and changes nothing.
-    report = store.fsck(migrate=True)
-    assert report.migrated == 0 and report.flat_entries == 0
-    assert not report.problems
+def test_fsck_migrate_is_plain_fsck(tmp_path, capsys):
+    from repro.exec.__main__ import main
+
+    store = ResultStore(tmp_path / "cache")
+    spec = _spec()
+    store.put(spec, spec.execute())
+    at_root = store.root / f"{spec.content_hash}.json"
+    at_root.write_bytes(store.shard_path(spec.content_hash).read_bytes())
+    fsck = ["fsck", "--cache-dir", str(store.root)]
+
+    for extra in ([], ["--migrate"]):
+        assert main(fsck + extra) == 1
+        assert "misfiled" in capsys.readouterr().out
+        assert at_root.exists()
+    assert main(fsck + ["--migrate", "--prune"]) == 0
+    assert not at_root.exists()
+    for extra in ([], ["--migrate"]):
+        assert main(fsck + extra) == 0
+        assert "store is clean" in capsys.readouterr().out
 
 
 def test_misfiled_shard_entry_is_a_defect(tmp_path):

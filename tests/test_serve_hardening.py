@@ -21,6 +21,7 @@ fleet/store unit level (the WAL arithmetic), once through a live server
 """
 
 import dataclasses
+import errno
 import json
 import os
 import subprocess
@@ -34,9 +35,9 @@ import pytest
 from repro.exec import ResultStore, RunSpec, journal
 from repro.exec.faults import (
     FaultPlan,
-    maybe_disk_full,
     parse_fault_spec,
     set_active_plan,
+    should_fill_disk,
     should_poison,
 )
 from repro.exec.policy import FailedRun, RetryPolicy
@@ -100,13 +101,11 @@ def test_bad_poison_prefix_is_rejected_at_parse_time():
 
 def test_disk_full_fires_once_per_fault_key():
     plan = parse_fault_spec("disk-full:1.0,seed=3")
-    with pytest.raises(OSError) as err:
-        maybe_disk_full(plan, "put:" + HASH_A, 1)
-    assert err.value.errno == 28  # ENOSPC
+    assert should_fill_disk(plan, "put:" + HASH_A, 1)
     # The retry of the same write is clean: disk-full is a one-shot
     # per key, so chaos runs converge instead of wedging on a write
     # that can never land.
-    maybe_disk_full(plan, "put:" + HASH_A, 2)
+    assert not should_fill_disk(plan, "put:" + HASH_A, 2)
 
 
 # -- lease budget arithmetic ---------------------------------------------------
@@ -221,8 +220,9 @@ def test_store_put_under_disk_full_leaves_no_torn_entry(tmp_path):
     result = spec.execute()
     set_active_plan(parse_fault_spec("disk-full:1.0,seed=1"))
     try:
-        with pytest.raises(OSError):
+        with pytest.raises(OSError) as err:
             store.put(spec, result, fault_attempt=1)
+        assert err.value.errno == errno.ENOSPC
         # Fail-clean: no entry, and no stranded temp for fsck to find.
         assert store.get(spec) is None
         assert not list((tmp_path / "cache").rglob("*.tmp"))
