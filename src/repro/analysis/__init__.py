@@ -18,9 +18,8 @@ The rule families (catalogue in ``docs/analysis.md``):
 * **SIM5xx** observability wiring (whole tree) — orphan stats, dynamic
   span names.
 * **SIM6xx** robustness discipline (sim path + ``repro.exec``) —
-  swallowed exceptions that should propagate or become ``FailedRun``s;
-  plus event-loop discipline for ``repro.serve`` — blocking calls in
-  ``async def`` bodies that would stall every connected client.
+  swallowed exceptions that should propagate or become ``FailedRun``s,
+  trapped interrupts; plus unbounded buffers in ``repro.serve``.
 * **SIM7xx** hot-path performance lint (sim-path packages) — allocation,
   unhoisted attribute chains, and per-iteration frames inside functions
   marked ``@hotpath``.
@@ -39,7 +38,6 @@ from __future__ import annotations
 
 # Importing the rule modules registers their rules.
 from repro.analysis import (  # noqa: F401
-    asyncrules,
     contract,
     determinism,
     fastpath,

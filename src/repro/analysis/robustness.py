@@ -29,12 +29,21 @@ methodological rot the paper warns about.
   shutdown manager / :class:`~repro.exec.shutdown.SweepInterrupted` are
   sanctioned; anything else needs an
   ``# simlint: allow[SIM602] <reason>``.
+
+* SIM605 ``unbounded-queue`` — constructing an unbounded buffer in
+  :mod:`repro.serve`: ``asyncio.Queue()`` (or ``queue.Queue``/
+  ``LifoQueue``/``PriorityQueue``) without a ``maxsize``, or a
+  ``deque()`` without a ``maxlen``.  A service that buffers without
+  bound converts overload into memory growth — the failure mode
+  admission control exists to prevent — so every buffer either states
+  its bound or carries an ``# simlint: allow[SIM605] <reason>``
+  justifying *why* its growth is bounded elsewhere.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 from repro.analysis.contract import _rule
 from repro.analysis.core import (
@@ -178,4 +187,59 @@ def check_trapped_interrupt(
                 "the operator — re-raise it, raise SweepInterrupted, "
                 "or justify with an allow comment",
             ))
+    return found
+
+
+#: Queue classes whose constructor takes ``maxsize`` (0 = unbounded).
+_QUEUE_TYPES = frozenset({"Queue", "LifoQueue", "PriorityQueue"})
+
+#: Modules the queue/deque constructors are expected to hang off.
+_QUEUE_MODULES = frozenset({"asyncio", "queue", "collections"})
+
+
+def _unbounded_reason(call: ast.Call) -> Optional[str]:
+    """Why ``call`` builds an unbounded buffer, or None when it doesn't."""
+    func = call.func
+    if isinstance(func, ast.Name):
+        name = func.id
+    elif (isinstance(func, ast.Attribute)
+          and isinstance(func.value, ast.Name)
+          and func.value.id in _QUEUE_MODULES):
+        name = func.attr
+    else:
+        return None
+    if name == "deque":
+        # maxlen is the second positional or the keyword.
+        if len(call.args) >= 2 or any(
+                kw.arg == "maxlen" for kw in call.keywords):
+            return None
+        return "deque() without maxlen"
+    if name in _QUEUE_TYPES:
+        # maxsize is the first positional or the keyword.
+        if call.args or any(kw.arg == "maxsize" for kw in call.keywords):
+            return None
+        return f"{name}() without maxsize"
+    return None
+
+
+@rule("SIM605", "unbounded-queue", ("serve",),
+      "buffers in repro.serve must state their bound: asyncio/queue "
+      "Queues take maxsize, deques take maxlen; a bound enforced "
+      "elsewhere needs an allow[] justification")
+def check_unbounded_queue(
+    module: SourceModule, modules: Sequence[SourceModule]
+) -> List[Violation]:
+    found = []
+    for node in ast.walk(module.tree):
+        if not isinstance(node, ast.Call):
+            continue
+        reason = _unbounded_reason(node)
+        if reason is None:
+            continue
+        found.append(make_violation(
+            _rule("SIM605"), module, node,
+            f"{reason} buffers without bound, turning overload into "
+            "silent memory growth; pass an explicit bound or justify "
+            "with allow[SIM605] why growth is capped elsewhere",
+        ))
     return found

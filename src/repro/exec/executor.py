@@ -69,7 +69,6 @@ from typing import (
     Any,
     Callable,
     Dict,
-    Iterable,
     Iterator,
     List,
     Mapping,
@@ -93,14 +92,8 @@ from repro.exec.faults import (
     maybe_corrupt_store_entry,
     should_kill_orchestrator,
 )
-from repro.exec.fleet import (
-    FAILURE_KINDS,
-    KIND_QUARANTINE,
-    Fleet,
-    FleetSnapshot,
-)
+from repro.exec.fleet import KIND_QUARANTINE, Fleet, FleetSnapshot
 from repro.exec.journal import (
-    KIND_DONE,
     KIND_ENQUEUE,
     KIND_INTERRUPTED,
     KIND_REQUEUE,
@@ -420,8 +413,9 @@ class Executor:
             self._journal = SweepJournal(fleet.queue_path, plan=self.faults,
                                          seq=snap.lines)
             try:
-                _enqueue(self._journal, (spec for key, spec in unique.items()
-                                         if key not in snap.enqueued))
+                _enqueue(self._journal, {key: spec.describe()
+                                         for key, spec in unique.items()
+                                         if key not in snap.enqueued})
                 yield snap
             finally:
                 self._journal = None
@@ -557,11 +551,10 @@ class Executor:
         there is none).  ``min(jobs, n)`` workers run
         :func:`run_attempts` under this executor's policy, store each
         result and append its resolution to the queue.  The driver
-        tails the queue and absorbs every resolution; a ``done`` whose
-        entry does not read back is requeued, as the sweep server's
-        watcher does.  Workers, the lease book and any temporary
-        directory go with the batch on every exit through Python (see
-        docs/executor.md).
+        waits with :meth:`Fleet.tail`, as every sweep-server submission
+        does, and absorbs each resolution.  Workers, the lease book and
+        any temporary directory go with the batch on every exit through
+        Python (see docs/executor.md).
         """
         from repro.exec.worker import POLL_SECONDS, Supervisor, Worker
 
@@ -569,13 +562,14 @@ class Executor:
         journal = (self._journal if self._journal is not None else
                    SweepJournal(Path(tempfile.mkdtemp(prefix="repro-jobs-"))
                                 / "queue.jsonl", plan=self.faults))
+        by_hash = {spec.content_hash: spec for spec in specs}
+        waiting = {key: spec.describe() for key, spec in by_hash.items()}
         if private:
-            _enqueue(journal, specs)
+            _enqueue(journal, waiting)
         fleet = Fleet(journal.path.parent, max_leases=self.policy.max_leases)
         store = (self.store if self.store is not None
                  else ResultStore(fleet.root / "store"))
         total = len(specs)
-        waiting = {spec.content_hash: spec for spec in specs}
         offset = fleet.queue_path.stat().st_size
         supervisor = Supervisor(
             fleet,
@@ -587,38 +581,28 @@ class Executor:
         )
 
         def absorb() -> bool:
-            """Absorb the resolutions past ``offset``; True if any."""
+            """Absorb the resolutions past ``offset``; True if it moved."""
             nonlocal offset
-            records, offset = log.read_tail(fleet.queue_path, offset)
-            for record in records:
-                key = str(record.get("spec", ""))
-                spec = waiting.get(key)
-                kind = record.get("kind")
-                if spec is None:
-                    continue
-                if kind == KIND_DONE:
-                    result = store.get(spec)
-                    if result is None:
-                        # A broken promise, not a verdict: the entry did
-                        # not read back, so the fleet simulates it afresh.
-                        journal.append(KIND_REQUEUE, spec=key,
-                                       payload=spec.describe())
-                        continue
-                    del waiting[key]
-                    self._count(record)
-                    self._absorb(spec, result, SOURCE_SIMULATED,
+            start = offset
+            resolutions, offset = fleet.tail(
+                offset, waiting, lambda key: store.get(by_hash[key]))
+            for resolution in resolutions:
+                key, record = resolution.spec_hash, resolution.record
+                spec = by_hash[key]
+                del waiting[key]
+                self._count(record)
+                if resolution.result is not None:
+                    self._absorb(spec, resolution.result, SOURCE_SIMULATED,
                                  float(record.get("seconds", 0.0)),
                                  total - len(waiting), total)
                     self._maybe_kill_orchestrator(key)
-                elif (kind in FAILURE_KINDS
-                      and isinstance(record.get("failure"), dict)):
-                    del waiting[key]
-                    self._count(record)
-                    self.telemetry.quarantined += kind == KIND_QUARANTINE
-                    self._absorb_failure(
-                        spec, FailedRun.from_dict(record["failure"]),
-                        total - len(waiting), total)
-            return bool(records)
+                    continue
+                self.telemetry.quarantined += (
+                    record.get("kind") == KIND_QUARANTINE)
+                self._absorb_failure(
+                    spec, FailedRun.from_dict(record["failure"]),
+                    total - len(waiting), total)
+            return offset != start
 
         def teardown() -> None:
             supervisor.stop()
@@ -772,8 +756,8 @@ class Executor:
         return grid
 
 
-def _enqueue(journal: SweepJournal, specs: Iterable[RunSpec]) -> None:
-    """Append one claimable ``enqueue`` record per spec."""
-    for spec in specs:
-        journal.append(KIND_ENQUEUE, spec=spec.content_hash,
-                       payload=spec.describe())
+def _enqueue(journal: SweepJournal,
+             payloads: Mapping[str, Dict[str, Any]]) -> None:
+    """Append one claimable ``enqueue`` record per spec payload."""
+    for key, payload in payloads.items():
+        journal.append(KIND_ENQUEUE, spec=key, payload=payload)

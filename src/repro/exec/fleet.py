@@ -24,8 +24,9 @@ replay that skips unreadable lines):
     appends ``enqueue``/``requeue``/``expired``, plus the resolutions
     it serves without a worker and a sweep driver's ``interrupted``;
     workers append ``done``/``failed``; whichever claimant trips the
-    lease bound appends ``quarantine``; the submitter tails the file to
-    learn of resolutions.  Replay is last-record-wins per spec.
+    lease bound appends ``quarantine``; the submitter tails the file
+    with :meth:`Fleet.tail` to learn of resolutions.  Replay is
+    last-record-wins per spec.
 
 ``leases.jsonl``
     Who is working on what.  ``lease`` records carry the worker id, a
@@ -77,7 +78,8 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
-    Any, ContextManager, Dict, Iterable, List, Optional, Set, Tuple, Union,
+    Any, Callable, ContextManager, Dict, Iterable, List, Mapping, Optional,
+    Set, Tuple, Union,
 )
 
 from repro.exec import journal
@@ -124,6 +126,19 @@ class Claim:
 
 #: Queue kinds that resolve a spec as a FailedRun hole.
 FAILURE_KINDS = (KIND_FAILED, KIND_QUARANTINE, KIND_EXPIRED)
+
+
+@dataclass(frozen=True)
+class Resolution:
+    """How one awaited spec resolved, as :meth:`Fleet.tail` read it."""
+
+    spec_hash: str
+    #: The resolving queue record: a ``done`` (with the worker's
+    #: ``seconds`` and cost counters) or one of :data:`FAILURE_KINDS`
+    #: (with its ``failure`` payload).
+    record: Dict[str, Any]
+    #: What the caller's reader returned for a ``done``; None for a hole.
+    result: Any = None
 
 
 @dataclass
@@ -314,6 +329,47 @@ class Fleet:
             return False
         _append(self.lease_path, KIND_RELEASE, spec=spec_hash, worker=worker)
         return True
+
+    def tail(
+        self,
+        offset: int,
+        awaited: Mapping[str, Dict[str, Any]],
+        read: Callable[[str], Any],
+    ) -> Tuple[List[Resolution], int]:
+        """Resolutions of ``awaited`` specs appended past byte ``offset``.
+
+        The one way a submitter waits on the fleet: the ``--jobs N``
+        driver and every sweep-server submission poll this.
+        ``awaited`` maps each hash the caller still waits on to its
+        payload.  A ``done`` resolves only when ``read(spec_hash)``
+        returns the result it promised; one that reads None is a broken
+        promise, not a verdict, so :meth:`requeue` reopens the spec and
+        the fleet simulates it afresh (the quarantine bound caps how
+        often a rotting entry can recycle).  A failure record resolves
+        its spec as a hole.  Each hash resolves at most once per call;
+        the caller drops resolved hashes from ``awaited``.  Returns the
+        resolutions in queue order and the offset to tail from next.
+        """
+        records, offset = journal.read_tail(self.queue_path, offset)
+        resolved: List[Resolution] = []
+        seen: Set[str] = set()
+        for record in records:
+            spec = str(record.get("spec", ""))
+            if spec not in awaited or spec in seen:
+                continue
+            kind = record.get("kind")
+            result = None
+            if kind == KIND_DONE:
+                result = read(spec)
+                if result is None:
+                    self.requeue({spec: awaited[spec]})
+                    continue
+            elif (kind not in FAILURE_KINDS
+                  or not isinstance(record.get("failure"), dict)):
+                continue
+            seen.add(spec)
+            resolved.append(Resolution(spec, record, result))
+        return resolved, offset
 
     # -- transactions ----------------------------------------------------------
 
@@ -571,10 +627,10 @@ class Fleet:
     def expire_deadlines(self, now: Optional[float] = None) -> List[str]:
         """Resolve every pending, unleased spec whose deadline passed.
 
-        The server's half of deadline propagation: called from the
-        watcher so undispatched work expires even when no worker ever
-        shows up to trip the check in :meth:`claim`.  Returns the
-        hashes expired.
+        The server's half of deadline propagation: a submission's
+        handler calls it once its deadline has passed, so undispatched
+        work expires even when no worker ever shows up to trip the
+        check in :meth:`claim`.  Returns the hashes expired.
         """
         expired: List[str] = []
         with self._locked():

@@ -15,8 +15,8 @@ warning, because cache rot (a flaky disk, a torn write from a killed
 run, schema drift) should be visible, not absorbed.  Writes are atomic
 and durable (:func:`repro.cachedir.atomic_write`), so a worker killed
 mid-write can never leave a truncated entry under a real hash — only a
-stray ``*.tmp`` file, which reads ignore and :meth:`ResultStore.put`
-sweeps up on the next write.
+stray ``*.tmp`` file, which reads ignore and the next
+:meth:`ResultStore.put` into its shard sweeps up.
 
 Integrity: every entry embeds a SHA-256 of its result payload, verified
 on :meth:`ResultStore.get` — bit rot that still parses as JSON (a
@@ -247,22 +247,17 @@ class ResultStore:
         path = self.path_for(spec)
         atomic_write(path, text.encode("utf-8"), durable=True,
                      disk_full=disk_full)
-        self._sweep_stale()
-        return path
-
-    def _sweep_stale(self) -> None:
-        """Drop temp files stranded by processes that no longer exist.
-
-        Temp names embed the writer's pid; a temp whose writer is gone
-        is garbage from a killed run.  Live writers' files are left
-        alone — they are about to be renamed.
-        """
-        for stray in self._stale_temps():
+        # Drop temps stranded in this shard by writers that no longer
+        # exist: a killed writer's retry puts the same spec, so its temp
+        # is here.  Live writers' temps are about to be renamed; fsck
+        # audits every shard and the root.
+        for stray in stale_temps(path.parent):
             try:
                 stray.unlink()
             # simlint: allow[SIM601] losing a race to delete garbage is harmless
             except OSError:
                 pass
+        return path
 
     def _stale_temps(self) -> List[Path]:
         """Dead writers' temp files in the shards and at the root."""

@@ -11,7 +11,9 @@ heartbeat thread renews the lease at half the TTL (:class:`_LeaseRenewer`
 — a simulation slower than the TTL must not get its spec reclaimed and
 run twice), writes the result to the content-addressed store, and only
 then appends the ``done`` record that releases the lease and tells the
-submitter the result is ready.
+submitter the result is ready.  A claimed spec whose store entry
+already reads back (its ``done`` record was torn, say) is marked done
+without simulating.
 
 A :class:`Supervisor` forks N workers over one fleet and keeps them
 serving; ``--jobs N`` and ``python -m repro.serve fleet`` both use it.
@@ -73,13 +75,14 @@ from repro.exec.store import ResultStore
 POLL_SECONDS = 0.05
 
 #: How long a drain-mode worker requires the queue to *stay* resolved
-#: before exiting, seconds.  A ``done`` record is a promise the server's
-#: watcher audits shortly after it lands; when the promised store entry
-#: is unreadable (torn by a crash or chaos) the audit requeues the spec.
-#: A worker that quit the instant the queue looked resolved could strand
-#: that requeue with no fleet left to serve it, so drain exits only
-#: after the resolution survives a settle window comfortably longer
-#: than the watcher tick.
+#: before exiting, seconds.  A ``done`` record is a promise each
+#: waiting submitter audits when its poll of the queue
+#: (:meth:`~repro.exec.fleet.Fleet.tail`) reaches it; when the promised
+#: store entry is unreadable (torn by a crash or chaos) the audit
+#: requeues the spec.  A worker that quit the instant the queue looked
+#: resolved could strand that requeue with no fleet left to serve it,
+#: so drain exits only after the resolution survives a settle window
+#: comfortably longer than the submitters' poll interval.
 DRAIN_SETTLE_SECONDS = 0.5
 
 
@@ -170,6 +173,18 @@ class Worker:
             )
             self.fleet.mark_expired(claim.spec_hash, self.worker_id)
             self.failed += 1
+            return True
+        if self.store.read_entry(
+                self.store.shard_path(claim.spec_hash))[0] is not None:
+            # Already stored (its ``done`` record was torn, say): the
+            # promise holds without simulating.
+            try:
+                self.fleet.mark_done(claim.spec_hash, self.worker_id, 0.0,
+                                     lease_count=claim.lease_count)
+            except OSError:
+                self.fleet.release(claim.spec_hash, self.worker_id)
+                return True
+            self.completed += 1
             return True
         # The heartbeat spans the simulation *and* the store/resolve
         # writes after it, so the lease cannot lapse between finishing

@@ -6,10 +6,11 @@ content-addressed :class:`~repro.exec.store.ResultStore`, write-ahead
 journals, deterministic chaos — promoted into a distributed job
 system:
 
-* :mod:`repro.serve.server` — an asyncio front-end
+* :mod:`repro.serve.server` — a threaded front-end
   (``python -m repro.serve``) accepting sweep submissions over a unix
-  socket (and optional TCP) and streaming per-spec results and
-  progress back to every subscriber;
+  socket and streaming per-spec results and progress back to each
+  submitter, which waits on the fleet's queue exactly as the
+  ``--jobs N`` driver does (:meth:`repro.exec.fleet.Fleet.tail`);
 * the worker fleet — N independent worker processes (any hosts sharing
   the cache directory) leasing specs through flock-guarded
   transactions over queue/lease WALs (:mod:`repro.exec.fleet`,
@@ -23,9 +24,10 @@ system:
   travel by hash-verified value).
 
 The headline is **multi-client in-flight dedupe**: overlapping sweeps
-submitted by different clients share work *while it runs* — each spec
-hash is simulated at most once fleet-wide and every subscriber receives
-the result — not merely after it lands in the store.
+submitted by different clients share work *while it runs* — the fleet
+queue takes each spec hash once, so it is simulated at most once
+fleet-wide and every submission waiting on it receives the result —
+not merely after it lands in the store.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from __future__ import annotations
 from repro.lazy import lazy_exports
 
 # Resolved on first use (:mod:`repro.lazy`): a ``--serve`` client loads
-# the client and the wire format, never the asyncio server.
+# the client and the wire format, never the server.
 _EXPORTS = {
     "PROTOCOL_VERSION": "repro.serve.protocol",
     "ProtocolError": "repro.serve.protocol",

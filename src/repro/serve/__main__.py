@@ -3,7 +3,6 @@
 Examples::
 
     python -m repro.serve                     # server on <cache>/serve/serve.sock
-    python -m repro.serve server --host 127.0.0.1 --port 7841   # + TCP
     python -m repro.serve server --max-queue 64 --max-client-inflight 32
     python -m repro.serve worker --drain      # one worker, exit when drained
     python -m repro.serve fleet --workers 4   # four forked workers, supervised
@@ -35,8 +34,8 @@ to a serial run, quarantine correctness and a clean fsck.
 from __future__ import annotations
 
 import argparse
-import asyncio
 import os
+import signal
 import sys
 import time
 from typing import List, Optional
@@ -53,16 +52,21 @@ def _store_and_fleet(args: argparse.Namespace) -> "tuple[ResultStore, Fleet]":
 
 
 def _cmd_server(args: argparse.Namespace) -> int:
+    # SIGINT stops the server, even one started in the background of a
+    # non-interactive shell, which inherits the signal ignored.
+    signal.signal(signal.SIGINT, signal.default_int_handler)
     store, fleet = _store_and_fleet(args)
     server = SweepServer(
         store, fleet,
-        socket_path=args.socket, host=args.host, port=args.port,
+        socket_path=args.socket,
         max_queue=args.max_queue,
         max_client_inflight=args.max_client_inflight,
         retry_after=args.retry_after,
     )
     try:
-        asyncio.run(server.serve())
+        print(f"serve: listening on unix:{server.socket_path}",
+              file=sys.stderr, flush=True)
+        server.serve_forever()
     except KeyboardInterrupt:
         print(
             f"serve: shutting down ({server.leased_total} leased, "
@@ -72,6 +76,8 @@ def _cmd_server(args: argparse.Namespace) -> int:
             f"{server.expired_total} expired over this lifetime)",
             file=sys.stderr,
         )
+    finally:
+        server.server_close()
     return 0
 
 
@@ -203,10 +209,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--socket", default=None, metavar="PATH",
                         help="unix socket to listen on (server; default "
                              "<cache>/serve/serve.sock)")
-    parser.add_argument("--host", default=None,
-                        help="also listen on TCP host (server; needs --port)")
-    parser.add_argument("--port", type=int, default=None,
-                        help="TCP port for --host (server)")
     parser.add_argument("--ttl", type=float, default=DEFAULT_LEASE_TTL,
                         help="lease TTL in seconds (worker/fleet; must "
                              f"exceed one simulation's wall time; default "
@@ -272,8 +274,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="keep the soak scratch directory for "
                              "post-mortems")
     args = parser.parse_args(argv)
-    if (args.host is None) != (args.port is None):
-        parser.error("--host and --port go together")
     if args.subcommand == "worker":
         return _cmd_worker(args)
     if args.subcommand == "fleet":

@@ -85,38 +85,28 @@ class SubmitOutcome:
 
 
 class SweepClient:
-    """One submission per connection over unix socket or TCP."""
+    """One submission per connection over the server's unix socket."""
 
     def __init__(
         self,
-        socket_path: Optional[str] = None,
-        host: Optional[str] = None,
-        port: Optional[int] = None,
+        socket_path: str,
         client_id: str = "client",
         timeout: Optional[float] = DEFAULT_TIMEOUT,
     ) -> None:
-        if socket_path is None and (host is None or port is None):
-            raise ValueError("need a unix socket path or host+port")
         self.socket_path = socket_path
-        self.host = host
-        self.port = port
         self.client_id = client_id
         self.timeout = timeout
 
     def _connect(self) -> socket.socket:
+        conn = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        conn.settimeout(self.timeout)
         try:
-            if self.socket_path is not None:
-                conn = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-                conn.settimeout(self.timeout)
-                conn.connect(self.socket_path)
-            else:
-                conn = socket.create_connection(
-                    (self.host, self.port), timeout=self.timeout
-                )
+            conn.connect(self.socket_path)
         except OSError as exc:
-            target = self.socket_path or f"{self.host}:{self.port}"
+            conn.close()
             raise ServeUnavailable(
-                f"cannot reach the sweep service at {target}: {exc}"
+                f"cannot reach the sweep service at {self.socket_path}: "
+                f"{exc}"
             ) from None
         return conn
 
@@ -255,18 +245,14 @@ class ServeExecutor(Executor):
 
     def __init__(
         self,
-        socket_path: Optional[str] = None,
-        host: Optional[str] = None,
-        port: Optional[int] = None,
+        socket_path: str,
         client_id: str = "client",
         deadline: Optional[float] = None,
         **kwargs: object,
     ) -> None:
         super().__init__(**kwargs)  # type: ignore[arg-type]
-        self.client = SweepClient(
-            socket_path=socket_path, host=host, port=port,
-            client_id=client_id,
-        )
+        self.client = SweepClient(socket_path=socket_path,
+                                  client_id=client_id)
         #: Relative seconds granted per submission; converted to the
         #: absolute wire deadline at submit time.  None = no deadline.
         self.deadline = deadline

@@ -38,8 +38,9 @@ Server to client::
 ``result``/``failed`` stream as specs resolve, in resolution order (not
 submission order — the client reorders by hash); ``complete`` is always
 the final message of a successful submission.  ``overloaded`` is
-admission control's whole vocabulary: the server's in-flight table is
-at capacity (or this client has too much outstanding), nothing was
+admission control's whole vocabulary: the live submissions await as
+many hashes as the server admits (or this client has too much
+outstanding), nothing was
 reserved, and the client should retry after the quoted deterministic
 ``retry_after`` — it closes the connection like ``error`` does, but it
 is an invitation, not a verdict.  ``deadline`` is an absolute

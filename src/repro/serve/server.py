@@ -1,60 +1,51 @@
-"""The asyncio front-end: submissions in, deduped fleet work out.
+"""The sweep server: one thread per submission, waiting on the fleet queue.
 
-One server process owns the **in-flight table**: a map from spec
-content hash to the list of live subscriptions wanting its result.
-That table is what turns overlapping submissions into shared work —
-the headline of the service.  When a submission arrives, each of its
-hashes is resolved in this order, and the reservation step happens
-*synchronously inside the event loop* (no ``await`` between check and
-insert), so two clients racing the same hash can never both enqueue it:
+:class:`SweepServer` listens on a unix socket
+(:class:`socketserver.ThreadingUnixStreamServer`, one daemon thread per
+connection).  A connection carries one submission — one ``submit``
+line of spec payloads — and streams its answers back on the same
+socket.  Each submitted hash resolves in this order:
 
-1. **in-flight** — some earlier submission already owns the hash: this
-   one subscribes and will receive the same result (``shared``);
-2. **store** — the shared content-addressed store already has it
-   (``store`` hits, checked off the event loop);
-3. **fleet** — the hash is enqueued exactly once to the fleet queue
-   (``leased``); whichever worker claims it resolves every subscriber.
+1. **store** — the shared content-addressed store already holds a
+   verified entry (``store`` hit);
+2. **fleet** — the hash is enqueued (``leased``).
+   :meth:`~repro.exec.fleet.Fleet.enqueue` skips, under the fleet lock,
+   any hash already on the queue, which is what turns overlapping
+   submissions into shared work: a skipped hash still pending is
+   ``shared`` (whichever worker claims it resolves every submission
+   waiting on it), and one already resolved is answered or reopened
+   from a fleet snapshot (:meth:`SweepServer._adopt_skipped`).
 
-Results come back through the queue WAL, not a side channel: a watcher
-task tails ``queue.jsonl`` by byte offset (complete lines only) and, on
-every ``done``/``failed`` record, reads the result from the store and
-streams one ``result``/``failed`` message — payload, wall seconds,
-per-submission progress — to every subscriber.  A
-submission whose last hash resolves gets a final ``complete`` message
-carrying its dedupe accounting.
-
-Every blocking operation — store reads, WAL tails, flock-guarded
-enqueues — is offloaded with ``asyncio.to_thread``; nothing on the
-event loop touches a file.  simlint's SIM604 rule holds this module to
-that (see :mod:`repro.analysis.asyncrules`).
+Results come back through the queue, not a side channel: the handler
+waits exactly as the ``--jobs N`` driver does, polling
+:meth:`~repro.exec.fleet.Fleet.tail` from the queue offset it recorded
+before looking anything up, and streams one ``result``/``failed`` line
+per resolution — payload, wall seconds, per-submission progress — then
+a final ``complete`` carrying its dedupe accounting.
 
 Production hardening (see docs/service.md, "Overload, poison specs &
-deadlines"): admission control sheds submissions with a deterministic
-``overloaded`` retry hint when the in-flight table is at its watermark
-(``--max-queue``) or a client exceeds its in-flight cap
-(``--max-client-inflight``); the watcher doubles as the deadline
-sweeper, expiring undispatched work whose submission deadline passed;
-and ``quarantine``/``expired`` queue records stream to subscribers as
-annotated ``FailedRun`` holes exactly like worker failures do.
+deadlines"): admission control sheds a submission with a deterministic
+``overloaded`` retry hint while the live submissions await
+``--max-queue`` hashes or more, or when its client would exceed
+``--max-client-inflight``; a handler whose submission deadline has
+passed expires the fleet's undispatched past-deadline work; and
+``quarantine``/``expired`` queue records stream as annotated
+``FailedRun`` holes exactly like worker failures do.
 """
 
 from __future__ import annotations
 
-import asyncio
+import os
+import socketserver
 import sys
+import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Set
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.exec import journal
-from repro.exec.fleet import (
-    KIND_DONE,
-    KIND_EXPIRED,
-    KIND_FAILED,
-    KIND_QUARANTINE,
-    Fleet,
-)
+from repro.exec.fleet import KIND_EXPIRED, KIND_QUARANTINE, Fleet, Resolution
 from repro.exec.store import ResultStore
 from repro.serve.protocol import (
     MSG_ACCEPTED,
@@ -69,54 +60,56 @@ from repro.serve.protocol import (
     encode_message,
 )
 
-#: How often the watcher polls the queue WAL for resolutions, seconds.
-WATCH_SECONDS = 0.05
+#: How often a waiting submission polls the queue, seconds.
+POLL_SECONDS = 0.05
 
 #: Longest accepted request line: a submission of a few thousand specs
-#: is legitimate; an unbounded line is a memory hostage.  Passed to the
-#: asyncio streams as their buffer ``limit`` — without it the reader's
-#: 64 KiB default would make ``readline`` blow up on any batch past a
-#: few dozen specs.
+#: is legitimate; an unbounded line is a memory hostage.
 MAX_LINE_BYTES = 64 << 20
 
 
 @dataclass
-class _Subscription:
-    """One submission's outstanding interest in a set of hashes."""
+class _Submission:
+    """One live submission: what it still awaits, and its accounting."""
 
     client: str
-    outbox: "asyncio.Queue[Optional[bytes]]"
-    pending: Set[str] = field(default_factory=set)
+    #: hash -> payload of every spec not yet answered.
+    awaited: Dict[str, Dict[str, Any]]
+    #: Writes one wire line to the submission's socket.
+    send: Callable[[bytes], None]
     total: int = 0
     leased: int = 0
     shared: int = 0
     store_hits: int = 0
     quarantined: int = 0
     expired: int = 0
-    finished: bool = False
 
     def progress(self) -> List[int]:
-        return [self.total - len(self.pending), self.total]
-
-    def complete_message(self) -> bytes:
-        return encode_message(
-            MSG_COMPLETE, leased=self.leased, shared=self.shared,
-            store=self.store_hits, quarantined=self.quarantined,
-            expired=self.expired,
-        )
+        return [self.total - len(self.awaited), self.total]
 
 
-class SweepServer:
-    """Accept sweep submissions; dedupe them against the fleet."""
+class SweepServer(socketserver.ThreadingUnixStreamServer):
+    """Accept sweep submissions; each waits on the fleet in its own thread.
+
+    Binds ``socket_path`` (default ``<cache>/serve/serve.sock``) on
+    construction; :meth:`serve_forever` accepts until :meth:`shutdown`
+    or a ``KeyboardInterrupt``, and :meth:`server_close` releases every
+    waiting handler without joining it, so a stopped server never waits
+    on a live submission.
+    """
+
+    daemon_threads = True
+    block_on_close = False
+    #: Connections the kernel queues before an accept (socketserver's
+    #: default of 5 refuses a burst of concurrent clients).
+    request_queue_size = 100
 
     def __init__(
         self,
         store: ResultStore,
         fleet: Fleet,
         socket_path: Optional[Path] = None,
-        host: Optional[str] = None,
-        port: Optional[int] = None,
-        watch_seconds: float = WATCH_SECONDS,
+        poll_seconds: float = POLL_SECONDS,
         max_line: int = MAX_LINE_BYTES,
         max_queue: Optional[int] = None,
         max_client_inflight: Optional[int] = None,
@@ -126,30 +119,25 @@ class SweepServer:
         self.fleet = fleet
         self.socket_path = (Path(socket_path) if socket_path is not None
                             else store.serve_dir / "serve.sock")
-        self.host = host
-        self.port = port
-        self.watch_seconds = watch_seconds
+        self.poll_seconds = poll_seconds
         self.max_line = int(max_line)
         #: Admission watermark: a submission is admitted only while the
-        #: in-flight table holds fewer than this many hashes (then its
-        #: whole batch is reserved — a watermark, not a hard size cap,
-        #: because a cap smaller than one batch could never admit it).
-        #: None = unbounded, the pre-hardening behaviour.
+        #: live submissions await fewer than this many distinct hashes
+        #: (then its whole batch is admitted — a watermark, not a hard
+        #: size cap, because a cap smaller than one batch could never
+        #: admit it).  None = unbounded.
         self.max_queue = max_queue
-        #: Per-client ceiling on outstanding (unresolved) hashes.
+        #: Per-client ceiling on outstanding (unanswered) hashes.
         self.max_client_inflight = max_client_inflight
         #: Deterministic base retry hint quoted in ``overloaded``
         #: messages; clients jitter and exponentiate from it.
         self.retry_after = float(retry_after)
-        #: hash -> subscriptions awaiting it.  Only ever touched from
-        #: the event loop, and reservation happens without awaiting.
-        self._inflight: Dict[str, List[_Subscription]] = {}
-        #: Live subscriptions, for per-client in-flight accounting.
-        self._subs: List[_Subscription] = []
-        #: hash -> absolute deadline, for hashes this server enqueued
-        #: with one; tells the watcher when a sweep is worth running.
-        self._deadlines: Dict[str, float] = {}
-        self._queue_offset = 0
+        #: Guards the live submissions (their ``awaited`` sets change
+        #: only under it) and the lifetime totals.
+        self._lock = threading.Lock()
+        self._live: List[_Submission] = []
+        #: Set by :meth:`server_close`: every waiting handler returns.
+        self._closed = threading.Event()
         # Lifetime accounting (logged on shutdown, asserted by tests).
         self.leased_total = 0
         self.shared_total = 0
@@ -157,453 +145,258 @@ class SweepServer:
         self.shed_total = 0
         self.quarantined_total = 0
         self.expired_total = 0
-
-    # -- lifecycle ------------------------------------------------------------
-
-    async def serve(self) -> None:
-        """Listen until cancelled; unix socket always, TCP when asked."""
-        await asyncio.to_thread(self._prepare_socket_dir)
-        servers = [await asyncio.start_unix_server(
-            self._handle, path=str(self.socket_path), limit=self.max_line
-        )]
-        endpoints = [f"unix:{self.socket_path}"]
-        if self.host is not None and self.port is not None:
-            servers.append(await asyncio.start_server(
-                self._handle, host=self.host, port=self.port,
-                limit=self.max_line,
-            ))
-            endpoints.append(f"tcp:{self.host}:{self.port}")
-        watcher = asyncio.ensure_future(self._watch())
-        print(f"serve: listening on {', '.join(endpoints)}", file=sys.stderr)
-        sys.stderr.flush()
-        try:
-            await asyncio.gather(*[s.serve_forever() for s in servers])
-        finally:
-            watcher.cancel()
-            for server in servers:
-                server.close()
-            await asyncio.to_thread(self._remove_socket)
-
-    def _prepare_socket_dir(self) -> None:
         self.socket_path.parent.mkdir(parents=True, exist_ok=True)
         # A stale socket from a killed server would make bind() fail.
         self.socket_path.unlink(missing_ok=True)
+        # No handler class is ever built: finish_request serves each
+        # connection itself.
+        super().__init__(str(self.socket_path),
+                         socketserver.BaseRequestHandler)
 
-    def _remove_socket(self) -> None:
+    def server_close(self) -> None:
+        """Stop listening; every waiting handler returns, unanswered."""
+        self._closed.set()
+        super().server_close()
         self.socket_path.unlink(missing_ok=True)
 
-    # -- connection handling ---------------------------------------------------
+    # -- one connection, one submission ---------------------------------------
 
-    async def _handle(
-        self,
-        reader: "asyncio.StreamReader",
-        writer: "asyncio.StreamWriter",
-    ) -> None:
-        """One connection, one submission, streamed until complete."""
-        # simlint: allow[SIM605] bounded by the submission's spec count, which admission control caps before anything is queued
-        outbox: "asyncio.Queue[Optional[bytes]]" = asyncio.Queue()
-        sender = asyncio.ensure_future(self._send_loop(writer, outbox))
+    def finish_request(self, request: Any, client_address: Any) -> None:
+        """Read one submission line and stream its answers back."""
         try:
+            with request.makefile("rb") as reader:
+                line = reader.readline(self.max_line + 1)
             try:
-                line = await reader.readline()
-            except ValueError:
-                # The reader refuses to buffer a line past its limit
-                # (it raises rather than returning a truncated line) —
-                # answer with a protocol error instead of dying and
-                # leaving the client a bare closed stream.
-                outbox.put_nowait(encode_message(
-                    MSG_ERROR,
-                    message=(f"submission line exceeds the server's "
-                             f"{self.max_line}-byte limit"),
-                ))
-                return
-            if not line:
-                return
-            try:
-                record = decode_message(line)
+                if len(line) > self.max_line:
+                    raise ProtocolError(
+                        f"submission line exceeds the server's "
+                        f"{self.max_line}-byte limit")
+                if line:
+                    self._submit(line, request.sendall)
             except ProtocolError as exc:
-                outbox.put_nowait(encode_message(MSG_ERROR, message=str(exc)))
-                return
-            if record.get("kind") != "submit":
-                outbox.put_nowait(encode_message(
-                    MSG_ERROR,
-                    message=f"unexpected message kind {record.get('kind')!r}",
-                ))
-                return
-            await self._submit(record, outbox)
-            # The watcher resolves the subscription; sending the final
-            # None (below, in _resolve) ends the sender loop.
-            await sender
-            sender = None  # type: ignore[assignment]
-        finally:
-            if sender is not None:
-                await outbox.put(None)
-                await sender
+                # Refused with its reason, not a bare closed stream.
+                request.sendall(encode_message(MSG_ERROR, message=str(exc)))
+        except ConnectionError:
+            pass  # the client went away; nothing to stream to
 
-    async def _send_loop(
-        self,
-        writer: "asyncio.StreamWriter",
-        outbox: "asyncio.Queue[Optional[bytes]]",
-    ) -> None:
-        """Drain one connection's outbox; None ends the stream."""
-        try:
-            while True:
-                message = await outbox.get()
-                if message is None:
-                    break
-                writer.write(message)
-                await writer.drain()
-        except (ConnectionError, BrokenPipeError):
-            pass  # subscriber went away; nothing to stream to
-        finally:
-            try:
-                writer.close()
-            except OSError:
-                pass
-
-    # -- submission ------------------------------------------------------------
-
-    async def _submit(
-        self,
-        record: Dict[str, Any],
-        outbox: "asyncio.Queue[Optional[bytes]]",
-    ) -> None:
+    def _submit(self, line: bytes, send: Callable[[bytes], None]) -> None:
+        record = decode_message(line)
+        if record.get("kind") != "submit":
+            raise ProtocolError(
+                f"unexpected message kind {record.get('kind')!r}")
         hashes = batch_hashes(record)
         if hashes is None:
-            outbox.put_nowait(encode_message(
-                MSG_ERROR, message="submission carries no spec payloads"))
-            outbox.put_nowait(None)
-            return
-        payloads = record["specs"]
+            raise ProtocolError("submission carries no spec payloads")
         client = str(record.get("client", "?"))
-        deadline = record.get("deadline")
-        deadline = float(deadline) if isinstance(deadline, (int, float)) \
-            else None
-        retry_failed = bool(record.get("retry_failed"))
-        unique = len(set(hashes))
-
+        awaited = dict(zip(hashes, record["specs"]))
+        sub = _Submission(client, awaited, send, total=len(awaited))
         if (self.max_client_inflight is not None
-                and unique > self.max_client_inflight):
+                and sub.total > self.max_client_inflight):
             # Bigger than the client's whole budget: retrying can never
             # help, so this is an error, not an overload.
-            outbox.put_nowait(encode_message(
-                MSG_ERROR,
-                message=(f"submission of {unique} specs exceeds the "
-                         f"per-client in-flight cap of "
-                         f"{self.max_client_inflight}"),
-            ))
-            outbox.put_nowait(None)
-            return
-        # Admission control, checked synchronously before anything is
-        # reserved (so a shed submission leaves no trace to unwind).
-        shed_why = self._admission_refusal(client, unique)
+            raise ProtocolError(
+                f"submission of {sub.total} specs exceeds the per-client "
+                f"in-flight cap of {self.max_client_inflight}")
+        # Admission and registration are one step under the lock, so
+        # two racing submissions cannot both slip under the watermark.
+        with self._lock:
+            shed_why = self._admission_refusal(client, sub.total)
+            if shed_why is None:
+                self._live.append(sub)
+            else:
+                self.shed_total += 1
         if shed_why is not None:
-            self.shed_total += 1
-            outbox.put_nowait(encode_message(
-                MSG_OVERLOADED, retry_after=self.retry_after,
-                message=shed_why,
-            ))
-            outbox.put_nowait(None)
-            print(f"serve: shed {client}: {shed_why}", file=sys.stderr)
-            sys.stderr.flush()
+            send(encode_message(MSG_OVERLOADED,
+                                retry_after=self.retry_after,
+                                message=shed_why))
+            print(f"serve: shed {client}: {shed_why}", file=sys.stderr,
+                  flush=True)
             return
-        sub = _Subscription(client=client, outbox=outbox)
-        self._subs.append(sub)
-
-        # Reservation is synchronous: between here and the end of the
-        # loop there is no await, so a concurrent submission of the
-        # same hash sees this one's reservation or none — never a torn
-        # half-reserved state that double-enqueues.
-        owned: Dict[str, Dict[str, Any]] = {}
-        for spec_hash, payload in zip(hashes, payloads):
-            if spec_hash in sub.pending:
-                continue  # in-batch duplicate
-            sub.pending.add(spec_hash)
-            waiting = self._inflight.get(spec_hash)
-            if waiting is not None:
-                waiting.append(sub)
-                sub.shared += 1
-            else:
-                self._inflight[spec_hash] = [sub]
-                owned[spec_hash] = payload
-        sub.total = len(sub.pending)
-
-        # Owned hashes: the store may already have them (a finished
-        # sweep from any client, any time); the rest go to the fleet.
-        to_enqueue: Dict[str, Dict[str, Any]] = {}
-        for spec_hash, payload in owned.items():
-            entry = await asyncio.to_thread(self._load_entry, spec_hash)
-            if entry is not None:
-                sub.store_hits += 1
-                self._resolve_done(spec_hash, entry, source="store",
-                                   seconds=0.0)
-            else:
-                to_enqueue[spec_hash] = payload
-        if to_enqueue:
-            appended = set(await asyncio.to_thread(
-                self.fleet.enqueue, to_enqueue, deadline))
-            sub.leased += len(appended)
-            if deadline is not None:
-                for spec_hash in appended:
-                    self._deadlines[spec_hash] = deadline
-            skipped = {spec_hash: payload
-                       for spec_hash, payload in to_enqueue.items()
-                       if spec_hash not in appended}
-            if skipped:
-                await self._adopt_skipped(skipped, sub, retry_failed)
-
-        self.leased_total += sub.leased
-        self.shared_total += sub.shared
-        self.store_total += sub.store_hits
-        outbox.put_nowait(encode_message(
-            MSG_ACCEPTED, n=sub.total, leased=sub.leased,
-            shared=sub.shared, store=sub.store_hits,
-        ))
-        print(
-            f"serve: {client}: {sub.total} specs "
-            f"({sub.leased} leased, {sub.shared} shared, "
-            f"{sub.store_hits} store)",
-            file=sys.stderr,
-        )
-        sys.stderr.flush()
-        self._finish_if_complete(sub)
+        deadline = record.get("deadline")
+        try:
+            self._serve(
+                sub, bool(record.get("retry_failed")),
+                float(deadline) if isinstance(deadline, (int, float))
+                else None)
+        finally:
+            with self._lock:
+                self._live.remove(sub)
 
     def _admission_refusal(self, client: str, unique: int) -> Optional[str]:
-        """Why this submission must be shed right now, or None to admit.
-
-        Runs synchronously on the event loop against the same state the
-        reservation loop uses, so admission and reservation cannot
-        disagree.
-        """
-        if (self.max_queue is not None
-                and len(self._inflight) >= self.max_queue):
-            return (f"server at capacity ({len(self._inflight)} hashes "
-                    f"in flight, watermark {self.max_queue})")
+        """Why this submission must be shed right now, or None to admit
+        (caller holds the lock)."""
+        if self.max_queue is not None:
+            in_flight = len(set().union(*(s.awaited for s in self._live)))
+            if in_flight >= self.max_queue:
+                return (f"server at capacity ({in_flight} hashes in "
+                        f"flight, watermark {self.max_queue})")
         if self.max_client_inflight is not None:
-            outstanding = sum(
-                len(s.pending) for s in self._subs
-                if s.client == client and not s.finished
-            )
+            outstanding = sum(len(s.awaited) for s in self._live
+                              if s.client == client)
             if outstanding + unique > self.max_client_inflight:
                 return (f"client {client} has {outstanding} specs in "
                         f"flight; {unique} more would exceed its cap of "
                         f"{self.max_client_inflight}")
         return None
 
-    async def _adopt_skipped(
+    def _serve(self, sub: _Submission, retry_failed: bool,
+               deadline: Optional[float]) -> None:
+        """Answer, enqueue, then stream resolutions until complete."""
+        # Every resolution appended past this offset reaches the tail
+        # below; an older one is in the store or in the snapshot that
+        # adoption reads.  Appends hold the queue's lock, so the offset
+        # falls on a record boundary.
+        with journal.locked(self.fleet.queue_path) as fd:
+            offset = os.fstat(fd).st_size
+        for spec_hash in list(sub.awaited):
+            entry = self._load_entry(spec_hash)
+            if entry is not None:
+                self._store_answer(sub, spec_hash, entry)
+        if sub.awaited:
+            appended = set(self.fleet.enqueue(sub.awaited, deadline))
+            sub.leased += len(appended)
+            skipped = {spec_hash: payload
+                       for spec_hash, payload in sub.awaited.items()
+                       if spec_hash not in appended}
+            if skipped:
+                self._adopt_skipped(skipped, sub, retry_failed)
+        with self._lock:
+            self.leased_total += sub.leased
+            self.shared_total += sub.shared
+            self.store_total += sub.store_hits
+        sub.send(encode_message(MSG_ACCEPTED, n=sub.total,
+                                leased=sub.leased, shared=sub.shared,
+                                store=sub.store_hits))
+        print(f"serve: {sub.client}: {sub.total} specs ({sub.leased} "
+              f"leased, {sub.shared} shared, {sub.store_hits} store)",
+              file=sys.stderr, flush=True)
+        while sub.awaited and not self._closed.is_set():
+            if deadline is not None and deadline <= time.time():
+                # One fleet transaction expires every pending, unleased
+                # spec past its deadline, even when no worker shows up
+                # to trip the claim's check; a due spec leased right
+                # now resolves through its worker.
+                self.fleet.expire_deadlines()
+                deadline = None
+            start = offset
+            resolutions, offset = self.fleet.tail(offset, sub.awaited,
+                                                  self._load_entry)
+            for resolution in resolutions:
+                self._stream(sub, resolution)
+            if offset == start:
+                self._closed.wait(self.poll_seconds)
+        if not sub.awaited:
+            sub.send(encode_message(
+                MSG_COMPLETE, leased=sub.leased, shared=sub.shared,
+                store=sub.store_hits, quarantined=sub.quarantined,
+                expired=sub.expired))
+
+    def _adopt_skipped(
         self,
         skipped: Dict[str, Dict[str, Any]],
-        sub: _Subscription,
-        retry_failed: bool = False,
+        sub: _Submission,
+        retry_failed: bool,
     ) -> None:
-        """Hashes the fleet already owns: resolve or re-open them.
+        """Hashes the fleet already owns: share, answer or reopen them.
 
-        ``enqueue`` skips a hash that is already in the queue WAL.  A
-        skipped hash that is still *pending* is genuinely shared work —
-        a worker will resolve it and the watcher will stream it.  But a
-        skipped hash that is already *resolved* would hang its
-        subscribers forever: no worker touches it again and its
-        ``done``/``failed`` record may sit before the watcher's offset.
-        So the resolution is replayed from a fleet snapshot here: a
-        ``done`` whose store entry still reads resolves immediately; a
-        ``failed`` streams its recorded failure; a ``done`` whose store
-        entry has been pruned is a broken promise — the spec is
-        requeued so the fleet simulates it afresh.
+        ``enqueue`` skips a hash that is already on the queue.  One
+        still *pending* is shared work: a worker will resolve it and the
+        tail will stream it.  One already *resolved* would never be
+        resolved again, so a fleet snapshot answers it here: a ``done``
+        whose store entry still reads is a store answer; a recorded
+        failure streams as its hole; a ``done`` whose store entry has
+        been pruned is a broken promise, and the spec is requeued so the
+        fleet simulates it afresh.
 
-        ``retry_failed`` (an explicit client request) re-opens recorded
+        ``retry_failed`` (an explicit client request) reopens recorded
         failures instead of replaying them: quarantined hashes are
         cleared (requeue + lease reset — without the reset the next
         claim would instantly re-trip the quarantine bound), plain
         failures are requeued.
         """
-        snap = await asyncio.to_thread(self.fleet.snapshot)
+        snap = self.fleet.snapshot()
         to_requeue: Dict[str, Dict[str, Any]] = {}
         to_clear: List[str] = []
         for spec_hash, payload in skipped.items():
             if spec_hash in snap.done:
-                entry = await asyncio.to_thread(self._load_entry, spec_hash)
+                entry = self._load_entry(spec_hash)
                 if entry is not None:
-                    sub.store_hits += 1
-                    self._resolve_done(spec_hash, entry, source="store",
-                                       seconds=0.0)
+                    self._store_answer(sub, spec_hash, entry)
                 else:
                     to_requeue[spec_hash] = payload
             elif spec_hash in snap.failures:
-                if retry_failed:
-                    if spec_hash in snap.quarantined:
-                        to_clear.append(spec_hash)
-                        sub.leased += 1
-                    else:
-                        to_requeue[spec_hash] = payload
-                else:
+                if not retry_failed:
                     sub.shared += 1
-                    self._resolve_failed(
-                        spec_hash, snap.failures[spec_hash].describe(),
-                        quarantined=spec_hash in snap.quarantined,
-                        expired=spec_hash in snap.expired,
-                    )
+                    sub.quarantined += spec_hash in snap.quarantined
+                    sub.expired += spec_hash in snap.expired
+                    self._answer(sub, spec_hash, MSG_FAILED,
+                                 failure=snap.failures[spec_hash].describe())
+                elif spec_hash in snap.quarantined:
+                    to_clear.append(spec_hash)
+                    sub.leased += 1
+                else:
+                    to_requeue[spec_hash] = payload
             else:
                 sub.shared += 1  # pending: already in flight fleet-wide
         if to_clear:
-            await asyncio.to_thread(self.fleet.clear_quarantine, to_clear)
+            self.fleet.clear_quarantine(to_clear)
         if to_requeue:
-            reopened = await asyncio.to_thread(self.fleet.requeue,
-                                               to_requeue)
+            reopened = self.fleet.requeue(to_requeue)
             sub.leased += len(reopened)
-            # Not reopened means another front-end requeued it first —
+            # Not reopened means another submission requeued it first —
             # the work is in flight again either way; share it.
             sub.shared += len(to_requeue) - len(reopened)
 
-    # -- resolution ------------------------------------------------------------
+    # -- answers ----------------------------------------------------------------
 
-    async def _watch(self) -> None:
-        """Tail the queue WAL; resolve subscribers as workers finish.
-
-        Also the deadline sweeper: when any hash this server enqueued
-        with a deadline comes due, one fleet transaction expires every
-        pending, unleased spec past its deadline — the resulting
-        ``expired`` records flow back through this very tail and
-        resolve the subscribers.
-        """
-        while True:
-            await self._sweep_deadlines()
-            records, self._queue_offset = await asyncio.to_thread(
-                journal.read_tail, self.fleet.queue_path, self._queue_offset
-            )
-            for record in records:
-                kind = record.get("kind")
-                spec_hash = str(record.get("spec", ""))
-                if not spec_hash or spec_hash not in self._inflight:
-                    continue
-                if kind == KIND_DONE:
-                    entry = await asyncio.to_thread(
-                        self._load_entry, spec_hash
-                    )
-                    if entry is None:
-                        # Promised by the WAL but unreadable: a broken
-                        # promise, not a verdict — requeue so the fleet
-                        # simulates it afresh (the quarantine bound
-                        # caps how often a rotting entry can recycle).
-                        await self._requeue_broken(spec_hash)
-                        continue
-                    self._resolve_done(
-                        spec_hash, entry, source="simulated",
-                        seconds=float(record.get("seconds", 0.0)),
-                    )
-                elif kind == KIND_FAILED:
-                    failure = record.get("failure")
-                    if isinstance(failure, dict):
-                        self._resolve_failed(spec_hash, failure)
-                elif kind == KIND_QUARANTINE:
-                    failure = record.get("failure")
-                    if isinstance(failure, dict):
-                        self.quarantined_total += 1
-                        print(f"serve: quarantined poison spec "
-                              f"{spec_hash[:12]}…", file=sys.stderr)
-                        sys.stderr.flush()
-                        self._resolve_failed(spec_hash, failure,
-                                             quarantined=True)
-                elif kind == KIND_EXPIRED:
-                    failure = record.get("failure")
-                    if isinstance(failure, dict):
-                        self.expired_total += 1
-                        self._resolve_failed(spec_hash, failure,
-                                             expired=True)
-            await asyncio.sleep(self.watch_seconds)
-
-    async def _sweep_deadlines(self) -> None:
-        """Expire undispatched past-deadline work (watcher tick half)."""
-        if not self._deadlines:
+    def _stream(self, sub: _Submission, resolution: Resolution) -> None:
+        """Stream one resolution the tail read."""
+        spec_hash, record = resolution.spec_hash, resolution.record
+        if resolution.result is not None:
+            self._answer(sub, spec_hash, MSG_RESULT, source="simulated",
+                         seconds=round(float(record.get("seconds", 0.0)), 6),
+                         result=resolution.result["result"])
             return
-        now = time.time()
-        due = [spec_hash for spec_hash, deadline in self._deadlines.items()
-               if deadline <= now]
-        if not due:
-            return
-        # One transaction covers every due hash; a due hash that is
-        # leased right now is legitimately running (claimed in time)
-        # and resolves through its worker instead.
-        await asyncio.to_thread(self.fleet.expire_deadlines)
-        for spec_hash in due:
-            self._deadlines.pop(spec_hash, None)
-
-    async def _requeue_broken(self, spec_hash: str) -> None:
-        """Re-open a ``done`` spec whose promised entry no longer reads."""
-        snap = await asyncio.to_thread(self.fleet.snapshot)
-        payload = snap.enqueued.get(spec_hash)
-        if payload is None:
-            # No payload to re-run from: surface the broken promise as
-            # a failure rather than hanging the subscribers.
-            self._resolve_failed(spec_hash, {
-                "spec_hash": spec_hash,
-                "benchmark": "?", "mechanism": "?",
-                "attempts": 1,
-                "error": "result store entry unreadable",
-            })
-            return
-        await asyncio.to_thread(self.fleet.requeue, {spec_hash: payload})
-
-    def _resolve_done(
-        self,
-        spec_hash: str,
-        entry: Dict[str, Any],
-        source: str,
-        seconds: float,
-    ) -> None:
-        """Stream one finished spec to every subscriber (event loop only)."""
-        result_payload = entry["result"]
-        self._deadlines.pop(spec_hash, None)
-        for sub in self._inflight.pop(spec_hash, []):
-            if spec_hash not in sub.pending:
-                continue
-            sub.pending.discard(spec_hash)
-            sub.outbox.put_nowait(encode_message(
-                MSG_RESULT, spec=spec_hash, source=source,
-                seconds=round(seconds, 6), result=result_payload,
-                progress=sub.progress(),
-            ))
-            self._finish_if_complete(sub)
-
-    def _resolve_failed(
-        self, spec_hash: str, failure: Dict[str, Any],
-        quarantined: bool = False, expired: bool = False,
-    ) -> None:
-        self._deadlines.pop(spec_hash, None)
-        for sub in self._inflight.pop(spec_hash, []):
-            if spec_hash not in sub.pending:
-                continue
-            sub.pending.discard(spec_hash)
+        quarantined = record.get("kind") == KIND_QUARANTINE
+        expired = record.get("kind") == KIND_EXPIRED
+        sub.quarantined += quarantined
+        sub.expired += expired
+        if self._answer(sub, spec_hash, MSG_FAILED,
+                        failure=record["failure"]):
+            # Counted once per record: by the last live submission to
+            # stream it.
+            with self._lock:
+                self.quarantined_total += quarantined
+                self.expired_total += expired
             if quarantined:
-                sub.quarantined += 1
-            if expired:
-                sub.expired += 1
-            sub.outbox.put_nowait(encode_message(
-                MSG_FAILED, spec=spec_hash, failure=failure,
-                progress=sub.progress(),
-            ))
-            self._finish_if_complete(sub)
+                print(f"serve: quarantined poison spec {spec_hash[:12]}…",
+                      file=sys.stderr, flush=True)
 
-    def _finish_if_complete(self, sub: _Subscription) -> None:
-        # Idempotent: resolutions inside _submit and the final check at
-        # its tail may both observe the empty pending set.
-        if not sub.pending and not sub.finished:
-            sub.finished = True
-            sub.outbox.put_nowait(sub.complete_message())
-            sub.outbox.put_nowait(None)
-            try:
-                self._subs.remove(sub)
-            except ValueError:
-                pass
+    def _store_answer(self, sub: _Submission, spec_hash: str,
+                      entry: Dict[str, Any]) -> None:
+        sub.store_hits += 1
+        self._answer(sub, spec_hash, MSG_RESULT, source="store", seconds=0.0,
+                     result=entry["result"])
 
-    # -- store access (thread side) --------------------------------------------
+    def _answer(self, sub: _Submission, spec_hash: str, kind: str,
+                **fields: Any) -> bool:
+        """Stream one ``result``/``failed`` line for ``spec_hash``; True
+        when no other live submission still awaits the spec."""
+        with self._lock:
+            del sub.awaited[spec_hash]
+            last = not any(spec_hash in other.awaited
+                           for other in self._live)
+        sub.send(encode_message(kind, spec=spec_hash,
+                                progress=sub.progress(), **fields))
+        return last
 
     def _load_entry(self, spec_hash: str) -> Optional[Dict[str, Any]]:
         """The verified store entry for ``spec_hash``, or None.
 
-        Runs in a worker thread.  One read of the shard entry under the
-        store's own offline verification (parse, version, checksum,
-        addressing), so a rotted entry is a miss that re-simulates,
-        exactly as ``get`` would treat it — the service never streams a
-        result the store could not vouch for.
+        One read of the shard entry under the store's own offline
+        verification (parse, version, checksum, addressing), so a
+        rotted entry is a miss that re-simulates, exactly as ``get``
+        would treat it — the service never streams a result the store
+        could not vouch for.
         """
         return self.store.read_entry(self.store.shard_path(spec_hash))[0]

@@ -3,13 +3,15 @@
 Registers a deterministic hypothesis profile (no wall-clock deadlines —
 simulation-backed properties have variable runtimes), points every
 on-disk cache at a directory of the session's own, keeps the
-workload-trace cache from accumulating across the whole session, and
+workload-trace cache from accumulating across the whole session,
 provides the check that a ``jobs > 1`` batch left no worker process
-and no private queue directory behind.
+and no private queue directory behind, and starts live sweep servers.
 """
 
 import os
 import tempfile
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -93,3 +95,74 @@ def leftovers(tmp_path, monkeypatch):
         assert children() <= before, "a fleet worker outlived its batch"
         assert not list(root.iterdir()), "a private queue outlived its batch"
     return check
+
+
+class SweepService:
+    """A live sweep server on a unix socket, plus worker threads on demand.
+
+    The server answers from its own store and fleet under ``tmp_path``;
+    :meth:`close` stops the workers, the server and every submission
+    still waiting on it.
+    """
+
+    def __init__(self, tmp_path, ttl=60.0, **server_kwargs):
+        from repro.exec import ResultStore
+        from repro.exec.fleet import Fleet
+        from repro.serve import SweepServer
+
+        self.store = ResultStore(tmp_path / "cache")
+        self.fleet = Fleet(self.store.serve_dir, ttl=ttl)
+        self.socket_path = str(tmp_path / "serve.sock")
+        self.server = SweepServer(self.store, self.fleet,
+                                  socket_path=Path(self.socket_path),
+                                  poll_seconds=0.02, **server_kwargs)
+        self._stop = threading.Event()
+        self._threads = [threading.Thread(
+            target=self.server.serve_forever, kwargs={"poll_interval": 0.02},
+            daemon=True)]
+        self._threads[0].start()
+
+    def start_worker(self, worker_id):
+        from repro.exec.faults import FaultPlan
+        from repro.exec.worker import Worker
+
+        worker = Worker(self.fleet, self.store, worker_id, plan=FaultPlan())
+
+        def loop():
+            while not self._stop.is_set():
+                if not worker.run_one():
+                    time.sleep(0.01)
+
+        thread = threading.Thread(target=loop, daemon=True)
+        thread.start()
+        self._threads.append(thread)
+        return worker
+
+    def client(self, client_id):
+        from repro.serve import SweepClient
+
+        return SweepClient(socket_path=self.socket_path,
+                           client_id=client_id, timeout=120.0)
+
+    def close(self):
+        self._stop.set()
+        self.server.shutdown()
+        self.server.server_close()
+        for thread in self._threads:
+            thread.join(timeout=5.0)
+
+
+@pytest.fixture
+def sweep_service(tmp_path):
+    """Start a :class:`SweepService` per call (``ttl`` and
+    ``SweepServer`` keyword arguments configure it); all stop at
+    teardown."""
+    services = []
+
+    def start(**kwargs):
+        services.append(SweepService(tmp_path, **kwargs))
+        return services[-1]
+
+    yield start
+    for service in services:
+        service.close()

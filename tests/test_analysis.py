@@ -50,7 +50,6 @@ FIXTURE_RULES = {
     "fstring_span.py": "SIM502",
     "swallowed_exception.py": "SIM601",
     "trapped_interrupt.py": "SIM602",
-    "blocking_async.py": "SIM604",
     "unbounded_queue.py": "SIM605",
     "unhoisted_chain.py": "SIM701",
     "loop_allocation.py": "SIM702",
@@ -410,19 +409,38 @@ def test_failed_write_leaves_no_temp_and_no_file(tmp_path, monkeypatch,
 
 def test_sweep_removes_dead_writers_temp(tmp_path):
     store = ResultStore(tmp_path)
+    spec = RunSpec("swim", "Base", n_instructions=500)
+    shard = store.path_for(spec).parent
+    shard.mkdir(parents=True)
     proc = subprocess.Popen([sys.executable, "-c", "pass"])
     proc.wait()
-    stale = tmp_path / f".deadbeef.json.{proc.pid}.tmp"
+    stale = shard / f".deadbeef.json.{proc.pid}.tmp"
     stale.write_text("{}")
-    junk = tmp_path / ".deadbeef.json.notapid.tmp"
+    junk = shard / ".deadbeef.json.notapid.tmp"
     junk.write_text("{}")
-    mine = tmp_path / f".deadbeef.json.{os.getpid()}.tmp"
+    mine = shard / f".deadbeef.json.{os.getpid()}.tmp"
     mine.write_text("{}")
 
-    store.put(RunSpec("swim", "Base", n_instructions=500), _result())
+    store.put(spec, _result())
     assert not stale.exists(), "dead writer's temp should be swept"
     assert not junk.exists(), "malformed temp should be swept"
     assert mine.exists(), "a live writer's temp must be left alone"
+
+
+def test_put_sweeps_only_its_own_shard_and_fsck_prunes_the_rest(tmp_path):
+    store = ResultStore(tmp_path)
+    spec = RunSpec("swim", "Base", n_instructions=500)
+    shard = store.path_for(spec).parent
+    other = tmp_path / ("00" if shard.name != "00" else "01")
+    other.mkdir()
+    stale = other / ".deadbeef.json.notapid.tmp"
+    stale.write_text("{}")
+
+    store.put(spec, _result())
+    assert stale.exists(), "a put sweeps its own shard only"
+    from repro.exec.__main__ import main
+    assert main(["fsck", "--cache-dir", str(tmp_path), "--prune"]) == 0
+    assert not stale.exists()
 
 
 @pytest.mark.parametrize("pid", ["0", "-4", "\u00b2", str(1 << 40),

@@ -474,6 +474,31 @@ def test_corrupt_journal_chaos_at_jobs_2_completes_and_degrades_to_store_hits(
     leftovers()
 
 
+def test_jobs_2_workers_serve_torn_store_hits_without_simulating(
+        tmp_path, leftovers):
+    """A torn store-hit ``done`` leaves its spec pending on the queue;
+    the worker that claims it reads the store instead of simulating."""
+    store = ResultStore(tmp_path / "cache")
+    warm = [RunSpec("swim", mechanism, n_instructions=N)
+            for mechanism in GRID_MECHANISMS]
+    cold = [RunSpec("gzip", mechanism, n_instructions=N)
+            for mechanism in GRID_MECHANISMS]
+    _executor(store).run(warm)
+    chaotic = _executor(store, jobs=2, faults=FaultPlan(corrupt_journal=1.0))
+    chaotic.run(warm + cold)   # warm first: the first specs workers claim
+    assert chaotic.telemetry.simulated == len(cold)
+    queue = (store.journal_dir / sweep_identity(
+        [s.content_hash for s in warm + cold], chaotic.policy)[:16]
+        / "queue.jsonl")
+    done = [r for r in replay(queue)[0]
+            if r["kind"] == "done" and "worker" in r]
+    simulated = sorted(r["spec"] for r in done if r["seconds"] > 0)
+    assert simulated == sorted(s.content_hash for s in cold)
+    assert all(r["seconds"] == 0 for r in done
+               if r["spec"] not in simulated)
+    leftovers()
+
+
 # -- persisted failures and --retry-failed -------------------------------------
 
 def test_journaled_failures_are_served_not_rerun(tmp_path, capsys):

@@ -3,12 +3,14 @@
 A process that only hashes specs, reads results from the store or
 serves them never simulates, so it must not import numpy, the machine
 (``repro.cache``/``cpu``/``dram``/``kernel``), a mechanism
-implementation or the workload generator.  Each check runs in a fresh
-interpreter and reads its ``sys.modules`` at exit.
+implementation or the workload generator.  The sweep server and the
+fleet launcher run no event loop, so they load no ``asyncio``.  Each
+check runs in a fresh interpreter and reads its ``sys.modules`` at exit.
 """
 
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -103,6 +105,32 @@ def test_store_served_exhibit_and_fsck_load_no_simulator(tmp_path):
 def test_package_imports_load_no_simulator(tmp_path, statement):
     modules, _, _ = _probe(tmp_path, statement)
     assert _simulator(modules) == []
+
+
+def test_server_and_fleet_load_no_asyncio(tmp_path):
+    sock = tmp_path / "serve.sock"
+    out = tmp_path / "server-modules.json"
+    server = subprocess.Popen(
+        [sys.executable, "-c", _PROBE, str(out), "repro.serve", "server",
+         "--socket", str(sock)],
+        env=_env(tmp_path / "cache"), cwd=REPO, stderr=subprocess.PIPE,
+        text=True,
+    )
+    try:
+        # Its first line: listening, and stopped by SIGINT from here on.
+        assert "serve: listening" in server.stderr.readline()
+        server.send_signal(signal.SIGINT)
+        _, err = server.communicate(timeout=30)
+    finally:
+        if server.poll() is None:
+            server.kill()
+            server.communicate()
+    assert server.returncode == 0, err[-2000:]
+    assert "asyncio" not in json.loads(out.read_text())
+
+    modules, _, _ = _probe(tmp_path, "repro.serve", "fleet", "--workers",
+                           "1", "--drain", "--idle-timeout", "0")
+    assert "asyncio" not in modules
 
 
 def test_worker_module_loads_the_simulator_before_any_fork(tmp_path):

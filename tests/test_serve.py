@@ -18,6 +18,7 @@ invariants over the WALs rather than over timing:
 import dataclasses
 import json
 import os
+import signal
 import subprocess
 import sys
 import threading
@@ -38,7 +39,7 @@ from repro.exec.fleet import (
 )
 from repro.exec.runspec import SpecPayloadError, payload_hash, spec_from_payload
 from repro.exec.worker import Worker
-from repro.serve import ProtocolError, SweepClient, SweepServer, spec_payload
+from repro.serve import ProtocolError, spec_payload
 from repro.serve.protocol import (
     PROTOCOL_VERSION,
     decode_message,
@@ -315,6 +316,28 @@ def test_worker_simulates_stores_then_resolves(tmp_path):
     assert not worker.run_one()
 
 
+def test_worker_resolves_a_stored_spec_without_simulating(tmp_path,
+                                                         monkeypatch):
+    """A pending spec whose result is already stored (its ``done``
+    record was torn, say) is marked done, not simulated again."""
+    store = ResultStore(tmp_path / "cache")
+    fleet = Fleet(store.serve_dir, ttl=60.0)
+    spec = _spec()
+    store.put(spec, spec.execute())
+    fleet.enqueue({spec.content_hash: spec_payload(spec)})
+
+    def simulate(self, *args, **kwargs):
+        raise AssertionError("a stored spec was simulated again")
+
+    monkeypatch.setattr(RunSpec, "execute", simulate)
+    worker = Worker(fleet, store, "w1", plan=FaultPlan())
+    assert worker.run_one()
+    assert worker.completed == 1 and worker.failed == 0
+    snap = fleet.snapshot()
+    assert snap.drained
+    assert snap.done[spec.content_hash]["seconds"] == 0.0
+
+
 def test_worker_resolves_unreconstructible_payload_as_failure(tmp_path):
     store = ResultStore(tmp_path / "cache")
     fleet = Fleet(store.serve_dir, ttl=60.0)
@@ -392,81 +415,6 @@ def test_worker_heartbeat_outlasts_a_slow_simulation(tmp_path, monkeypatch):
 
 # -- the service end to end (in process) ---------------------------------------
 
-class _Service:
-    """A live server on a unix socket plus optional worker threads."""
-
-    def __init__(self, tmp_path, ttl=60.0, max_line=None):
-        import asyncio
-
-        self.store = ResultStore(tmp_path / "cache")
-        self.fleet = Fleet(self.store.serve_dir, ttl=ttl)
-        self.socket_path = str(tmp_path / "serve.sock")
-        extra = {} if max_line is None else {"max_line": max_line}
-        self.server = SweepServer(
-            self.store, self.fleet,
-            socket_path=Path(self.socket_path), watch_seconds=0.02,
-            **extra,
-        )
-        self.loop = asyncio.new_event_loop()
-        self._loop_thread = threading.Thread(
-            target=self.loop.run_forever, daemon=True)
-        self._serve_future = None
-        self._stop = threading.Event()
-        self._worker_threads = []
-
-    def start(self):
-        import asyncio
-
-        self._loop_thread.start()
-        self._serve_future = asyncio.run_coroutine_threadsafe(
-            self.server.serve(), self.loop)
-        deadline = time.monotonic() + 10.0
-        while not Path(self.socket_path).exists():
-            if time.monotonic() > deadline:
-                raise RuntimeError("server socket never appeared")
-            if self._serve_future.done():
-                self._serve_future.result()  # surface the startup error
-            time.sleep(0.01)
-        return self
-
-    def start_worker(self, worker_id):
-        worker = Worker(self.fleet, self.store, worker_id, plan=FaultPlan())
-
-        def loop():
-            while not self._stop.is_set():
-                if not worker.run_one():
-                    time.sleep(0.01)
-
-        thread = threading.Thread(target=loop, daemon=True)
-        thread.start()
-        self._worker_threads.append(thread)
-        return worker
-
-    def client(self, client_id):
-        return SweepClient(socket_path=self.socket_path,
-                           client_id=client_id, timeout=120.0)
-
-    def close(self):
-        self._stop.set()
-        for thread in self._worker_threads:
-            thread.join(timeout=5.0)
-        if self._serve_future is not None:
-            self._serve_future.cancel()
-        time.sleep(0.05)  # let the cancellation's cleanup run
-        self.loop.call_soon_threadsafe(self.loop.stop)
-        self._loop_thread.join(timeout=5.0)
-        self.loop.close()
-
-
-@pytest.fixture
-def service(tmp_path):
-    svc = _Service(tmp_path).start()
-    try:
-        yield svc
-    finally:
-        svc.close()
-
-
 def _queue_kind_counts(fleet, kind):
     records, _ = journal.replay(fleet.queue_path)
     counts = {}
@@ -477,7 +425,8 @@ def _queue_kind_counts(fleet, kind):
     return counts
 
 
-def test_store_answers_skip_the_fleet_entirely(service):
+def test_store_answers_skip_the_fleet_entirely(sweep_service):
+    service = sweep_service()
     # Pre-populate the store: a finished sweep from any client, any time.
     spec = _spec()
     service.store.put(spec, spec.execute())
@@ -491,7 +440,7 @@ def test_store_answers_skip_the_fleet_entirely(service):
     assert _queue_kind_counts(service.fleet, KIND_ENQUEUE) == {}
 
 
-def test_submission_lines_beyond_asyncios_default_limit_work(service):
+def test_submission_lines_beyond_asyncios_default_limit_work(sweep_service):
     """Regression: a batch past ~44 specs used to kill the handler.
 
     Without ``limit=`` the asyncio streams cap buffered lines at 64 KiB
@@ -500,6 +449,8 @@ def test_submission_lines_beyond_asyncios_default_limit_work(service):
     cheap while the submit line itself stays genuinely oversized.
     """
     from repro.serve.protocol import submit_message
+
+    service = sweep_service()
 
     spec = _spec()
     service.store.put(spec, spec.execute())
@@ -511,20 +462,17 @@ def test_submission_lines_beyond_asyncios_default_limit_work(service):
         _as_dict(spec.execute())
 
 
-def test_over_limit_submission_is_refused_with_an_error(tmp_path):
+def test_over_limit_submission_is_refused_with_an_error(sweep_service):
     from repro.serve import ServeUnavailable
 
-    svc = _Service(tmp_path, max_line=1024).start()
-    try:
-        with pytest.raises(ServeUnavailable) as excinfo:
-            svc.client("hog").submit([_spec()] * 50)
-        # A protocol error, not a bare "server closed the stream".
-        assert "limit" in str(excinfo.value)
-    finally:
-        svc.close()
+    svc = sweep_service(max_line=1024)
+    with pytest.raises(ServeUnavailable) as excinfo:
+        svc.client("hog").submit([_spec()] * 50)
+    # A protocol error, not a bare "server closed the stream".
+    assert "limit" in str(excinfo.value)
 
 
-def test_resolved_failure_in_the_queue_wal_streams_not_hangs(service):
+def test_resolved_failure_in_the_queue_wal_streams_not_hangs(sweep_service):
     """A hash whose ``failed`` record predates the subscription.
 
     ``enqueue`` skips it (already in the queue WAL) and the watcher has
@@ -532,6 +480,8 @@ def test_resolved_failure_in_the_queue_wal_streams_not_hangs(service):
     subscriber would hang until the socket timeout.
     """
     from repro.exec.policy import FailedRun
+
+    service = sweep_service()
 
     spec = _spec()
     service.fleet.enqueue({spec.content_hash: spec_payload(spec)})
@@ -547,12 +497,13 @@ def test_resolved_failure_in_the_queue_wal_streams_not_hangs(service):
     assert outcome.store_hits == 0
 
 
-def test_pruned_store_entry_behind_a_done_record_is_requeued(service):
+def test_pruned_store_entry_behind_a_done_record_is_requeued(sweep_service):
     """A ``done`` record whose store entry was pruned must re-simulate.
 
     The fleet's promise broke; the server requeues the spec instead of
     leaving subscribers waiting on a resolution that can never replay.
     """
+    service = sweep_service()
     spec = _spec()
     service.fleet.enqueue({spec.content_hash: spec_payload(spec)})
     worker = Worker(service.fleet, service.store, "w1", plan=FaultPlan())
@@ -576,9 +527,10 @@ def test_pruned_store_entry_behind_a_done_record_is_requeued(service):
     assert service.store.get(spec) is not None
 
 
-def test_pending_fleet_spec_is_adopted_as_shared_work(service):
+def test_pending_fleet_spec_is_adopted_as_shared_work(sweep_service):
     """A hash already pending on the queue (no live subscription) is
     shared, not re-enqueued, and its eventual resolution streams."""
+    service = sweep_service()
     spec = _spec()
     service.fleet.enqueue({spec.content_hash: spec_payload(spec)})
 
@@ -590,7 +542,7 @@ def test_pending_fleet_spec_is_adopted_as_shared_work(service):
     thread = threading.Thread(target=submit)
     thread.start()
     deadline = time.monotonic() + 10.0
-    while spec.content_hash not in service.server._inflight:
+    while service.server.shared_total < 1:
         assert time.monotonic() < deadline, "submission never registered"
         assert thread.is_alive(), "client died before the worker started"
         time.sleep(0.01)
@@ -609,13 +561,14 @@ def test_pending_fleet_spec_is_adopted_as_shared_work(service):
         {spec.content_hash: 1}
 
 
-def test_two_clients_share_inflight_work_exactly_once(service):
+def test_two_clients_share_inflight_work_exactly_once(sweep_service):
     """The tentpole invariant: overlap is shared, never re-simulated.
 
     Both clients submit before any worker exists, so the overlap is
     deterministically in-flight (not a store hit); then one worker
     drains the union and every subscriber gets bit-identical results.
     """
+    service = sweep_service()
     specs_a = [_spec("Base"), _spec("TP"), _spec("VC")]
     specs_b = [_spec("TP"), _spec("VC"), _spec("SP")]
     overlap = 2
@@ -679,6 +632,39 @@ def test_two_clients_share_inflight_work_exactly_once(service):
     # And the store now holds the union, fsck-clean.
     report = service.store.fsck()
     assert report.scanned == len(union) and report.clean
+
+
+def test_concurrent_submissions_keep_exact_lifetime_totals(sweep_service):
+    """More submitting threads than cores, switching often: every
+    submission completes, and no lifetime total loses an update."""
+    service = sweep_service()
+    specs = [_spec("Base"), _spec("TP"), _spec("VC")]
+    for spec in specs:
+        service.store.put(spec, spec.execute())
+    outcomes = []
+
+    def submit(name):
+        client = service.client(name)
+        for _ in range(5):
+            outcomes.append(client.submit(specs))
+
+    threads = [threading.Thread(target=submit, args=(f"c{i}",))
+               for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(outcomes) == 8 * 5
+    assert all(outcome.store_hits == len(specs)
+               and len(outcome.results) == len(specs)
+               for outcome in outcomes)
+    assert service.server.store_total == 8 * 5 * len(specs)
 
 
 # -- executor integration ------------------------------------------------------
@@ -795,6 +781,52 @@ def test_cli_serve_kill_worker_chaos_converges_bit_identically(tmp_path):
             server.wait(timeout=10)
         except subprocess.TimeoutExpired:
             server.kill()
+
+
+def test_sigint_stops_a_server_holding_a_live_submission(tmp_path):
+    """A stopped server never waits on a live submission: with one
+    held open by a fleet that never comes, SIGINT still exits at once,
+    with the lifetime totals line."""
+    from repro.serve import ServeUnavailable, SweepClient
+
+    env = _cli_env(tmp_path, "cache")
+    socket_path = str(tmp_path / "serve.sock")
+    server = subprocess.Popen(
+        [sys.executable, "-m", "repro.serve", "server",
+         "--socket", socket_path],
+        env=env, cwd=REPO, stderr=subprocess.PIPE, text=True,
+    )
+    box = {}
+
+    def submit():
+        try:
+            SweepClient(socket_path, "held").submit([_spec()])
+        except ServeUnavailable as exc:
+            box["error"] = exc
+
+    client = threading.Thread(target=submit)
+    try:
+        deadline = time.monotonic() + 30.0
+        while not Path(socket_path).exists():
+            assert server.poll() is None, "server died during startup"
+            assert time.monotonic() < deadline, "server never listened"
+            time.sleep(0.05)
+        client.start()
+        fleet = Fleet(Path(env["REPRO_CACHE_DIR"]) / "serve")
+        while not fleet.snapshot().enqueued:
+            assert time.monotonic() < deadline, "submission never enqueued"
+            time.sleep(0.05)
+        server.send_signal(signal.SIGINT)
+        _, err = server.communicate(timeout=5.0)
+    finally:
+        if server.poll() is None:
+            server.kill()
+            server.communicate()
+    client.join(timeout=10.0)
+    assert server.returncode == 0, err
+    assert "serve: shutting down (1 leased," in err
+    # The held submission ends with the server, not with a result.
+    assert "error" in box
 
 
 # -- sharded store ----------------------------------------------------------------

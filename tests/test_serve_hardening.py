@@ -34,7 +34,6 @@ import pytest
 
 from repro.exec import ResultStore, RunSpec, journal
 from repro.exec.faults import (
-    FaultPlan,
     parse_fault_spec,
     set_active_plan,
     should_fill_disk,
@@ -49,12 +48,7 @@ from repro.exec.fleet import (
     Fleet,
 )
 from repro.exec.worker import Worker
-from repro.serve import (
-    ServeUnavailable,
-    SweepClient,
-    SweepServer,
-    spec_payload,
-)
+from repro.serve import ServeUnavailable, spec_payload
 from repro.serve.protocol import decode_message, submit_message
 
 REPO = Path(__file__).resolve().parent.parent
@@ -306,187 +300,110 @@ def test_submit_message_omits_deadline_and_retry_failed_by_default():
 
 # -- a live server: quarantine, shedding, deadlines ---------------------------
 
-class _Service:
-    """A live server on a unix socket plus optional worker threads."""
+def test_service_streams_quarantine_and_retry_failed_reopens(sweep_service):
+    svc = sweep_service(ttl=0.1)
+    spec = _spec()
+    box = {}
 
-    def __init__(self, tmp_path, ttl=60.0, **server_kwargs):
-        import asyncio
+    def submit(key, **kwargs):
+        box[key] = svc.client(key).submit([spec], **kwargs)
 
-        self.store = ResultStore(tmp_path / "cache")
-        self.fleet = Fleet(self.store.serve_dir, ttl=ttl)
-        self.socket_path = str(tmp_path / "serve.sock")
-        self.server = SweepServer(
-            self.store, self.fleet,
-            socket_path=Path(self.socket_path), watch_seconds=0.02,
-            **server_kwargs,
-        )
-        self.loop = asyncio.new_event_loop()
-        self._loop_thread = threading.Thread(
-            target=self.loop.run_forever, daemon=True)
-        self._serve_future = None
-        self._stop = threading.Event()
-        self._worker_threads = []
-
-    def start(self):
-        import asyncio
-
-        self._loop_thread.start()
-        self._serve_future = asyncio.run_coroutine_threadsafe(
-            self.server.serve(), self.loop)
+    thread = threading.Thread(target=submit, args=("first",))
+    thread.start()
+    # Stand in for a crash-looping fleet: burn both sanctioned
+    # leases without resolving, letting each lapse.
+    for worker in ("w1", "w2"):
         deadline = time.monotonic() + 10.0
-        while not Path(self.socket_path).exists():
-            if time.monotonic() > deadline:
-                raise RuntimeError("server socket never appeared")
-            if self._serve_future.done():
-                self._serve_future.result()  # surface the startup error
-            time.sleep(0.01)
-        return self
+        while svc.fleet.claim(worker) is None:
+            assert time.monotonic() < deadline, "claim never granted"
+            time.sleep(0.02)
+        time.sleep(0.2)
+    # The third claim trips the quarantine; the watcher streams the
+    # resolution to the blocked subscriber.
+    assert svc.fleet.claim("w3") is None
+    thread.join(timeout=30.0)
+    assert not thread.is_alive()
 
-    def start_worker(self, worker_id):
-        worker = Worker(self.fleet, self.store, worker_id, plan=FaultPlan())
+    outcome = box["first"]
+    assert outcome.results == {}
+    assert outcome.failures[spec.content_hash].kind == "poison"
+    assert outcome.quarantined == 1
 
-        def loop():
-            while not self._stop.is_set():
-                if not worker.run_one():
-                    time.sleep(0.01)
+    # A plain resubmission replays the verdict from the WAL —
+    # instantly, with no fleet involvement at all.
+    replay = svc.client("again").submit([spec])
+    assert replay.failures[spec.content_hash].kind == "poison"
+    assert replay.quarantined == 1
 
-        thread = threading.Thread(target=loop, daemon=True)
-        thread.start()
-        self._worker_threads.append(thread)
-        return worker
-
-    def client(self, client_id):
-        return SweepClient(socket_path=self.socket_path,
-                           client_id=client_id, timeout=120.0)
-
-    def close(self):
-        self._stop.set()
-        for thread in self._worker_threads:
-            thread.join(timeout=5.0)
-        if self._serve_future is not None:
-            self._serve_future.cancel()
-        time.sleep(0.05)  # let the cancellation's cleanup run
-        self.loop.call_soon_threadsafe(self.loop.stop)
-        self._loop_thread.join(timeout=5.0)
-        self.loop.close()
+    # --retry-failed is the operator's re-open: the server clears
+    # the quarantine and a (now healthy) worker runs it clean.
+    svc.start_worker("healthy")
+    retried = svc.client("retry").submit([spec], retry_failed=True)
+    assert retried.failures == {}
+    assert _as_dict(retried.results[spec.content_hash]) == \
+        _as_dict(spec.execute())
 
 
-def test_service_streams_quarantine_and_retry_failed_reopens(tmp_path):
-    svc = _Service(tmp_path, ttl=0.1).start()
-    try:
-        spec = _spec()
-        box = {}
+def test_service_sheds_over_the_watermark_and_converges(sweep_service):
+    svc = sweep_service(max_queue=1, retry_after=0.01)
+    spec_a, spec_b = _spec("TP"), _spec("Base")
+    box = {}
 
-        def submit(key, **kwargs):
-            box[key] = svc.client(key).submit([spec], **kwargs)
+    def submit(key, spec):
+        box[key] = svc.client(key).submit([spec])
 
-        thread = threading.Thread(target=submit, args=("first",))
-        thread.start()
-        # Stand in for a crash-looping fleet: burn both sanctioned
-        # leases without resolving, letting each lapse.
-        for worker in ("w1", "w2"):
-            deadline = time.monotonic() + 10.0
-            while svc.fleet.claim(worker) is None:
-                assert time.monotonic() < deadline, "claim never granted"
-                time.sleep(0.02)
-            time.sleep(0.2)
-        # The third claim trips the quarantine; the watcher streams the
-        # resolution to the blocked subscriber.
-        assert svc.fleet.claim("w3") is None
-        thread.join(timeout=30.0)
-        assert not thread.is_alive()
+    first = threading.Thread(target=submit, args=("a", spec_a))
+    first.start()
+    # Wait until A's batch owns the (size-1) in-flight table...
+    deadline = time.monotonic() + 10.0
+    while spec_a.content_hash not in svc.fleet.snapshot().enqueued:
+        assert time.monotonic() < deadline, "first batch never admitted"
+        time.sleep(0.01)
+    # ...so B's submission is over the watermark: shed, not queued.
+    second = threading.Thread(target=submit, args=("b", spec_b))
+    second.start()
+    time.sleep(0.15)  # let B absorb at least one overloaded answer
+    svc.start_worker("w1")
+    first.join(timeout=60.0)
+    second.join(timeout=60.0)
+    assert not first.is_alive() and not second.is_alive()
 
-        outcome = box["first"]
-        assert outcome.results == {}
-        assert outcome.failures[spec.content_hash].kind == "poison"
-        assert outcome.quarantined == 1
-
-        # A plain resubmission replays the verdict from the WAL —
-        # instantly, with no fleet involvement at all.
-        replay = svc.client("again").submit([spec])
-        assert replay.failures[spec.content_hash].kind == "poison"
-        assert replay.quarantined == 1
-
-        # --retry-failed is the operator's re-open: the server clears
-        # the quarantine and a (now healthy) worker runs it clean.
-        svc.start_worker("healthy")
-        retried = svc.client("retry").submit([spec], retry_failed=True)
-        assert retried.failures == {}
-        assert _as_dict(retried.results[spec.content_hash]) == \
+    # Shed work completed late, never wrong.
+    assert box["b"].shed >= 1
+    for key, spec in (("a", spec_a), ("b", spec_b)):
+        assert _as_dict(box[key].results[spec.content_hash]) == \
             _as_dict(spec.execute())
-    finally:
-        svc.close()
+
+    # Shedding reserved nothing: each hash was enqueued exactly
+    # once, by the submission that was actually admitted.
+    records, _ = journal.replay(svc.fleet.queue_path)
+    enqueues = [r["spec"] for r in records if r["kind"] == KIND_ENQUEUE]
+    assert sorted(enqueues) == sorted(
+        [spec_a.content_hash, spec_b.content_hash])
 
 
-def test_service_sheds_over_the_watermark_and_converges(tmp_path):
-    svc = _Service(tmp_path, max_queue=1, retry_after=0.01).start()
-    try:
-        spec_a, spec_b = _spec("TP"), _spec("Base")
-        box = {}
-
-        def submit(key, spec):
-            box[key] = svc.client(key).submit([spec])
-
-        first = threading.Thread(target=submit, args=("a", spec_a))
-        first.start()
-        # Wait until A's batch owns the (size-1) in-flight table...
-        deadline = time.monotonic() + 10.0
-        while spec_a.content_hash not in svc.fleet.snapshot().enqueued:
-            assert time.monotonic() < deadline, "first batch never admitted"
-            time.sleep(0.01)
-        # ...so B's submission is over the watermark: shed, not queued.
-        second = threading.Thread(target=submit, args=("b", spec_b))
-        second.start()
-        time.sleep(0.15)  # let B absorb at least one overloaded answer
-        svc.start_worker("w1")
-        first.join(timeout=60.0)
-        second.join(timeout=60.0)
-        assert not first.is_alive() and not second.is_alive()
-
-        # Shed work completed late, never wrong.
-        assert box["b"].shed >= 1
-        for key, spec in (("a", spec_a), ("b", spec_b)):
-            assert _as_dict(box[key].results[spec.content_hash]) == \
-                _as_dict(spec.execute())
-
-        # Shedding reserved nothing: each hash was enqueued exactly
-        # once, by the submission that was actually admitted.
-        records, _ = journal.replay(svc.fleet.queue_path)
-        enqueues = [r["spec"] for r in records if r["kind"] == KIND_ENQUEUE]
-        assert sorted(enqueues) == sorted(
-            [spec_a.content_hash, spec_b.content_hash])
-    finally:
-        svc.close()
+def test_service_rejects_a_batch_over_the_per_client_cap(sweep_service):
+    svc = sweep_service(max_client_inflight=1)
+    with pytest.raises(ServeUnavailable, match="rejected"):
+        svc.client("greedy").submit([_spec("TP"), _spec("Base")])
+    # Nothing was reserved for the rejected batch.
+    assert svc.fleet.snapshot().enqueued == {}
+    # Within the cap the same client is served normally.
+    svc.start_worker("w1")
+    outcome = svc.client("greedy").submit([_spec("TP")])
+    assert outcome.failures == {}
 
 
-def test_service_rejects_a_batch_over_the_per_client_cap(tmp_path):
-    svc = _Service(tmp_path, max_client_inflight=1).start()
-    try:
-        with pytest.raises(ServeUnavailable, match="rejected"):
-            svc.client("greedy").submit([_spec("TP"), _spec("Base")])
-        # Nothing was reserved for the rejected batch.
-        assert svc.fleet.snapshot().enqueued == {}
-        # Within the cap the same client is served normally.
-        svc.start_worker("w1")
-        outcome = svc.client("greedy").submit([_spec("TP")])
-        assert outcome.failures == {}
-    finally:
-        svc.close()
-
-
-def test_service_expires_undispatched_work_at_the_deadline(tmp_path):
-    svc = _Service(tmp_path).start()  # no workers: nothing dispatches
-    try:
-        spec = _spec()
-        outcome = svc.client("impatient").submit(
-            [spec], deadline=time.time() + 0.3)
-        assert outcome.results == {}
-        failure = outcome.failures[spec.content_hash]
-        assert failure.kind == "timeout"
-        assert outcome.expired == 1
-        assert svc.fleet.snapshot().expired == {spec.content_hash}
-    finally:
-        svc.close()
+def test_service_expires_undispatched_work_at_the_deadline(sweep_service):
+    svc = sweep_service()  # no workers: nothing dispatches
+    spec = _spec()
+    outcome = svc.client("impatient").submit(
+        [spec], deadline=time.time() + 0.3)
+    assert outcome.results == {}
+    failure = outcome.failures[spec.content_hash]
+    assert failure.kind == "timeout"
+    assert outcome.expired == 1
+    assert svc.fleet.snapshot().expired == {spec.content_hash}
 
 
 # -- executor summary: new counters render only when nonzero -------------------
