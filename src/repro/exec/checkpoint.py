@@ -49,12 +49,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.cachedir import atomic_write, stale_temps
-from repro.exec.faults import (
-    FaultPlan,
-    InjectedCrash,
-    maybe_corrupt_checkpoint,
-    should_kill_midrun,
-)
+from repro.exec.faults import InjectedCrash, fires, maybe_corrupt_checkpoint
 
 #: On-disk checkpoint format version; bump on layout changes.  A version
 #: mismatch is a *defect* (the reader cannot trust the payload), so old
@@ -233,7 +228,9 @@ class Checkpointer:
     ``cut(index, state)`` and ``load()``.  On top of the durable file
     layer it carries the chaos hooks — after a cut lands it may tear the
     file (``corrupt-checkpoint``) or kill the process (``kill-midrun``),
-    both first-attempt-only so resumed attempts always converge.
+    both of which fire only at ``attempt`` 1
+    (:data:`repro.exec.faults.FIRST_ATTEMPT_ONLY`), so resumed attempts
+    always converge.
     ``kill_exit`` selects the kill flavour: an exit code for real worker
     processes, ``None`` to raise :class:`InjectedCrash` where an
     ``os._exit`` would take the test runner down with it.
@@ -245,14 +242,12 @@ class Checkpointer:
         spec_hash: str,
         every: int,
         attempt: int = 1,
-        plan: Optional[FaultPlan] = None,
         kill_exit: Optional[int] = None,
     ) -> None:
         self.root = Path(root)
         self.spec_hash = spec_hash
         self.every = int(every)
         self.attempt = attempt
-        self.plan = plan
         self.kill_exit = kill_exit
         self.directory = self.root / spec_hash
         #: Cuts written by this attempt / whether ``load`` found one —
@@ -268,17 +263,14 @@ class Checkpointer:
         """
         path = write_checkpoint(self.directory, self.spec_hash, index, state)
         self.cuts += 1
-        if self.plan is not None and self.attempt == 1:
-            maybe_corrupt_checkpoint(
-                self.plan, path, self.spec_hash, index, attempt=self.attempt
+        maybe_corrupt_checkpoint(path, self.spec_hash, index, self.attempt)
+        if fires("kill-midrun", self.spec_hash, self.attempt):
+            if self.kill_exit is not None:
+                os._exit(self.kill_exit)
+            raise InjectedCrash(
+                f"injected mid-run kill after checkpoint {index} "
+                f"(attempt {self.attempt})"
             )
-            if should_kill_midrun(self.plan, self.spec_hash):
-                if self.kill_exit is not None:
-                    os._exit(self.kill_exit)
-                raise InjectedCrash(
-                    f"injected mid-run kill after checkpoint {index} "
-                    f"(attempt {self.attempt})"
-                )
 
     def load(self) -> Optional[Tuple[int, Any]]:
         """The newest sound cut for this spec, or None."""

@@ -33,7 +33,8 @@ execution and every fleet worker share:
   ``run``/``run_sweep`` return complete grids with annotated holes.
 
 Every recovery path is exercisable on a deterministic schedule via
-``REPRO_FAULTS`` (see :mod:`repro.exec.faults`).
+``REPRO_FAULTS``: the driver, the attempt loop and every fleet worker
+ask the one process-wide plan through :func:`repro.exec.faults.fires`.
 
 Durability
 ----------
@@ -43,12 +44,14 @@ and a store are configured, every multi-spec batch runs on its sweep's
 own fleet queue, ``<journal_dir>/<sweep_id[:16]>/queue.jsonl``
 (:mod:`repro.exec.journal`): each spec's resolution is fsync'd as it
 lands, so a killed driver leaves an exact record of what finished.
-``resume=True`` replays that queue — finished specs are served from the
-queue + store, persisted :class:`FailedRun` holes are honoured instead
-of silently re-running exhausted specs (``retry_failed=True`` opts back
-in) — and a ``shutdown`` manager turns SIGINT/SIGTERM into a graceful
-stop: no new spec starts, in-flight ones drain within a deadline, the
-stop is recorded in the queue, and
+A fresh run keeps a complete queue, appending only what it resolves
+differently (a warm rerun appends nothing), and discards an incomplete
+one.  ``resume=True`` replays the queue — finished specs are served
+from the queue + store, persisted :class:`FailedRun` holes are honoured
+instead of silently re-running exhausted specs (``retry_failed=True``
+opts back in) — and a ``shutdown`` manager turns SIGINT/SIGTERM into a
+graceful stop: no new spec starts, in-flight ones drain within a
+deadline, the stop is recorded in the queue, and
 :class:`~repro.exec.shutdown.SweepInterrupted` carries the conventional
 exit code up to the CLI.
 """
@@ -83,14 +86,13 @@ from repro.core.results import DEFAULT_INSTRUCTIONS, ResultSet, RunResult
 from repro.exec import journal as log
 from repro.exec.checkpoint import Checkpointer, discard_checkpoints
 from repro.exec.faults import (
+    HANG_SECONDS,
     KILL_ORCHESTRATOR_EXIT,
     KILL_WORKER_EXIT,
-    FaultPlan,
+    InjectedCrash,
     InjectedHang,
-    active_plan,
-    inject_attempt_faults,
+    fires,
     maybe_corrupt_store_entry,
-    should_kill_orchestrator,
 )
 from repro.exec.fleet import KIND_QUARANTINE, Fleet, FleetSnapshot
 from repro.exec.journal import (
@@ -182,7 +184,6 @@ def _alarm(seconds: Optional[float], message: str) -> Iterator[None]:
 def run_attempts(
     spec: RunSpec,
     policy: RetryPolicy,
-    plan: Optional[FaultPlan] = None,
     checkpoint_every: int = 0,
     ckpt_root: Optional[Path] = None,
     lease: int = 1,
@@ -192,15 +193,17 @@ def run_attempts(
 
     In-process execution and every fleet worker call this one loop.
     The last failure becomes the :class:`FailedRun` outcome; strictness
-    is the caller's business.  Faults are injected *before* the traced
-    region, so a crashing attempt never leaves an unbalanced span.
+    is the caller's business.  ``hang`` and ``crash`` are injected per
+    attempt *before* the traced region, so a crashing attempt never
+    leaves an unbalanced span.
 
     ``in_worker`` selects the process-level flavours: a ``SIGALRM``
-    timer of ``policy.timeout`` per attempt, a hang that really sleeps,
-    and a ``kill-midrun`` that exits the process.  ``lease`` is the
-    worker's lease count: one-shot mid-run chaos fires only on the
-    first attempt of the first lease, and later ones resume from the
-    newest sound snapshot under ``ckpt_root``.
+    timer of ``policy.timeout`` per attempt, a hang that really sleeps
+    (in-process it raises :class:`InjectedHang`, accounted as a
+    timeout), and a ``kill-midrun`` that exits the process.  ``lease``
+    is the worker's lease count: one-shot mid-run chaos fires only on
+    the first attempt of the first lease, and later ones resume from
+    the newest sound snapshot under ``ckpt_root``.
     """
     key = spec.content_hash
     started = time.monotonic()
@@ -211,15 +214,19 @@ def run_attempts(
         if checkpoint_every and ckpt_root is not None:
             ckpt = Checkpointer(
                 Path(ckpt_root), key, checkpoint_every,
-                attempt=attempt + lease - 1, plan=plan,
+                attempt=attempt + lease - 1,
                 kill_exit=KILL_WORKER_EXIT if in_worker else None,
             )
         timeout = policy.timeout if in_worker else None
         try:
             with _alarm(timeout, f"{spec.benchmark}/{spec.mechanism} attempt "
                                  f"{attempt} exceeded {timeout or 0:g}s"):
-                inject_attempt_faults(plan, key, attempt,
-                                      in_process=not in_worker)
+                if fires("hang", key, attempt):
+                    if in_worker:
+                        time.sleep(HANG_SECONDS)
+                    raise InjectedHang(f"injected hang (attempt {attempt})")
+                if fires("crash", key, attempt):
+                    raise InjectedCrash(f"injected crash (attempt {attempt})")
                 tracing = TRACER.enabled
                 if tracing:
                     TRACER.begin("exec.simulate", cat="exec",
@@ -268,10 +275,8 @@ class Executor:
 
     ``policy`` defaults to the fail-fast library behaviour (no retries,
     no timeout, strict); the CLI's ``--retries/--timeout/--strict``
-    flags build a lenient one.  ``faults`` defaults to the process-wide
-    ``REPRO_FAULTS`` plan and exists as a parameter so chaos tests can
-    inject deterministic failure schedules without touching the
-    environment.
+    flags build a lenient one.  Faults come from the process-wide
+    ``REPRO_FAULTS`` plan (:mod:`repro.exec.faults`).
     """
 
     def __init__(
@@ -281,7 +286,6 @@ class Executor:
         telemetry: Optional[Telemetry] = None,
         progress: Optional[ProgressFn] = None,
         policy: Optional[RetryPolicy] = None,
-        faults: Optional[FaultPlan] = None,
         journal_dir: Optional[Union[str, Path]] = None,
         resume: bool = False,
         retry_failed: bool = False,
@@ -293,7 +297,6 @@ class Executor:
         self.telemetry = telemetry if telemetry is not None else Telemetry()
         self.progress = progress
         self.policy = policy if policy is not None else RetryPolicy()
-        self.faults = faults if faults is not None else active_plan()
         #: Where multi-spec batches keep their sweep queues (given a
         #: store); None disables them (the library default — importing
         #: must not write to disk).  The CLI wires it to
@@ -382,10 +385,10 @@ class Executor:
         its sweep's own fleet queue, ``<journal_dir>/<sweep_id[:16]>/``,
         with the sweep's lock held for the whole batch: a second driver
         of the same sweep waits, then finds every result in the store.
-        Resuming replays the queue; a fresh run discards it, hinting on
-        stderr first when a killed run left it incomplete.  Each run
-        starts a fresh lease book, and every unique spec the queue lacks
-        is enqueued.
+        A fresh run keeps a complete queue and discards an incomplete
+        one, hinting on stderr that ``--resume`` would serve it.  Each
+        run starts a fresh lease book, and every unique spec the queue
+        lacks is enqueued.
         """
         if self.journal_dir is None or self.store is None or len(order) < 2:
             yield FleetSnapshot()
@@ -397,21 +400,19 @@ class Executor:
             # count toward the poison bound.
             fleet.lease_path.unlink(missing_ok=True)
             snap = fleet.snapshot()
-            if not self.resume:
-                pending = snap.pending()
-                if pending:
-                    print(
-                        f"executor: found an unfinished queue for this sweep "
-                        f"({len(snap.done)} done, {len(snap.failures)} "
-                        f"failed, {len(pending)} pending); pass --resume to "
-                        "serve finished specs without re-simulation "
-                        "(starting fresh, the old queue is discarded)",
-                        file=sys.stderr,
-                    )
+            pending = snap.pending()
+            if pending and not self.resume:
+                print(
+                    f"executor: found an unfinished queue for this sweep "
+                    f"({len(snap.done)} done, {len(snap.failures)} "
+                    f"failed, {len(pending)} pending); pass --resume to "
+                    "serve finished specs without re-simulation "
+                    "(starting fresh, the old queue is discarded)",
+                    file=sys.stderr,
+                )
                 fleet.queue_path.unlink(missing_ok=True)
                 snap = FleetSnapshot()
-            self._journal = SweepJournal(fleet.queue_path, plan=self.faults,
-                                         seq=snap.lines)
+            self._journal = SweepJournal(fleet.queue_path, seq=snap.lines)
             try:
                 _enqueue(self._journal, {key: spec.describe()
                                          for key, spec in unique.items()
@@ -425,11 +426,14 @@ class Executor:
     ) -> List[RunSpec]:
         """Resolve what needs no simulation; returns the specs that do.
 
-        Per spec: the memo; a persisted failure in the replayed queue,
-        served as its hole unless strict mode or ``retry_failed`` wants
-        it re-run; then the store, read at most once — a hit on a spec
-        the queue holds ``done`` is served with provenance ``journal``.
-        A spec the queue holds as resolved but that must run again is
+        Per spec: the memo; when resuming, a persisted failure in the
+        queue, served as its hole unless strict mode or ``retry_failed``
+        wants it re-run; then the store, read at most once — when
+        resuming, a hit on a spec the queue holds ``done`` is served
+        with provenance ``journal``.  A hit is appended to the queue
+        only when the queue does not already resolve the spec that way,
+        so a warm run over a complete queue appends nothing.  A spec
+        the queue holds as resolved but that must run again is
         requeued, so ``--jobs N`` workers can claim it.
         """
         journal = self._journal
@@ -440,13 +444,14 @@ class Executor:
                 self._record(spec, SOURCE_MEMO)
                 if journal is not None:
                     if isinstance(memo, FailedRun):
-                        journal.failed(memo)
-                    else:
+                        if key not in snap.failures:
+                            journal.failed(memo)
+                    elif key not in snap.done:
                         journal.done(key, SOURCE_MEMO)
                 continue
             failure = snap.failures.get(key)
-            if (failure is not None and not self.policy.strict
-                    and not self.retry_failed):
+            if (failure is not None and self.resume
+                    and not self.policy.strict and not self.retry_failed):
                 self._memo[key] = failure
                 self._record(spec, SOURCE_JOURNAL)
                 continue
@@ -454,7 +459,8 @@ class Executor:
             if stored is not None:
                 self._memo[key] = stored
                 if key in snap.done:
-                    self._record(spec, SOURCE_JOURNAL)
+                    self._record(spec, SOURCE_JOURNAL if self.resume
+                                 else SOURCE_STORE)
                     continue
                 self._record(spec, SOURCE_STORE)
                 if journal is not None:
@@ -488,7 +494,7 @@ class Executor:
         loop converges.  A live local fleet is torn down first so no
         workers outlive the "kill".
         """
-        if not should_kill_orchestrator(self.faults, key):
+        if not fires("kill-orchestrator", key):
             return
         print(
             "faults: injected orchestrator kill (sweep queue flushed; "
@@ -513,7 +519,7 @@ class Executor:
             signum = self._shutdown_signal()
             if signum is not None:
                 self._interrupt(signum)
-            tally = run_attempts(spec, self.policy, self.faults,
+            tally = run_attempts(spec, self.policy,
                                  checkpoint_every=self.checkpoint_every,
                                  ckpt_root=self._ckpt_root)
             self._count(tally.counters())
@@ -529,7 +535,7 @@ class Executor:
                 path = self.store.put(spec, tally.outcome)
                 # Chaos mode: a "torn write" lands now, is discovered (and
                 # counted) by whoever reads the entry next.
-                maybe_corrupt_store_entry(self.faults, path, key, 1)
+                maybe_corrupt_store_entry(path, key, 1)
                 if self._ckpt_root is not None:
                     # The result is durable; the spec's mid-run snapshots
                     # are now pure disk waste.
@@ -561,7 +567,7 @@ class Executor:
         private = self._journal is None
         journal = (self._journal if self._journal is not None else
                    SweepJournal(Path(tempfile.mkdtemp(prefix="repro-jobs-"))
-                                / "queue.jsonl", plan=self.faults))
+                                / "queue.jsonl"))
         by_hash = {spec.content_hash: spec for spec in specs}
         waiting = {key: spec.describe() for key, spec in by_hash.items()}
         if private:
@@ -574,8 +580,8 @@ class Executor:
         supervisor = Supervisor(
             fleet,
             lambda worker_id: Worker(
-                fleet, store, worker_id, plan=self.faults,
-                policy=self.policy, checkpoint_every=self.checkpoint_every,
+                fleet, store, worker_id, policy=self.policy,
+                checkpoint_every=self.checkpoint_every,
             ),
             size=min(self.jobs, total),
         )

@@ -4,12 +4,13 @@ The executor's recovery machinery — retries, timeouts, worker respawn,
 quarantine, graceful degradation — is exactly the kind of code that silently rots
 because its paths never run.  This module makes every path exercisable
 on demand: a :class:`FaultPlan` carries a per-kind injection rate and a
-seed, and each worker attempt consults a *deterministic* schedule (a
-SHA-256 of seed, kind, spec hash and attempt number) to decide whether
-to misbehave.  The same plan therefore produces the same faults on any
-machine, in any process, on every rerun — chaos tests assert exact
-counters, and a faulted sweep that eventually succeeds is bit-identical
-to a clean one because retries are plain re-executions of pure specs.
+seed, and every chaos site asks :func:`fires` whether its fault fires
+for its key (a spec hash, or a write's key) and attempt.  The answer is
+*deterministic* — a SHA-256 of seed, kind, key and attempt number — so
+the same plan produces the same faults on any machine, in any process,
+on every rerun: chaos tests assert exact counters, and a faulted sweep
+that eventually succeeds is bit-identical to a clean one because
+retries are plain re-executions of pure specs.
 
 Fault kinds (grammar: comma-separated ``kind:rate`` pairs plus ``seed=N``):
 
@@ -39,33 +40,23 @@ Fault kinds (grammar: comma-separated ``kind:rate`` pairs plus ``seed=N``):
 * ``kill-worker`` (alias ``die``) — a fleet worker (``--jobs N``, or
   :mod:`repro.serve`) ``os._exit``\\ s after durably leasing a spec but
   before simulating it; exercises the release-on-death (or
-  lease-expiry) and reclaim path.  Decided per spec on the *first*
-  lease only (the worker consults it only when its lease record
-  carries count 1), so a reclaimed lease always runs to completion and
-  a chaos fleet provably converges — the same one-shot shape as
-  ``kill-orchestrator``.  In-process execution has no worker to kill,
-  so ``--jobs 1`` never consults it.
+  lease-expiry) and reclaim path.  In-process execution has no worker
+  to kill, so ``--jobs 1`` never consults it.
 * ``disk-full`` — a store or fleet-WAL write raises
   ``OSError(ENOSPC)`` mid-write, as a full disk would; exercises the
   fail-clean discipline (no torn entry, no leaked temp, a torn WAL
   line rolled back by :mod:`repro.exec.journal`) and the fleet's
-  release-and-reclaim path.  Fleet-side only, and consulted only on a
-  spec's *first* lease — the retry after reclaim always writes
-  through, so a chaos fleet provably converges.
+  release-and-reclaim path.  Fleet-side only.
 * ``kill-midrun`` — the executing process ``os._exit``\\ s (or, in
   process, raises :class:`InjectedCrash`) from *inside the record
   loop*, immediately after a mid-run checkpoint lands on disk;
   exercises the resume-from-checkpoint path in
-  :mod:`repro.exec.checkpoint`.  Decided per spec on the first attempt
-  only — the retry never consults the schedule, resumes from the cut
-  that just landed and runs to completion, so a chaos run provably
-  converges.
+  :mod:`repro.exec.checkpoint`.
 * ``corrupt-checkpoint`` — the just-written checkpoint file's tail is
   torn (as a crash mid-``write`` that slipped past the atomic-rename
   discipline would leave it); exercises the checksum verification and
-  the fall-back-to-next-older-snapshot path.  Decided per (spec,
-  record index) on the first attempt, so one schedule can tear some
-  cuts of a run and spare others.
+  the fall-back-to-next-older-snapshot path.  Keyed on (spec, record
+  index), so one schedule can tear some cuts of a run and spare others.
 * ``poison:HASH_PREFIX`` — not a rate but a spec selector: every
   fleet worker that leases a spec whose content hash starts with the
   prefix dies with ``os._exit(76)``, on *every* lease.  This is the
@@ -74,33 +65,50 @@ Fault kinds (grammar: comma-separated ``kind:rate`` pairs plus ``seed=N``):
   quarantines it as a ``FailedRun(kind="poison")`` hole instead of
   crash-looping forever.
 
-Like :mod:`repro.sanitize`, the environment variable is read **once, at
-import**: worker processes inherit the environment (and, under the
-default ``fork`` start method, this module's parsed state) before they
-execute anything, so parent and workers always agree on the schedule.
-Tests that need a plan without touching the environment pass one
-directly to the :class:`~repro.exec.executor.Executor` or install it
-with :func:`set_active_plan`.
+What the ``attempt`` a site passes means is the kind's business, and
+:meth:`FaultPlan.decide` reads it from one table,
+:data:`FIRST_ATTEMPT_ONLY`: the kinds listed there fire only at attempt
+(or lease) 1, so the retry, the resume or the reclaim after one always
+runs clean and a chaos run provably converges.  ``crash`` and ``hang``
+are decided afresh per attempt, ``corrupt-journal`` per append sequence
+number, and ``poison`` on every lease.
+
+There is one plan per process.  Like :mod:`repro.sanitize`, the
+environment variable is read **once, at import**: worker processes
+inherit the environment (and, under the default ``fork`` start method,
+this module's parsed state) before they execute anything, so parent
+and workers always agree on the schedule.  Tests install a plan with
+:func:`set_active_plan` instead of touching the environment.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
-import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Any, Dict, Optional
 
 #: Environment variable carrying the fault spec.
 FAULTS_ENV = "REPRO_FAULTS"
 
-#: Recognised fault kinds, in the order they are checked per attempt.
-#: ``poison`` is deliberately absent: it is a hash-prefix selector, not
-#: a rated kind (see :attr:`FaultPlan.poison`).
+#: Recognised rated fault kinds, in the order :meth:`FaultPlan.describe`
+#: lists them; each is the :class:`FaultPlan` field of the same name
+#: with ``-`` for ``_``.  ``poison`` is deliberately absent: it is a
+#: hash-prefix selector, not a rated kind (see :attr:`FaultPlan.poison`).
 FAULT_KINDS = ("hang", "crash", "corrupt-store",
                "kill-orchestrator", "corrupt-journal", "kill-worker",
                "disk-full", "kill-midrun", "corrupt-checkpoint")
+
+#: The kinds that fire only at attempt (or lease) 1: the retry, resume
+#: or reclaim after one always runs clean.  Every other rated kind is
+#: decided afresh at whatever ``attempt`` its site passes — ``crash``
+#: and ``hang`` per attempt, ``corrupt-journal`` per append sequence
+#: number — and ``poison`` matches on every lease.
+FIRST_ATTEMPT_ONLY = frozenset({
+    "corrupt-store", "kill-orchestrator", "kill-worker", "disk-full",
+    "kill-midrun", "corrupt-checkpoint",
+})
 
 #: Older names the grammar still accepts, and the kinds they mean.
 FAULT_ALIASES = {"die": "kill-worker"}
@@ -112,6 +120,10 @@ KILL_ORCHESTRATOR_EXIT = 75
 #: Exit code of an injected fleet-worker kill (distinct from the codes
 #: above, so a supervisor's log tells an injected death from a real one).
 KILL_WORKER_EXIT = 76
+
+#: How long an injected hang sleeps in a fleet worker; far beyond any
+#: reasonable ``--timeout`` so the worker's timer always wins.
+HANG_SECONDS = 3600.0
 
 
 class InjectedCrash(RuntimeError):
@@ -134,6 +146,10 @@ def stable_fraction(key: str) -> float:
     return int.from_bytes(digest[:8], "big") / 2.0 ** 64
 
 
+def _field(kind: str) -> str:
+    return kind.replace("-", "_")
+
+
 @dataclass(frozen=True)
 class FaultPlan:
     """Injection rates for each fault kind plus the schedule seed."""
@@ -151,9 +167,6 @@ class FaultPlan:
     #: fleet worker leasing a matching spec dies, on every lease.
     poison: str = ""
     seed: int = 0
-    #: How long an injected hang sleeps in a fleet worker; far beyond any
-    #: reasonable ``--timeout`` so the worker's timer always wins.
-    hang_seconds: float = 3600.0
 
     @property
     def armed(self) -> bool:
@@ -161,30 +174,25 @@ class FaultPlan:
                 or bool(self.poison))
 
     def _rate(self, kind: str) -> float:
-        return {
-            "crash": self.crash,
-            "hang": self.hang,
-            "corrupt-store": self.corrupt_store,
-            "kill-orchestrator": self.kill_orchestrator,
-            "corrupt-journal": self.corrupt_journal,
-            "kill-worker": self.kill_worker,
-            "disk-full": self.disk_full,
-            "kill-midrun": self.kill_midrun,
-            "corrupt-checkpoint": self.corrupt_checkpoint,
-        }[kind]
+        return float(getattr(self, _field(kind)))
 
-    def decide(self, kind: str, spec_hash: str, attempt: int) -> bool:
-        """Whether fault ``kind`` fires for this spec attempt.
+    def decide(self, kind: str, key: str, attempt: int) -> bool:
+        """Whether fault ``kind`` fires for ``key`` at ``attempt``.
 
-        Purely a function of (seed, kind, spec hash, attempt): the same
-        plan makes the same decision everywhere, forever.
+        Purely a function of (seed, kind, key, attempt) — and of
+        :data:`FIRST_ATTEMPT_ONLY`, which rules out every later attempt
+        of a one-shot kind: the same plan makes the same decision
+        everywhere, forever.  ``poison`` matches ``key`` (a spec hash)
+        against the prefix instead.
         """
+        if kind == "poison":
+            return bool(self.poison) and key.startswith(self.poison)
+        if attempt != 1 and kind in FIRST_ATTEMPT_ONLY:
+            return False
         rate = self._rate(kind)
         if rate <= 0.0:
             return False
-        return stable_fraction(
-            f"{self.seed}:{kind}:{spec_hash}:{attempt}"
-        ) < rate
+        return stable_fraction(f"{self.seed}:{kind}:{key}:{attempt}") < rate
 
     def describe(self) -> str:
         parts = [f"{kind}:{self._rate(kind):g}"
@@ -209,16 +217,14 @@ def parse_fault_spec(text: str) -> Optional[FaultPlan]:
     text = text.strip()
     if not text:
         return None
-    rates = {kind: 0.0 for kind in FAULT_KINDS}
-    seed = 0
-    poison = ""
+    fields: Dict[str, Any] = {}
     for token in text.split(","):
         token = token.strip()
         if not token:
             continue
         if token.startswith("seed="):
             try:
-                seed = int(token[len("seed="):])
+                fields["seed"] = int(token[len("seed="):])
             except ValueError:
                 raise ValueError(f"bad fault seed in {token!r}") from None
             continue
@@ -238,9 +244,9 @@ def parse_fault_spec(text: str) -> Optional[FaultPlan]:
                     f"bad poison prefix in {token!r}; expected a "
                     "lowercase-hex content-hash prefix"
                 )
-            poison = prefix
+            fields["poison"] = prefix
             continue
-        if kind not in rates:
+        if kind not in FAULT_KINDS:
             raise ValueError(
                 f"unknown fault kind {kind!r}; known: "
                 f"{', '.join(FAULT_KINDS)}, poison, "
@@ -252,20 +258,8 @@ def parse_fault_spec(text: str) -> Optional[FaultPlan]:
             raise ValueError(f"bad fault rate in {token!r}") from None
         if not 0.0 <= rate <= 1.0:
             raise ValueError(f"fault rate out of [0, 1] in {token!r}")
-        rates[kind] = rate
-    return FaultPlan(
-        crash=rates["crash"],
-        hang=rates["hang"],
-        corrupt_store=rates["corrupt-store"],
-        kill_orchestrator=rates["kill-orchestrator"],
-        corrupt_journal=rates["corrupt-journal"],
-        kill_worker=rates["kill-worker"],
-        disk_full=rates["disk-full"],
-        kill_midrun=rates["kill-midrun"],
-        corrupt_checkpoint=rates["corrupt-checkpoint"],
-        poison=poison,
-        seed=seed,
-    )
+        fields[_field(kind)] = rate
+    return FaultPlan(**fields)
 
 
 #: The process-wide plan, parsed once at import (None when unset).
@@ -292,30 +286,21 @@ def set_active_plan(plan: Optional[FaultPlan]) -> Optional[FaultPlan]:
     return old
 
 
-def inject_attempt_faults(
-    plan: Optional[FaultPlan], spec_hash: str, attempt: int,
-    in_process: bool,
-) -> None:
-    """Run the pre-execution injections due for this spec attempt.
+def fires(kind: str, key: str, attempt: int = 1) -> bool:
+    """Whether the process-wide plan fires fault ``kind`` for ``key``.
 
-    Called by the attempt loop before simulating.  ``in_process``
-    selects the survivable flavour of ``hang``: in-process it raises
-    :class:`InjectedHang` (accounted as a timeout) instead of blocking
-    until a worker's timer fires.
+    The one question every chaos site asks (see
+    :meth:`FaultPlan.decide`); False when no plan is installed.  The
+    site performs the fault itself, or hands the decision to the
+    writer that does: :func:`repro.cachedir.atomic_write` for a store
+    entry, :func:`repro.exec.journal.append_record` for a log line.
     """
-    if plan is None:
-        return
-    if plan.decide("hang", spec_hash, attempt):
-        if not in_process:
-            time.sleep(plan.hang_seconds)
-        raise InjectedHang(f"injected hang (attempt {attempt})")
-    if plan.decide("crash", spec_hash, attempt):
-        raise InjectedCrash(f"injected crash (attempt {attempt})")
+    plan = _ACTIVE
+    return plan is not None and plan.decide(kind, key, attempt)
 
 
-def maybe_corrupt_store_entry(
-    plan: Optional[FaultPlan], path: Path, spec_hash: str, attempt: int,
-) -> bool:
+def maybe_corrupt_store_entry(path: Path, spec_hash: str,
+                              attempt: int) -> bool:
     """Truncate a just-written store entry when the schedule says so.
 
     Simulates a torn write that slipped past the atomic-rename
@@ -323,7 +308,7 @@ def maybe_corrupt_store_entry(
     no longer parses, so the next reader must count it as corrupt and
     re-simulate.  Returns True when the entry was corrupted.
     """
-    if plan is None or not plan.decide("corrupt-store", spec_hash, attempt):
+    if not fires("corrupt-store", spec_hash, attempt):
         return False
     try:
         text = path.read_text("utf-8")
@@ -333,91 +318,18 @@ def maybe_corrupt_store_entry(
     return True
 
 
-def should_kill_orchestrator(
-    plan: Optional[FaultPlan], spec_hash: str,
-) -> bool:
-    """Whether the driver dies after absorbing ``spec_hash``.
-
-    Only the *decision* lives here; the executor performs the exit so
-    it can tear down a live local fleet first.  Keyed on the absorbed
-    spec's hash (attempt 1): once the spec is ``done`` in the sweep
-    queue a resumed run serves it without re-absorbing, so the same
-    kill can never fire twice and every resume makes progress — the
-    chaos loop in CI provably converges on a complete queue.
-    """
-    if plan is None:
-        return False
-    return plan.decide("kill-orchestrator", spec_hash, 1)
-
-
-def should_kill_worker(
-    plan: Optional[FaultPlan], spec_hash: str,
-) -> bool:
-    """Whether a fleet worker dies after durably leasing ``spec_hash``.
-
-    Only the *decision* lives here; the worker performs the
-    ``os._exit(KILL_WORKER_EXIT)`` after its lease record is fsync'd
-    (so reclaim is actually exercised) and only when that lease is the
-    spec's **first** — the caller checks the lease count before asking.
-    Keyed on (spec, attempt 1) like ``kill-orchestrator``: the re-lease
-    after expiry carries count 2, never consults the schedule, and runs
-    to completion, so a chaos fleet provably converges.
-    """
-    if plan is None:
-        return False
-    return plan.decide("kill-worker", spec_hash, 1)
-
-
-def should_poison(plan: Optional[FaultPlan], spec_hash: str) -> bool:
-    """Whether ``spec_hash`` names a poison spec under ``plan``.
-
-    A poison spec kills every fleet worker that leases it, on *every*
-    lease (unlike ``kill-worker``'s first-lease-only shape) — that is
-    what makes it a crash loop no retry can escape, and what the
-    quarantine machinery in :mod:`repro.exec.fleet` exists to bound.
-    """
-    if plan is None or not plan.poison:
-        return False
-    return spec_hash.startswith(plan.poison)
-
-
-def should_kill_midrun(
-    plan: Optional[FaultPlan], spec_hash: str,
-) -> bool:
-    """Whether the simulating process dies after a checkpoint cut lands.
-
-    Only the *decision* lives here; the
-    :class:`~repro.exec.checkpoint.Checkpointer` performs the exit (or
-    raises :class:`InjectedCrash` in-process) from inside the record
-    loop, *after* the cut's atomic rename — so resume always has a
-    snapshot to start from.  Keyed on (spec, attempt 1): the caller
-    consults the schedule only on a spec's first attempt, the retry
-    resumes and runs to completion, and a chaos run provably converges —
-    the same one-shot shape as ``kill-orchestrator``.
-    """
-    if plan is None:
-        return False
-    return plan.decide("kill-midrun", spec_hash, 1)
-
-
-def maybe_corrupt_checkpoint(
-    plan: Optional[FaultPlan], path: Path, spec_hash: str,
-    record_index: int, attempt: int = 1,
-) -> bool:
+def maybe_corrupt_checkpoint(path: Path, spec_hash: str, record_index: int,
+                             attempt: int) -> bool:
     """Tear a just-written checkpoint's tail when the schedule says so.
 
     Truncates the file to roughly two thirds of its length — the shape a
     dying disk leaves behind when a rename outruns its data blocks — so
     the payload no longer matches the header's byte count and checksum.
     The next ``load`` must reject it and fall back to the next-older
-    snapshot (or a scratch start).  Keyed on (spec, record index) at
-    attempt 1: one schedule can tear some of a run's cuts and spare
-    others, and re-cuts after a resume (attempt > 1) always survive, so
-    a chaos run provably converges.  Returns True when torn.
+    snapshot (or a scratch start).  Returns True when torn.
     """
-    if plan is None or attempt != 1:
-        return False
-    if not plan.decide("corrupt-checkpoint", f"{spec_hash}:{record_index}", 1):
+    if not fires("corrupt-checkpoint", f"{spec_hash}:{record_index}",
+                 attempt):
         return False
     try:
         size = path.stat().st_size
@@ -428,36 +340,3 @@ def maybe_corrupt_checkpoint(
     except OSError:
         return False
     return True
-
-
-def should_fill_disk(
-    plan: Optional[FaultPlan], key: str, attempt: int,
-) -> bool:
-    """Whether the write keyed ``key`` draws ``OSError(ENOSPC)``.
-
-    Consulted by fleet-side writers (the result store's ``put`` and the
-    fleet WAL's resolution appends) with ``attempt`` = the spec's lease
-    count; only first-lease writes consult the schedule, so the write
-    after a release-and-reclaim always goes through and a chaos fleet
-    provably converges — the same one-shot shape as ``kill-worker``.
-    The tear itself is performed by the writer:
-    :func:`repro.cachedir.atomic_write` for a store entry,
-    :func:`repro.exec.journal.append_record` for a WAL line.
-    """
-    return (plan is not None and attempt == 1
-            and plan.decide("disk-full", key, 1))
-
-
-def should_corrupt_journal(
-    plan: Optional[FaultPlan], key: str, seq: int,
-) -> bool:
-    """Whether the journal append keyed ``key`` lands torn.
-
-    ``seq`` is the file's append sequence number: a record re-appended
-    after a resume lands on a different slot, so deterministic
-    corruption cannot pin one spec's ``done`` record forever.  The tear
-    itself (the line's tail dropped, the rest newline-terminated so the
-    reader skips exactly one record) is performed by
-    :func:`repro.exec.journal.append_record`.
-    """
-    return plan is not None and plan.decide("corrupt-journal", key, seq)

@@ -51,7 +51,7 @@ lease — the spec is simply free — or (b) a live lease.  A supervisor
 that sees the death (:class:`repro.exec.worker.Supervisor`) releases
 that lease at once; otherwise it expires after its TTL.  Either way
 the next claimant leases the spec with ``count + 1``.  The injected
-kill (:func:`repro.exec.faults.should_kill_worker`) fires only on a
+kill (``kill-worker`` in :mod:`repro.exec.faults`) fires only on a
 spec's first lease, so the reclaimed lease always runs to completion —
 the same one-shot schedule shape that makes ``kill-orchestrator``
 resume loops terminate.
@@ -83,7 +83,7 @@ from typing import (
 )
 
 from repro.exec import journal
-from repro.exec.faults import active_plan, should_fill_disk
+from repro.exec.faults import fires
 from repro.exec.journal import (
     KIND_DONE,
     KIND_ENQUEUE,
@@ -589,8 +589,7 @@ class Fleet:
         telemetry.
         """
         with self._locked():
-            full = should_fill_disk(active_plan(), f"done:{spec_hash}",
-                                    lease_count)
+            full = fires("disk-full", f"done:{spec_hash}", lease_count)
             _append(self.queue_path, KIND_DONE,
                     "disk-full" if full else None, spec=spec_hash,
                     worker=worker, seconds=round(seconds, 6),

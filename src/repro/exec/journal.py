@@ -30,10 +30,10 @@ every log but the ledger carry a version ``v`` and a ``kind``
 * :func:`read_tail` reads only complete lines past a byte offset, so a
   poller never half-reads a record a writer is mid-append on.
 
-The two log fault kinds are performed here; :mod:`repro.exec.faults`
-only decides when they fire.  ``disk-full`` writes half the line and
-raises ``OSError(ENOSPC)``, which the rollback undoes.
-``corrupt-journal`` lands the line with its tail dropped but
+The two log fault kinds are performed here; the writer asks
+:func:`repro.exec.faults.fires` when they fire.  ``disk-full`` writes
+half the line and raises ``OSError(ENOSPC)``, which the rollback
+undoes.  ``corrupt-journal`` lands the line with its tail dropped but
 newline-terminated, as a crash mid-``write`` would leave it, so replay
 skips exactly that record.
 
@@ -88,7 +88,7 @@ try:
 except ImportError:  # non-POSIX: appends fall back to O_APPEND atomicity
     fcntl = None  # type: ignore[assignment]
 
-from repro.exec.faults import FaultPlan, should_corrupt_journal
+from repro.exec.faults import fires
 from repro.exec.policy import FailedRun, RetryPolicy
 
 #: Bump when a record layout changes incompatibly; replay skips records
@@ -265,28 +265,22 @@ class SweepJournal:
     """The driver's appender to one sweep queue.
 
     :meth:`append` is the driver's single write path.  Its sequence
-    number feeds the deterministic ``corrupt-journal`` fault schedule
-    (:func:`repro.exec.faults.should_corrupt_journal`), so chaos tests
+    number is the ``attempt`` of the deterministic ``corrupt-journal``
+    fault schedule (:func:`repro.exec.faults.fires`), so chaos tests
     can tear specific writes; only :data:`TEARABLE_KINDS` are torn.
     ``seq`` is the number of lines already in the file, so a resumed
     run never reuses a schedule slot.
     """
 
-    def __init__(
-        self,
-        path: Union[str, Path],
-        plan: Optional[FaultPlan] = None,
-        seq: int = 0,
-    ) -> None:
+    def __init__(self, path: Union[str, Path], seq: int = 0) -> None:
         self.path = Path(path)
-        self.plan = plan
         self._seq = seq
 
     def append(self, kind: str, **fields: Any) -> None:
         """Durably append one record; crash-safe at every byte."""
         seq = self._seq + 1
-        torn = kind in TEARABLE_KINDS and should_corrupt_journal(
-            self.plan, f"{kind}:{fields.get('spec', '')}", seq)
+        torn = kind in TEARABLE_KINDS and fires(
+            "corrupt-journal", f"{kind}:{fields.get('spec', '')}", seq)
         append_record(self.path, versioned(kind, **fields),
                       "corrupt-journal" if torn else None)
         self._seq = seq

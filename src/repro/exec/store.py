@@ -50,7 +50,7 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.cachedir import atomic_write, default_cache_dir, stale_temps
 from repro.core.results import RunResult
-from repro.exec.faults import active_plan, should_fill_disk
+from repro.exec.faults import fires
 from repro.exec.runspec import RunSpec, payload_hash
 
 #: Bump when the stored payload layout (or RunResult schema) changes;
@@ -227,8 +227,8 @@ class ResultStore:
         """Atomically and durably persist ``result`` under ``spec``'s hash.
 
         ``fault_attempt`` opts this write into the deterministic
-        ``disk-full`` chaos schedule (callers pass the spec's attempt or
-        lease count): when the schedule fires, the write dies with
+        ``disk-full`` chaos schedule (callers pass the spec's lease
+        count; only the first can fire): then the write dies with
         ``OSError(ENOSPC)`` *mid-payload* — a torn temp file on a full
         disk — and this method's fail-clean guarantee is what the drill
         proves: the temp is removed, no entry lands under the real hash,
@@ -242,8 +242,8 @@ class ResultStore:
             "checksum": result_checksum(result_payload),
         }
         text = json.dumps(payload, sort_keys=True, indent=1)
-        disk_full = fault_attempt is not None and should_fill_disk(
-            active_plan(), f"put:{spec.content_hash}", fault_attempt)
+        disk_full = fault_attempt is not None and fires(
+            "disk-full", f"put:{spec.content_hash}", fault_attempt)
         path = self.path_for(spec)
         atomic_write(path, text.encode("utf-8"), durable=True,
                      disk_full=disk_full)

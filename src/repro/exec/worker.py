@@ -18,14 +18,14 @@ without simulating.
 A :class:`Supervisor` forks N workers over one fleet and keeps them
 serving; ``--jobs N`` and ``python -m repro.serve fleet`` both use it.
 
-Chaos: under a ``kill-worker`` plan the worker consults the schedule
-*after* its lease is durable and only when the lease is the spec's
-first (``count == 1``), then dies with ``os._exit`` exactly as an OOM
-kill would take it — no cleanup, the lease left live.  Convergence is
-then the fleet's job: the supervisor releases the lease (or it expires
-after the TTL), the next claimant leases the spec with count 2, and
-count-2 leases never consult the schedule.  With ``checkpoint_every``
-armed, ``kill-midrun`` is the same shape cut deeper: the worker dies
+Chaos: the worker asks :func:`repro.exec.faults.fires` with its lease
+count *after* the lease is durable.  Under a ``kill-worker`` plan it
+dies with ``os._exit`` exactly as an OOM kill would take it — no
+cleanup, the lease left live.  Convergence is then the fleet's job:
+the supervisor releases the lease (or it expires after the TTL), the
+next claimant leases the spec with count 2, and ``kill-worker`` fires
+only on a first lease.  With ``checkpoint_every`` armed,
+``kill-midrun`` is the same shape cut deeper: the worker dies
 *mid-simulation* right after a snapshot lands, and the count-2
 claimant resumes from that snapshot instead of instruction zero
 (:mod:`repro.exec.checkpoint`) — bit-identical either way.
@@ -60,11 +60,8 @@ from repro.exec.checkpoint import discard_checkpoints
 from repro.exec.executor import Attempts, run_attempts
 from repro.exec.faults import (
     KILL_WORKER_EXIT,
-    FaultPlan,
-    active_plan,
+    fires,
     maybe_corrupt_store_entry,
-    should_kill_worker,
-    should_poison,
 )
 from repro.exec.fleet import Claim, Fleet
 from repro.exec.policy import FailedRun, RetryPolicy
@@ -135,7 +132,6 @@ class Worker:
         fleet: Fleet,
         store: ResultStore,
         worker_id: str,
-        plan: Optional[FaultPlan] = None,
         poll: float = POLL_SECONDS,
         checkpoint_every: int = 0,
         policy: Optional[RetryPolicy] = None,
@@ -143,7 +139,6 @@ class Worker:
         self.fleet = fleet
         self.store = store
         self.worker_id = worker_id
-        self.plan = plan if plan is not None else active_plan()
         self.poll = poll
         self.checkpoint_every = max(0, int(checkpoint_every))
         self.policy = policy if policy is not None else RetryPolicy()
@@ -205,7 +200,7 @@ class Worker:
                 ))
             else:
                 tally = run_attempts(
-                    spec, self.policy, self.plan,
+                    spec, self.policy,
                     checkpoint_every=self.checkpoint_every,
                     ckpt_root=self.store.ckpt_root,
                     lease=claim.lease_count, in_worker=True,
@@ -222,14 +217,11 @@ class Worker:
             try:
                 self.store.put(spec, tally.outcome,
                                fault_attempt=claim.lease_count)
-                if claim.lease_count == 1:
-                    # One-shot torn-entry chaos: the submitter finds the
-                    # promised entry unreadable and requeues; the reclaim
-                    # (lease 2) never consults the schedule.
-                    maybe_corrupt_store_entry(
-                        self.plan, self.store.path_for(spec),
-                        claim.spec_hash, 1,
-                    )
+                # One-shot torn-entry chaos: the submitter finds the
+                # promised entry unreadable and requeues; the reclaim
+                # (lease 2) always writes a sound entry.
+                maybe_corrupt_store_entry(self.store.path_for(spec),
+                                          claim.spec_hash, claim.lease_count)
                 self.fleet.mark_done(claim.spec_hash, self.worker_id,
                                      tally.seconds,
                                      lease_count=claim.lease_count,
@@ -239,8 +231,7 @@ class Worker:
                 # store and WAL both fail clean, so nothing durable
                 # claims the result exists.  Release the lease now —
                 # the next claimant re-runs the spec without waiting
-                # out the TTL, and its writes skip the one-shot
-                # schedule.
+                # out the TTL, and its writes on lease 2 always land.
                 print(
                     f"worker {self.worker_id}: write failed for "
                     f"{claim.spec_hash[:12]}… ({exc}); releasing lease "
@@ -306,7 +297,7 @@ class Worker:
         spec's first lease — see the module docstring for why that
         makes plain chaos fleets converge.
         """
-        if should_poison(self.plan, claim.spec_hash):
+        if fires("poison", claim.spec_hash, claim.lease_count):
             print(
                 f"faults: poison spec {claim.spec_hash[:12]}… killed "
                 f"{self.worker_id} (lease {claim.lease_count}; every "
@@ -315,9 +306,7 @@ class Worker:
             )
             sys.stderr.flush()
             os._exit(KILL_WORKER_EXIT)
-        if claim.lease_count != 1:
-            return
-        if not should_kill_worker(self.plan, claim.spec_hash):
+        if not fires("kill-worker", claim.spec_hash, claim.lease_count):
             return
         print(
             f"faults: injected worker kill ({self.worker_id}, lease on "

@@ -139,11 +139,17 @@ class SweepClient:
         while True:
             attempt += 1
             conn = self._connect()
+            hung_up: Optional[OSError] = None
             try:
-                conn.sendall(message)
+                try:
+                    conn.sendall(message)
+                except (BrokenPipeError, ConnectionResetError) as exc:
+                    # The server stopped reading (an over-limit line,
+                    # say); its reason may still be waiting to be read.
+                    hung_up = exc
                 stream = conn.makefile("rb")
                 try:
-                    retry_after = self._read_stream(stream, outcome)
+                    retry_after = self._read_stream(stream, outcome, hung_up)
                 finally:
                     stream.close()
             finally:
@@ -172,13 +178,17 @@ class SweepClient:
         jitter = stable_fraction(f"{self.client_id}:shed:{attempt}")
         return min(raw * (1.0 + jitter), BACKOFF_CAP)
 
-    def _read_stream(self, stream, outcome: SubmitOutcome) -> Optional[float]:
+    def _read_stream(self, stream, outcome: SubmitOutcome,
+                     hung_up: Optional[OSError] = None) -> Optional[float]:
         while True:
-            line = stream.readline()
+            try:
+                line = stream.readline()
+            except ConnectionResetError as exc:
+                line, hung_up = b"", hung_up or exc
             if not line:
                 raise ServeUnavailable(
                     "server closed the stream before completing the "
-                    "submission"
+                    "submission" + (f" ({hung_up})" if hung_up else "")
                 )
             record = decode_message(line)
             kind = record["kind"]

@@ -3,15 +3,18 @@
 Registers a deterministic hypothesis profile (no wall-clock deadlines —
 simulation-backed properties have variable runtimes), points every
 on-disk cache at a directory of the session's own, keeps the
-workload-trace cache from accumulating across the whole session,
-provides the check that a ``jobs > 1`` batch left no worker process
-and no private queue directory behind, and starts live sweep servers.
+workload-trace cache from accumulating across the whole session, runs
+every test with no fault plan installed (:func:`fault_plan` installs
+one), provides the check that a ``jobs > 1`` batch left no worker
+process and no private queue directory behind, and starts live sweep
+servers.
 """
 
 import os
 import tempfile
 import threading
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -38,6 +41,31 @@ def _session_cache_dir(tmp_path_factory):
         patch.setenv("REPRO_CACHE_DIR",
                      str(tmp_path_factory.mktemp("repro-cache")))
         yield
+
+
+@pytest.fixture(autouse=True)
+def _no_fault_plan():
+    """Run every test with no fault plan installed, whatever
+    ``$REPRO_FAULTS`` said at import, and restore the previous plan
+    afterwards, so a failing chaos test cannot leak its plan."""
+    from repro.exec.faults import set_active_plan
+
+    old = set_active_plan(None)
+    yield
+    set_active_plan(old)
+
+
+@contextmanager
+def fault_plan(plan):
+    """Install ``plan`` as the process-wide fault plan for the block
+    (forked fleet workers inherit it); restore the previous one after."""
+    from repro.exec.faults import set_active_plan
+
+    old = set_active_plan(plan)
+    try:
+        yield plan
+    finally:
+        set_active_plan(old)
 
 
 @pytest.fixture(autouse=True, scope="module")
@@ -123,10 +151,9 @@ class SweepService:
         self._threads[0].start()
 
     def start_worker(self, worker_id):
-        from repro.exec.faults import FaultPlan
         from repro.exec.worker import Worker
 
-        worker = Worker(self.fleet, self.store, worker_id, plan=FaultPlan())
+        worker = Worker(self.fleet, self.store, worker_id)
 
         def loop():
             while not self._stop.is_set():

@@ -39,13 +39,14 @@ from repro.exec.checkpoint import (
 from repro.exec.faults import (
     KILL_WORKER_EXIT,
     FaultPlan,
+    fires,
     maybe_corrupt_checkpoint,
     parse_fault_spec,
-    set_active_plan,
-    should_kill_midrun,
 )
 from repro.mechanisms.registry import ALL_MECHANISMS, EXTENSIONS, create
 from repro.workloads.registry import build as build_workload
+
+from tests.conftest import fault_plan
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -410,24 +411,29 @@ def test_parse_fault_spec_accepts_checkpoint_kinds():
     assert plan.corrupt_checkpoint == 0.25
 
 
-def test_should_kill_midrun_is_deterministic_and_rate_bound():
+def test_kill_midrun_schedule_is_deterministic_and_rate_bound():
+    def kills(plan, key, attempt=1):
+        with fault_plan(plan):
+            return fires("kill-midrun", key, attempt)
+
     always = FaultPlan(kill_midrun=1.0, seed=9)
     never = FaultPlan(kill_midrun=0.0, seed=9)
-    assert should_kill_midrun(always, "f" * 16)
-    assert not should_kill_midrun(never, "f" * 16)
+    assert kills(always, "f" * 16)
+    assert not kills(always, "f" * 16, attempt=2)   # the resume runs on
+    assert not kills(never, "f" * 16)
     some = FaultPlan(kill_midrun=0.5, seed=9)
-    first = [should_kill_midrun(some, f"{i:016x}") for i in range(32)]
-    again = [should_kill_midrun(some, f"{i:016x}") for i in range(32)]
+    first = [kills(some, f"{i:016x}") for i in range(32)]
+    again = [kills(some, f"{i:016x}") for i in range(32)]
     assert first == again and any(first) and not all(first)
 
 
 def test_maybe_corrupt_checkpoint_truncates_first_attempt_only(tmp_path):
-    plan = FaultPlan(corrupt_checkpoint=1.0, seed=4)
     path = write_checkpoint(tmp_path, "e" * 16, 700, {"big": list(range(64))})
     whole = path.stat().st_size
-    assert not maybe_corrupt_checkpoint(plan, path, "e" * 16, 700, attempt=2)
-    assert path.stat().st_size == whole
-    assert maybe_corrupt_checkpoint(plan, path, "e" * 16, 700, attempt=1)
+    with fault_plan(FaultPlan(corrupt_checkpoint=1.0, seed=4)):
+        assert not maybe_corrupt_checkpoint(path, "e" * 16, 700, attempt=2)
+        assert path.stat().st_size == whole
+        assert maybe_corrupt_checkpoint(path, "e" * 16, 700, attempt=1)
     assert path.stat().st_size < whole
     with pytest.raises(Exception):
         from repro.exec.checkpoint import read_checkpoint
@@ -441,15 +447,12 @@ def test_executor_kill_midrun_resumes_bit_identical(tmp_path):
     clean = Executor(jobs=1).run([RunSpec("swim", m, n_instructions=_N)
                                   for m in ("GHB", "TK")])
 
-    old = set_active_plan(FaultPlan(kill_midrun=1.0, seed=5))
-    try:
-        executor = Executor(
-            jobs=1, store=ResultStore(tmp_path),
-            policy=RetryPolicy(retries=1), checkpoint_every=1000,
-        )
+    executor = Executor(
+        jobs=1, store=ResultStore(tmp_path),
+        policy=RetryPolicy(retries=1), checkpoint_every=1000,
+    )
+    with fault_plan(FaultPlan(kill_midrun=1.0, seed=5)):
         results = executor.run(specs)
-    finally:
-        set_active_plan(old)
 
     for crashed, baseline in zip(results, clean):
         _assert_same(crashed, baseline, "kill-midrun + resume")
@@ -470,9 +473,9 @@ def test_fleet_kill_midrun_resumes_from_the_dead_workers_snapshot(
     clean = Executor(jobs=1).run(specs)
     executor = Executor(
         jobs=2, store=ResultStore(tmp_path / "cache"), checkpoint_every=1000,
-        faults=FaultPlan(kill_midrun=1.0, seed=5),
     )
-    results = executor.run(specs)
+    with fault_plan(FaultPlan(kill_midrun=1.0, seed=5)):
+        results = executor.run(specs)
     for resumed, baseline in zip(results, clean):
         _assert_same(resumed, baseline, "worker death + resume")
     telemetry = executor.telemetry

@@ -37,14 +37,14 @@ from repro.exec import (
     sweep_identity,
 )
 from repro.exec.executor import SWEEP_LOCK
-from repro.exec.faults import should_corrupt_journal
+from repro.exec.faults import fires
 from repro.exec.fleet import DEFAULT_LEASE_TTL, Fleet
 from repro.exec.journal import TEARABLE_KINDS, append_record, locked, replay
 from repro.exec.store import STORE_VERSION, result_checksum
 from repro.exec.telemetry import SOURCE_JOURNAL, RunRecord, Telemetry
 from repro.obs.ledger import Ledger, make_record
 
-from tests.conftest import live_group_members
+from tests.conftest import fault_plan, live_group_members
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -125,9 +125,9 @@ def test_sweep_queue_lives_under_the_sweep_identity(tmp_path):
 
 # -- the sweep queue file ------------------------------------------------------
 
-def _queue(tmp_path, plan=None):
+def _queue(tmp_path):
     fleet = Fleet(tmp_path / "sweep")
-    return fleet, SweepJournal(fleet.queue_path, plan=plan)
+    return fleet, SweepJournal(fleet.queue_path)
 
 
 def test_journal_round_trips_lifecycle(tmp_path):
@@ -195,13 +195,14 @@ def test_timeout_failures_keep_their_kind_through_replay(tmp_path):
 
 
 def test_corrupt_journal_fault_tears_the_tail_only(tmp_path):
-    fleet, journal = _queue(tmp_path, plan=FaultPlan(corrupt_journal=1.0))
-    journal.append("enqueue", spec="h1", payload={"benchmark": "swim"})
-    journal.append("enqueue", spec="h2", payload={"benchmark": "gzip"})
-    journal.done("h1", "simulated")
-    journal.done("h2", "simulated")
-    journal.append("interrupted", signal=2)
-    journal.append("requeue", spec="h1", payload={"benchmark": "swim"})
+    fleet, journal = _queue(tmp_path)
+    with fault_plan(FaultPlan(corrupt_journal=1.0)):
+        journal.append("enqueue", spec="h1", payload={"benchmark": "swim"})
+        journal.append("enqueue", spec="h2", payload={"benchmark": "gzip"})
+        journal.done("h1", "simulated")
+        journal.done("h2", "simulated")
+        journal.append("interrupted", signal=2)
+        journal.append("requeue", spec="h1", payload={"benchmark": "swim"})
     snap = fleet.snapshot()
     # Every tearable append was torn, every tear cost exactly its own
     # record; a torn enqueue or requeue would strand its spec under
@@ -210,7 +211,7 @@ def test_corrupt_journal_fault_tears_the_tail_only(tmp_path):
     assert snap.corrupt_lines == 3 and not snap.done
     assert snap.pending() == ["h1", "h2"]
     assert snap.lines == 6  # torn lines still count (the sequence)
-    assert should_corrupt_journal(None, "k", 1) is False
+    assert fires("corrupt-journal", "k", 1) is False   # no plan installed
 
     # The sequence number continues across resumes, so the same record
     # re-appended later lands on a fresh schedule slot: with a seeded
@@ -369,6 +370,39 @@ def test_fresh_run_overwrites_incomplete_journal_with_a_hint(tmp_path, capsys):
         s.content_hash: ["enqueue", "done"] for s in specs}
 
 
+def test_a_warm_fresh_run_appends_nothing_to_a_complete_queue(tmp_path):
+    store = ResultStore(tmp_path / "cache")
+    specs = _grid_specs()
+    _executor(store).run(specs)
+    ((path, _),) = _sweep_queues(store)
+    before = path.read_bytes()
+
+    warm = _executor(store)   # no --resume
+    warm.run(specs)
+    # Served from the store, not the queue, and the queue kept as it was.
+    assert warm.telemetry.store_hits == len(specs)
+    assert warm.telemetry.journal_served == 0
+    assert path.read_bytes() == before
+
+
+def test_a_fresh_run_reruns_the_failures_a_kept_queue_holds(tmp_path):
+    store = ResultStore(tmp_path / "cache")
+    specs = _grid_specs()
+    policy = RetryPolicy(**_LENIENT)
+    with fault_plan(FaultPlan(crash=1.0)):
+        _executor(store, policy=policy).run(specs)   # complete: all holes
+
+    fresh = _executor(store, policy=policy)   # no --resume: holes not served
+    results = fresh.run(specs)
+    assert not any(isinstance(r, FailedRun) for r in results)
+    assert fresh.telemetry.simulated == len(specs)
+    assert fresh.telemetry.journal_served == 0
+    ((path, _),) = _sweep_queues(store)
+    assert _kinds_per_spec(path) == {
+        s.content_hash: ["enqueue", "failed", "requeue", "done"]
+        for s in specs}
+
+
 def test_resume_with_missing_store_entry_resimulates(tmp_path):
     store = ResultStore(tmp_path / "cache")
     specs = _grid_specs()
@@ -436,8 +470,8 @@ def test_journals_hold_the_same_record_kinds_at_any_job_count(tmp_path):
 def test_corrupt_journal_chaos_degrades_to_store_hits(tmp_path):
     store = ResultStore(tmp_path / "cache")
     specs = _grid_specs()
-    chaotic = _executor(store, faults=FaultPlan(corrupt_journal=1.0))
-    originals = chaotic.run(specs)    # journal useless, store intact
+    with fault_plan(FaultPlan(corrupt_journal=1.0)):
+        originals = _executor(store).run(specs)   # queue useless, store intact
 
     resumed = _executor(store, resume=True)
     results = resumed.run(specs)
@@ -454,23 +488,40 @@ def test_corrupt_journal_chaos_at_jobs_2_completes_and_degrades_to_store_hits(
     # Cold: no enqueue is ever torn, so every spec stays claimable and
     # the workers resolve them all.
     start = time.monotonic()
-    originals = _executor(store, jobs=2, faults=chaos).run(specs)
+    with fault_plan(chaos):
+        originals = _executor(store, jobs=2).run(specs)
     assert time.monotonic() - start < DEFAULT_LEASE_TTL / 2
     ((path, snap),) = _sweep_queues(store)
     assert list(snap.enqueued) == [s.content_hash for s in specs]
-    # Warm: every resolution is now the driver's own store-hit ``done``,
-    # and every one of them lands torn.
-    warm = _executor(store, jobs=2, faults=chaos)
-    assert _as_dicts(warm.run(specs)) == _as_dicts(originals)
+    # Warm over that complete queue: every spec is a store hit the queue
+    # already holds done, so the driver appends nothing to tear.
+    warm = _executor(store, jobs=2)
+    with fault_plan(chaos):
+        assert _as_dicts(warm.run(specs)) == _as_dicts(originals)
     assert warm.telemetry.store_hits == len(specs)
-    assert Fleet(path.parent).snapshot().corrupt_lines == len(specs)
+    assert Fleet(path.parent).snapshot().corrupt_lines == 0
 
     resumed = _executor(store, jobs=2, resume=True)
-    results = resumed.run(specs)
+    assert _as_dicts(resumed.run(specs)) == _as_dicts(originals)
+    assert resumed.telemetry.journal_served == len(specs)
+    assert resumed.telemetry.simulated == 0
+
+    # The same specs in another order are another sweep: its new queue
+    # gets the driver's own store-hit ``done`` records, every one of
+    # them lands torn, and its resume degrades to store hits.
+    reordered = specs[::-1]
+    with fault_plan(chaos):
+        _executor(store, jobs=2).run(reordered)
+    queue = (store.journal_dir / sweep_identity(
+        [s.content_hash for s in reordered], RetryPolicy())[:16]
+        / "queue.jsonl")
+    assert Fleet(queue.parent).snapshot().corrupt_lines == len(specs)
+    resumed = _executor(store, jobs=2, resume=True)
+    results = resumed.run(reordered)
     assert resumed.telemetry.journal_served == 0
     assert resumed.telemetry.store_hits == len(specs)
     assert resumed.telemetry.simulated == 0
-    assert _as_dicts(results) == _as_dicts(originals)
+    assert _as_dicts(results) == _as_dicts(originals[::-1])
     leftovers()
 
 
@@ -484,8 +535,9 @@ def test_jobs_2_workers_serve_torn_store_hits_without_simulating(
     cold = [RunSpec("gzip", mechanism, n_instructions=N)
             for mechanism in GRID_MECHANISMS]
     _executor(store).run(warm)
-    chaotic = _executor(store, jobs=2, faults=FaultPlan(corrupt_journal=1.0))
-    chaotic.run(warm + cold)   # warm first: the first specs workers claim
+    chaotic = _executor(store, jobs=2)
+    with fault_plan(FaultPlan(corrupt_journal=1.0)):
+        chaotic.run(warm + cold)   # warm first: the first specs workers claim
     assert chaotic.telemetry.simulated == len(cold)
     queue = (store.journal_dir / sweep_identity(
         [s.content_hash for s in warm + cold], chaotic.policy)[:16]
@@ -505,8 +557,8 @@ def test_journaled_failures_are_served_not_rerun(tmp_path, capsys):
     store = ResultStore(tmp_path / "cache")
     specs = _grid_specs()
     policy = RetryPolicy(**_LENIENT)
-    crashed = _executor(store, policy=policy, faults=FaultPlan(crash=1.0))
-    holes = crashed.run(specs)
+    with fault_plan(FaultPlan(crash=1.0)):
+        holes = _executor(store, policy=policy).run(specs)
     assert all(isinstance(r, FailedRun) for r in holes)
 
     served = _executor(store, policy=policy, resume=True)   # faults gone
@@ -530,7 +582,8 @@ def test_strict_resume_reruns_journaled_failures(tmp_path, capsys):
     store = ResultStore(tmp_path / "cache")
     specs = _grid_specs()
     lenient = RetryPolicy(**_LENIENT)
-    _executor(store, policy=lenient, faults=FaultPlan(crash=1.0)).run(specs)
+    with fault_plan(FaultPlan(crash=1.0)):
+        _executor(store, policy=lenient).run(specs)
 
     # A strict run must never serve a hole as an answer: re-run them.
     # (Different policy -> different sweep identity -> fresh journal.)
@@ -547,9 +600,9 @@ def test_jobs_2_poison_hole_is_served_on_resume_and_rerun_on_retry_failed(
     victim = specs[1]
     policy = RetryPolicy(**_LENIENT)
     clean = Executor(jobs=1).run(specs)
-    poisoned = _executor(store, jobs=2, policy=policy,
-                         faults=FaultPlan(poison=victim.content_hash[:12]))
-    holes = poisoned.run(specs)
+    poisoned = _executor(store, jobs=2, policy=policy)
+    with fault_plan(FaultPlan(poison=victim.content_hash[:12])):
+        holes = poisoned.run(specs)
     assert isinstance(holes[1], FailedRun) and holes[1].kind == "poison"
     assert poisoned.telemetry.quarantined == 1
     ((path, snap),) = _sweep_queues(store)
@@ -686,10 +739,10 @@ def test_a_batch_that_raises_keeps_its_wall_time(tmp_path, exit_by):
         executor = _executor(store, shutdown=manager, progress=progress)
         expected = SweepInterrupted
     else:
-        executor = _executor(store, policy=RetryPolicy(strict=True),
-                             faults=FaultPlan(crash=1.0))
+        executor = _executor(store, policy=RetryPolicy(strict=True))
         expected = SpecExhausted
-    with pytest.raises(expected):
+    plan = FaultPlan(crash=1.0) if exit_by == "strict" else None
+    with pytest.raises(expected), fault_plan(plan):
         executor.run(_grid_specs())
     assert executor.telemetry.wall_time > 0.0
 

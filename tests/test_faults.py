@@ -2,11 +2,14 @@
 
 The injection schedule is a pure function of (seed, kind, spec hash,
 attempt), so these tests compute the *expected* fault pattern with the
-same :meth:`FaultPlan.decide` the executor consults and assert exact
-counters against it — no flakiness, no sleeps beyond the watchdog tests.
+same :meth:`FaultPlan.decide` every chaos site consults (through
+:func:`~repro.exec.faults.fires`) and assert exact counters against it —
+no flakiness, no sleeps beyond the watchdog tests.  A test arms a plan
+process-wide with :func:`tests.conftest.fault_plan`.
 """
 
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -30,11 +33,10 @@ from repro.exec import (
     parse_fault_spec,
     set_active_plan,
 )
+from repro.exec.executor import run_attempts
 from repro.exec.faults import (
     FAULT_KINDS,
-    InjectedCrash,
-    InjectedHang,
-    inject_attempt_faults,
+    fires,
     maybe_corrupt_store_entry,
     stable_fraction,
 )
@@ -44,6 +46,8 @@ from repro.harness.experiments import fig10_second_guessing
 from repro.harness.matrix import speedup_matrix
 from repro.mechanisms.registry import ALL_MECHANISMS, BASELINE
 from repro.obs.ledger import LedgerRecord, diff_records, make_record
+
+from tests.conftest import fault_plan
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -129,7 +133,7 @@ def test_set_active_plan_installs_and_restores():
     old = set_active_plan(plan)
     try:
         assert active_plan() is plan
-        assert Executor(jobs=1).faults is plan
+        assert fires("crash", "h", 1) == plan.decide("crash", "h", 1)
     finally:
         set_active_plan(old)
     assert active_plan() is old
@@ -154,23 +158,79 @@ def test_decide_is_pure_and_rate_faithful():
     assert all(always.decide("crash", f"hash{i}", 1) for i in range(50))
 
 
+class _StubSpec:
+    """The little of a RunSpec the attempt loop reads."""
+
+    content_hash = "h"
+    benchmark = "swim"
+    mechanism = "Base"
+
+    def execute(self):
+        return "result"
+
+
 def test_injection_flavours():
-    inject_attempt_faults(None, "h", 1, in_process=True)  # no plan, no-op
-    with pytest.raises(InjectedCrash):
-        inject_attempt_faults(FaultPlan(crash=1.0), "h", 1, in_process=True)
+    policy = RetryPolicy(strict=False, **_NO_WAIT)
+
+    def outcome(plan):
+        with fault_plan(plan):
+            return run_attempts(_StubSpec(), policy).outcome
+
+    assert outcome(None) == "result"   # no plan, no fault
+    assert "InjectedCrash" in outcome(FaultPlan(crash=1.0)).error
     # kill-worker (alias die) kills a fleet worker after it leases a
     # spec; the attempt itself has nothing to inject.
-    inject_attempt_faults(FaultPlan(kill_worker=1.0), "h", 1, in_process=True)
-    with pytest.raises(InjectedHang):   # in-process hang degrades to a raise
-        inject_attempt_faults(FaultPlan(hang=1.0), "h", 1, in_process=True)
+    assert outcome(FaultPlan(kill_worker=1.0)) == "result"
+    hang = outcome(FaultPlan(hang=1.0))   # in-process hang degrades to a raise
+    assert hang.kind == "timeout" and "InjectedHang" in hang.error
 
 
 def test_corrupt_store_injection_truncates(tmp_path):
     path = tmp_path / "entry.json"
     path.write_text("x" * 300)
-    assert not maybe_corrupt_store_entry(None, path, "h", 1)
-    assert maybe_corrupt_store_entry(FaultPlan(corrupt_store=1.0), path, "h", 1)
+    assert not maybe_corrupt_store_entry(path, "h", 1)   # no plan installed
+    with fault_plan(FaultPlan(corrupt_store=1.0)):
+        assert not maybe_corrupt_store_entry(path, "h", 2)   # one-shot
+        assert maybe_corrupt_store_entry(path, "h", 1)
     assert len(path.read_text()) == 100
+
+
+#: Each kind's decisions as its own wrapper function and call-site
+#: guards made them before every site asked :func:`fires`, recorded
+#: over :data:`_PIN_KEYS` x attempts 1-3 under a rate-0.5 plan of that
+#: kind alone at seed 7 (``poison:a`` for poison): kind -> (digest of
+#: the decision bits, how many fired).  A changed key string, seed
+#: layout or one-shot table entry moves every seed-pinned schedule in
+#: the tests, CI and the soak; this names the kind that moved.
+_SCHEDULE_PINS = {
+    "hang": ("f97fc5fa35dcf593", 99),
+    "crash": ("909a21d521fcbbb9", 92),
+    "corrupt-store": ("f51aaef1bf852db5", 32),
+    "kill-orchestrator": ("c0adcb44ca91786f", 34),
+    "corrupt-journal": ("8fe639a8524095b8", 90),
+    "kill-worker": ("51ee135c16156afe", 31),
+    "disk-full": ("db109d64661bd6ee", 33),
+    "kill-midrun": ("355abdf82903a2ca", 31),
+    "corrupt-checkpoint": ("a09ffd0d211b7db5", 26),
+    "poison": ("c5f446588a2e5468", 3),
+}
+
+_PIN_KEYS = [hashlib.sha256(str(i).encode()).hexdigest() for i in range(64)]
+
+
+@pytest.mark.parametrize("kind", FAULT_KINDS + ("poison",))
+def test_fires_keeps_every_kinds_schedule(kind):
+    if kind == "poison":
+        plan = FaultPlan(poison="a", seed=7)
+    else:
+        plan = FaultPlan(**{kind.replace("-", "_"): 0.5}, seed=7)
+    # A checkpoint tear is keyed on the cut's record index too.
+    suffix = ":1000" if kind == "corrupt-checkpoint" else ""
+    with fault_plan(plan):
+        bits = "".join("1" if fires(kind, key + suffix, attempt) else "0"
+                       for key in _PIN_KEYS for attempt in (1, 2, 3))
+    digest = hashlib.sha256(bits.encode()).hexdigest()[:16]
+    assert (digest, bits.count("1")) == _SCHEDULE_PINS[kind], kind
 
 
 # -- RetryPolicy ---------------------------------------------------------------
@@ -227,9 +287,9 @@ def test_serial_crash_retries_are_bit_identical_to_clean(capsys):
     plan = FaultPlan(crash=0.5, seed=seed)
     clean = Executor(jobs=1).run(specs)
     faulted_ex = Executor(
-        jobs=1, policy=RetryPolicy(retries=retries, **_NO_WAIT), faults=plan
-    )
-    faulted = faulted_ex.run(specs)
+        jobs=1, policy=RetryPolicy(retries=retries, **_NO_WAIT))
+    with fault_plan(plan):
+        faulted = faulted_ex.run(specs)
     assert json.dumps(_as_dicts(faulted), sort_keys=True) == \
         json.dumps(_as_dicts(clean), sort_keys=True)
     expected = _expected_retries(plan, "crash", hashes, retries + 1)
@@ -259,9 +319,9 @@ def test_pool_crash_retries_are_bit_identical_to_clean(leftovers):
     plan = FaultPlan(crash=0.5, seed=seed)
     clean = Executor(jobs=1).run(specs)
     faulted_ex = Executor(
-        jobs=2, policy=RetryPolicy(retries=retries, **_NO_WAIT), faults=plan
-    )
-    faulted = faulted_ex.run(specs)
+        jobs=2, policy=RetryPolicy(retries=retries, **_NO_WAIT))
+    with fault_plan(plan):
+        faulted = faulted_ex.run(specs)
     assert json.dumps(_as_dicts(faulted), sort_keys=True) == \
         json.dumps(_as_dicts(clean), sort_keys=True)
     assert faulted_ex.telemetry.retries == \
@@ -272,8 +332,9 @@ def test_pool_crash_retries_are_bit_identical_to_clean(leftovers):
 # -- exhaustion: strict raises, lenient leaves annotated holes -----------------
 
 def test_strict_mode_raises_spec_exhausted_serial():
-    with pytest.raises(SpecExhausted) as excinfo:
-        Executor(jobs=1, faults=FaultPlan(crash=1.0)).run(_grid_specs())
+    with pytest.raises(SpecExhausted) as excinfo, \
+            fault_plan(FaultPlan(crash=1.0)):
+        Executor(jobs=1).run(_grid_specs())
     failure = excinfo.value.failure
     assert failure.benchmark in GRID_BENCHMARKS
     assert failure.attempts == 1
@@ -282,10 +343,8 @@ def test_strict_mode_raises_spec_exhausted_serial():
 
 def test_strict_mode_raises_spec_exhausted_pool(leftovers):
     executor = Executor(
-        jobs=2, policy=RetryPolicy(retries=0, strict=True, **_NO_WAIT),
-        faults=FaultPlan(crash=1.0),
-    )
-    with pytest.raises(SpecExhausted):
+        jobs=2, policy=RetryPolicy(retries=0, strict=True, **_NO_WAIT))
+    with pytest.raises(SpecExhausted), fault_plan(FaultPlan(crash=1.0)):
         executor.run(_grid_specs())
     leftovers()   # the abort tore the fleet down on its way out
 
@@ -293,10 +352,9 @@ def test_strict_mode_raises_spec_exhausted_pool(leftovers):
 def test_lenient_mode_resolves_failures_in_position(capsys):
     specs = _grid_specs()
     executor = Executor(
-        jobs=1, policy=RetryPolicy(retries=1, strict=False, **_NO_WAIT),
-        faults=FaultPlan(crash=1.0),
-    )
-    results = executor.run(specs)
+        jobs=1, policy=RetryPolicy(retries=1, strict=False, **_NO_WAIT))
+    with fault_plan(FaultPlan(crash=1.0)):
+        results = executor.run(specs)
     assert all(isinstance(r, FailedRun) for r in results)
     assert [(r.mechanism, r.benchmark) for r in results] == \
         [(s.mechanism, s.benchmark) for s in specs]
@@ -312,10 +370,9 @@ def test_lenient_mode_resolves_failures_in_position(capsys):
 def test_serial_hang_is_accounted_as_timeout():
     spec = RunSpec("swim", n_instructions=N)
     executor = Executor(
-        jobs=1, policy=RetryPolicy(retries=0, strict=False, **_NO_WAIT),
-        faults=FaultPlan(hang=1.0),
-    )
-    (failure,) = executor.run([spec])
+        jobs=1, policy=RetryPolicy(retries=0, strict=False, **_NO_WAIT))
+    with fault_plan(FaultPlan(hang=1.0)):
+        (failure,) = executor.run([spec])
     assert isinstance(failure, FailedRun)
     assert failure.kind == "timeout"
     assert executor.telemetry.timeouts == 1
@@ -328,9 +385,9 @@ def test_worker_timeout_turns_hangs_into_timeout_holes(leftovers):
     executor = Executor(
         jobs=2,
         policy=RetryPolicy(retries=0, strict=False, timeout=0.4, **_NO_WAIT),
-        faults=FaultPlan(hang=1.0),
     )
-    results = executor.run(specs)
+    with fault_plan(FaultPlan(hang=1.0)):
+        results = executor.run(specs)
     assert all(isinstance(r, FailedRun) for r in results)
     assert all(r.kind == "timeout" for r in results)
     assert "SpecTimeout" in results[0].error
@@ -351,10 +408,9 @@ def test_pool_death_recovers_and_stays_bit_identical(leftovers):
     plan = FaultPlan(kill_worker=0.5, seed=seed)
     clean = Executor(jobs=1).run(specs)
     executor = Executor(
-        jobs=2, policy=RetryPolicy(retries=1, strict=False, **_NO_WAIT),
-        faults=plan,
-    )
-    results = executor.run(specs)
+        jobs=2, policy=RetryPolicy(retries=1, strict=False, **_NO_WAIT))
+    with fault_plan(plan):
+        results = executor.run(specs)
     assert not any(isinstance(r, FailedRun) for r in results)
     assert json.dumps(_as_dicts(results), sort_keys=True) == \
         json.dumps(_as_dicts(clean), sort_keys=True)
@@ -370,9 +426,10 @@ def test_kill_worker_chaos_converges_without_waiting_out_the_ttl(leftovers):
     kills = sum(plan.decide("kill-worker", h, 1) for h in hashes)
     assert kills >= 1
     clean = Executor(jobs=1).run(specs)
-    executor = Executor(jobs=2, faults=plan)   # default 60 s lease TTL
+    executor = Executor(jobs=2)   # default 60 s lease TTL
     start = time.monotonic()
-    results = executor.run(specs)
+    with fault_plan(plan):
+        results = executor.run(specs)
     assert time.monotonic() - start < DEFAULT_LEASE_TTL / 2
     assert json.dumps(_as_dicts(results), sort_keys=True) == \
         json.dumps(_as_dicts(clean), sort_keys=True)
@@ -387,9 +444,9 @@ def test_poison_specs_resolve_as_poison_holes(leftovers, capsys):
     victim = specs[1]
     policy = RetryPolicy(retries=0, strict=False, **_NO_WAIT)
     clean = Executor(jobs=1).run(specs)
-    executor = Executor(jobs=2, policy=policy,
-                        faults=FaultPlan(poison=victim.content_hash[:12]))
-    results = executor.run(specs)
+    executor = Executor(jobs=2, policy=policy)
+    with fault_plan(FaultPlan(poison=victim.content_hash[:12])):
+        results = executor.run(specs)
     hole = results[1]
     assert isinstance(hole, FailedRun) and hole.kind == "poison"
     assert hole.spec_hash == victim.content_hash
@@ -409,9 +466,9 @@ def test_torn_store_entries_are_requeued_until_sound(tmp_path, leftovers):
     store = ResultStore(tmp_path / "cache")
     specs = _grid_specs()
     clean = Executor(jobs=1).run(specs)
-    executor = Executor(jobs=2, store=store,
-                        faults=FaultPlan(corrupt_store=1.0))
-    results = executor.run(specs)
+    executor = Executor(jobs=2, store=store)
+    with fault_plan(FaultPlan(corrupt_store=1.0)):
+        results = executor.run(specs)
     assert json.dumps(_as_dicts(results), sort_keys=True) == \
         json.dumps(_as_dicts(clean), sort_keys=True)
     # Every first write was torn, read back as a miss and re-simulated.
@@ -419,6 +476,26 @@ def test_torn_store_entries_are_requeued_until_sound(tmp_path, leftovers):
     replay = Executor(jobs=1, store=ResultStore(tmp_path / "cache"))
     assert _as_dicts(replay.run(specs)) == _as_dicts(clean)
     assert replay.telemetry.store_hits == len(specs)
+    leftovers()
+
+
+def test_disk_full_at_jobs_2_fails_each_first_write_clean(capfd, leftovers):
+    """The process-wide plan reaches the forked workers' store writes:
+    each spec's first put draws ENOSPC, its worker releases the lease,
+    and the reclaim (lease 2) writes through."""
+    specs = _grid_specs()
+    clean = Executor(jobs=1).run(specs)
+    capfd.readouterr()
+    executor = Executor(jobs=2)
+    with fault_plan(FaultPlan(disk_full=1.0, seed=1)):
+        results = executor.run(specs)
+    err = capfd.readouterr().err
+    assert err.count("write failed") == len(specs)
+    assert err.count("releasing lease for a clean re-run") == len(specs)
+    assert json.dumps(_as_dicts(results), sort_keys=True) == \
+        json.dumps(_as_dicts(clean), sort_keys=True)
+    assert executor.telemetry.simulated == len(specs)
+    assert executor.telemetry.failures == 0
     leftovers()
 
 
@@ -452,11 +529,10 @@ def test_sweep_with_holes_round_trips_and_densifies(capsys):
     expected_failed = {cell for cell, h in cells.items()
                        if plan.decide("crash", h, 1)}
     executor = Executor(
-        jobs=1, policy=RetryPolicy(retries=0, strict=False, **_NO_WAIT),
-        faults=plan,
-    )
-    grid = executor.run_sweep(benchmarks=GRID_BENCHMARKS,
-                              mechanisms=mechanisms, n_instructions=N)
+        jobs=1, policy=RetryPolicy(retries=0, strict=False, **_NO_WAIT))
+    with fault_plan(plan):
+        grid = executor.run_sweep(benchmarks=GRID_BENCHMARKS,
+                                  mechanisms=mechanisms, n_instructions=N)
     assert not grid.complete
     assert {(f.mechanism, f.benchmark) for f in grid.failures} == expected_failed
     (holed_benchmark,) = {b for _, b in expected_failed}
@@ -518,11 +594,10 @@ def test_matrix_renders_failed_cells_in_place():
     ((mechanism, benchmark),) = [cell for cell, h in cells.items()
                                  if plan.decide("crash", h, 1)]
     executor = Executor(
-        jobs=1, policy=RetryPolicy(retries=0, strict=False, **_NO_WAIT),
-        faults=plan,
-    )
-    exhibit = speedup_matrix(benchmarks=GRID_BENCHMARKS, n_instructions=N,
-                             executor=executor)
+        jobs=1, policy=RetryPolicy(retries=0, strict=False, **_NO_WAIT))
+    with fault_plan(plan):
+        exhibit = speedup_matrix(benchmarks=GRID_BENCHMARKS,
+                                 n_instructions=N, executor=executor)
     row = next(r for r in exhibit.rows if r["mechanism"] == mechanism)
     assert row[benchmark] == "FAILED"
     other = next(b for b in GRID_BENCHMARKS if b != benchmark)
@@ -551,21 +626,19 @@ def test_experiment_driver_degrades_per_benchmark():
 
     seed = _find_seed(kills_only_swim)
     executor = Executor(
-        jobs=1, policy=RetryPolicy(retries=0, strict=False, **_NO_WAIT),
-        faults=FaultPlan(crash=0.5, seed=seed),
-    )
-    exhibit = fig10_second_guessing(benchmarks=benchmarks, n_instructions=N,
-                                    executor=executor)
+        jobs=1, policy=RetryPolicy(retries=0, strict=False, **_NO_WAIT))
+    with fault_plan(FaultPlan(crash=0.5, seed=seed)):
+        exhibit = fig10_second_guessing(benchmarks=benchmarks,
+                                        n_instructions=N, executor=executor)
     assert [row["benchmark"] for row in exhibit.rows] == ["art"]
     assert "DEGRADED" in exhibit.notes and "swim" in exhibit.notes
 
 
 def test_all_groups_failed_raises_a_clear_error():
     executor = Executor(
-        jobs=1, policy=RetryPolicy(retries=0, strict=False, **_NO_WAIT),
-        faults=FaultPlan(crash=1.0),
-    )
-    with pytest.raises(RuntimeError, match="nothing to render"):
+        jobs=1, policy=RetryPolicy(retries=0, strict=False, **_NO_WAIT))
+    with pytest.raises(RuntimeError, match="nothing to render"), \
+            fault_plan(FaultPlan(crash=1.0)):
         fig10_second_guessing(benchmarks=("swim",), n_instructions=N,
                               executor=executor)
 
@@ -575,8 +648,8 @@ def test_all_groups_failed_raises_a_clear_error():
 def test_corrupt_store_injection_is_counted_and_resimulated(tmp_path, capsys):
     specs = _grid_specs()
     store = ResultStore(tmp_path)
-    first = Executor(jobs=1, store=store, faults=FaultPlan(corrupt_store=1.0))
-    originals = first.run(specs)
+    with fault_plan(FaultPlan(corrupt_store=1.0)):
+        originals = Executor(jobs=1, store=store).run(specs)
 
     replay = Executor(jobs=1, store=store)
     replayed = replay.run(specs)

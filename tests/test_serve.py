@@ -28,7 +28,7 @@ from pathlib import Path
 import pytest
 
 from repro.exec import ResultStore, RunSpec, journal
-from repro.exec.faults import FaultPlan, should_kill_worker
+from repro.exec.faults import FaultPlan, fires
 from repro.exec.telemetry import RunRecord, Telemetry
 from repro.exec.fleet import (
     KIND_DONE,
@@ -45,6 +45,8 @@ from repro.serve.protocol import (
     decode_message,
     encode_message,
 )
+
+from tests.conftest import fault_plan
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -305,7 +307,7 @@ def test_worker_simulates_stores_then_resolves(tmp_path):
     fleet = Fleet(store.serve_dir, ttl=60.0)
     spec = _spec()
     fleet.enqueue({spec.content_hash: spec_payload(spec)})
-    worker = Worker(fleet, store, "w1", plan=FaultPlan())
+    worker = Worker(fleet, store, "w1")
     assert worker.run_one()
     assert worker.completed == 1
     # The result in the shared store is the spec's own, bit for bit.
@@ -330,7 +332,7 @@ def test_worker_resolves_a_stored_spec_without_simulating(tmp_path,
         raise AssertionError("a stored spec was simulated again")
 
     monkeypatch.setattr(RunSpec, "execute", simulate)
-    worker = Worker(fleet, store, "w1", plan=FaultPlan())
+    worker = Worker(fleet, store, "w1")
     assert worker.run_one()
     assert worker.completed == 1 and worker.failed == 0
     snap = fleet.snapshot()
@@ -342,7 +344,7 @@ def test_worker_resolves_unreconstructible_payload_as_failure(tmp_path):
     store = ResultStore(tmp_path / "cache")
     fleet = Fleet(store.serve_dir, ttl=60.0)
     fleet.enqueue({"f" * 64: {"benchmark": "swim", "garbage": True}})
-    worker = Worker(fleet, store, "w1", plan=FaultPlan())
+    worker = Worker(fleet, store, "w1")
     assert worker.run_one()
     assert worker.failed == 1
     snap = fleet.snapshot()
@@ -353,21 +355,23 @@ def test_worker_resolves_unreconstructible_payload_as_failure(tmp_path):
 
 def test_kill_worker_schedule_is_deterministic_and_first_lease_only(tmp_path):
     plan = FaultPlan(seed=7, kill_worker=1.0)
-    assert should_kill_worker(None, "a" * 64) is False
+    assert fires("kill-worker", "a" * 64) is False   # no plan installed
     # Purely a function of (seed, kind, hash): the same plan makes the
     # same decision everywhere, forever — including a fresh process.
-    assert should_kill_worker(plan, "a" * 64) is True
-    assert should_kill_worker(plan, "a" * 64) is True
-    assert should_kill_worker(FaultPlan(seed=7, kill_worker=1.0),
-                              "a" * 64) is True
-    # Convergence is the worker's gate, not the schedule's: a reclaimed
-    # lease (count > 1) never consults the plan, so _maybe_die returns
-    # instead of dying even at rate 1.0.
+    assert plan.decide("kill-worker", "a" * 64, 1) is True
+    assert plan.decide("kill-worker", "a" * 64, 1) is True
+    assert FaultPlan(seed=7, kill_worker=1.0).decide(
+        "kill-worker", "a" * 64, 1) is True
+    # Convergence is the schedule's one-shot rule: a reclaimed lease
+    # (count > 1) never fires, so _maybe_die returns instead of dying
+    # even at rate 1.0.
+    assert plan.decide("kill-worker", "a" * 64, 2) is False
     from repro.exec.fleet import Claim
     store = ResultStore(tmp_path / "cache")
-    worker = Worker(Fleet(store.serve_dir), store, "w1", plan=plan)
-    worker._maybe_die(Claim(spec_hash="a" * 64, payload={},
-                            lease_count=2, expires=0.0))
+    worker = Worker(Fleet(store.serve_dir), store, "w1")
+    with fault_plan(plan):
+        worker._maybe_die(Claim(spec_hash="a" * 64, payload={},
+                                lease_count=2, expires=0.0))
 
 
 def test_worker_heartbeat_outlasts_a_slow_simulation(tmp_path, monkeypatch):
@@ -392,7 +396,7 @@ def test_worker_heartbeat_outlasts_a_slow_simulation(tmp_path, monkeypatch):
         "repro.exec.worker.spec_from_payload",
         lambda payload: Slow(spec_from_payload(payload)),
     )
-    worker = Worker(fleet, store, "w1", plan=FaultPlan())
+    worker = Worker(fleet, store, "w1")
     thread = threading.Thread(target=worker.run_one)
     thread.start()
     try:
@@ -506,7 +510,7 @@ def test_pruned_store_entry_behind_a_done_record_is_requeued(sweep_service):
     service = sweep_service()
     spec = _spec()
     service.fleet.enqueue({spec.content_hash: spec_payload(spec)})
-    worker = Worker(service.fleet, service.store, "w1", plan=FaultPlan())
+    worker = Worker(service.fleet, service.store, "w1")
     assert worker.run_one()
     time.sleep(0.1)  # let the watcher pass the done record
     service.store.shard_path(spec.content_hash).unlink()

@@ -24,6 +24,7 @@ import dataclasses
 import errno
 import json
 import os
+import socket
 import subprocess
 import sys
 import threading
@@ -33,12 +34,7 @@ from pathlib import Path
 import pytest
 
 from repro.exec import ResultStore, RunSpec, journal
-from repro.exec.faults import (
-    parse_fault_spec,
-    set_active_plan,
-    should_fill_disk,
-    should_poison,
-)
+from repro.exec.faults import parse_fault_spec
 from repro.exec.policy import FailedRun, RetryPolicy
 from repro.exec.telemetry import RunRecord, Telemetry
 from repro.exec.fleet import (
@@ -50,6 +46,8 @@ from repro.exec.fleet import (
 from repro.exec.worker import Worker
 from repro.serve import ServeUnavailable, spec_payload
 from repro.serve.protocol import decode_message, submit_message
+
+from tests.conftest import fault_plan
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -78,11 +76,13 @@ def test_poison_selector_parses_and_matches_by_hash_prefix():
     # describe() round-trips the selector, so a respawned worker
     # re-parsing its own environment sees the identical plan.
     assert "poison:ab12" in plan.describe()
-    assert should_poison(plan, "ab12" + "0" * 60)
-    assert not should_poison(plan, "ab13" + "0" * 60)
+    # Poison fires on every lease, not just the first.
+    assert all(plan.decide("poison", "ab12" + "0" * 60, lease)
+               for lease in (1, 2, 3))
+    assert not plan.decide("poison", "ab13" + "0" * 60, 1)
     # No selector -> nothing is poison, whatever the other faults say.
-    assert not should_poison(parse_fault_spec("kill-worker:0.5,seed=7"),
-                             "ab12" + "0" * 60)
+    assert not parse_fault_spec("kill-worker:0.5,seed=7").decide(
+        "poison", "ab12" + "0" * 60, 1)
 
 
 def test_bad_poison_prefix_is_rejected_at_parse_time():
@@ -95,11 +95,11 @@ def test_bad_poison_prefix_is_rejected_at_parse_time():
 
 def test_disk_full_fires_once_per_fault_key():
     plan = parse_fault_spec("disk-full:1.0,seed=3")
-    assert should_fill_disk(plan, "put:" + HASH_A, 1)
+    assert plan.decide("disk-full", "put:" + HASH_A, 1)
     # The retry of the same write is clean: disk-full is a one-shot
     # per key, so chaos runs converge instead of wedging on a write
     # that can never land.
-    assert not should_fill_disk(plan, "put:" + HASH_A, 2)
+    assert not plan.decide("disk-full", "put:" + HASH_A, 2)
 
 
 # -- lease budget arithmetic ---------------------------------------------------
@@ -212,18 +212,15 @@ def test_store_put_under_disk_full_leaves_no_torn_entry(tmp_path):
     store = ResultStore(tmp_path / "cache")
     spec = RunSpec("swim", "TP", n_instructions=500)
     result = spec.execute()
-    set_active_plan(parse_fault_spec("disk-full:1.0,seed=1"))
-    try:
+    with fault_plan(parse_fault_spec("disk-full:1.0,seed=1")):
         with pytest.raises(OSError) as err:
             store.put(spec, result, fault_attempt=1)
         assert err.value.errno == errno.ENOSPC
         # Fail-clean: no entry, and no stranded temp for fsck to find.
         assert store.get(spec) is None
         assert not list((tmp_path / "cache").rglob("*.tmp"))
-        # The retry (attempt 2 never consults the schedule) lands.
+        # The retry (attempt 2 never fires) lands.
         store.put(spec, result, fault_attempt=2)
-    finally:
-        set_active_plan(None)
     assert _as_dict(store.get(spec)) == _as_dict(result)
     report = store.fsck()
     assert report.clean
@@ -233,8 +230,7 @@ def test_wal_append_under_disk_full_leaves_no_torn_line(tmp_path):
     fleet = Fleet(tmp_path, ttl=60.0)
     fleet.enqueue({HASH_A: _payload()})
     size_before = fleet.queue_path.stat().st_size
-    set_active_plan(parse_fault_spec("disk-full:1.0,seed=1"))
-    try:
+    with fault_plan(parse_fault_spec("disk-full:1.0,seed=1")):
         # The first lease's done record is torn mid-line by ENOSPC...
         with pytest.raises(OSError):
             fleet.mark_done(HASH_A, "w1", 0.5, lease_count=1)
@@ -243,10 +239,8 @@ def test_wal_append_under_disk_full_leaves_no_torn_line(tmp_path):
         assert fleet.queue_path.stat().st_size == size_before
         records, skipped = journal.replay(fleet.queue_path)
         assert skipped == [] and [r["kind"] for r in records] == [KIND_ENQUEUE]
-        # The retry (a second lease never consults the schedule) lands.
+        # The retry (a second lease never fires) lands.
         fleet.mark_done(HASH_A, "w1", 0.5, lease_count=2)
-    finally:
-        set_active_plan(None)
     records, skipped = journal.replay(fleet.queue_path)
     assert skipped == []
     assert [r["kind"] for r in records] == [KIND_ENQUEUE, "done"]
@@ -259,12 +253,9 @@ def test_worker_releases_its_lease_when_the_store_write_fails(tmp_path):
     fleet.enqueue({spec.content_hash: spec_payload(spec)})
     # Every store put draws ENOSPC on its first attempt.  The plan is
     # armed process-globally, exactly as a worker process arms its
-    # $REPRO_FAULTS at startup: the store's write hook consults the
-    # active plan, not the worker object.
-    plan = parse_fault_spec("disk-full:1.0,seed=1")
-    sick = Worker(fleet, store, "w1", plan=plan)
-    set_active_plan(plan)
-    try:
+    # $REPRO_FAULTS at startup.
+    sick = Worker(fleet, store, "w1")
+    with fault_plan(parse_fault_spec("disk-full:1.0,seed=1")):
         assert sick.run_one()
         snap = fleet.snapshot()
         # The simulation succeeded but nothing landed: the worker
@@ -276,8 +267,6 @@ def test_worker_releases_its_lease_when_the_store_write_fails(tmp_path):
         # The market re-grants immediately; the put's second attempt
         # is clean and the spec resolves with the write intact.
         assert sick.run_one()
-    finally:
-        set_active_plan(None)
     snap = fleet.snapshot()
     assert spec.content_hash in snap.done and snap.drained
     assert _as_dict(store.get(spec)) == _as_dict(spec.execute())
@@ -392,6 +381,45 @@ def test_service_rejects_a_batch_over_the_per_client_cap(sweep_service):
     svc.start_worker("w1")
     outcome = svc.client("greedy").submit([_spec("TP")])
     assert outcome.failures == {}
+
+
+def test_an_oversize_submission_reports_the_servers_reason(sweep_service):
+    """A line far past the limit and every socket buffer (5,000 specs,
+    about 7 MB): the server stops reading and hangs up mid-send, and
+    the client still reads the reason the server sent before it did."""
+    svc = sweep_service(max_line=1024)
+    specs = [_spec()] * 5000
+    with pytest.raises(ServeUnavailable, match="1024-byte limit"):
+        svc.client("hog").submit(specs)
+    assert svc.fleet.snapshot().enqueued == {}
+
+
+def test_a_hang_up_without_a_reason_is_named(tmp_path):
+    """A peer that stops reading mid-send and closes without a word:
+    the client's error names the hang-up."""
+    from repro.serve import SweepClient
+
+    path = str(tmp_path / "mute.sock")
+    listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    listener.bind(path)
+    listener.listen(1)
+
+    def hang_up():
+        conn, _ = listener.accept()
+        conn.recv(1024)
+        conn.close()
+
+    peer = threading.Thread(target=hang_up)
+    peer.start()
+    try:
+        client = SweepClient(socket_path=path, client_id="hog", timeout=60.0)
+        with pytest.raises(ServeUnavailable,
+                           match="Broken pipe|Connection reset"):
+            client.submit([_spec()] * 5000)
+    finally:
+        peer.join(timeout=60.0)
+        listener.close()
+    assert not peer.is_alive()
 
 
 def test_service_expires_undispatched_work_at_the_deadline(sweep_service):
