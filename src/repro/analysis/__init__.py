@@ -23,10 +23,9 @@ The rule families (catalogue in ``docs/analysis.md``):
 * **SIM7xx** hot-path performance lint (sim-path packages) — allocation,
   unhoisted attribute chains, and per-iteration frames inside functions
   marked ``@hotpath``.
-* **SIM8xx** fast-path guard completeness (``repro.cpu``) — the
-  generated trace-speculation code is re-emitted for every machine shape
-  and proven to guard every state it touches, replay the slow path's
-  writes in order, and bake only fresh constants.
+
+Every rule reads source only: the analyzer imports nothing of the
+simulator and builds no machine.
 
 The same invariants have a *runtime* twin: setting ``REPRO_SANITIZE=1``
 arms cheap assertions in the kernel and the cache hierarchy (see
@@ -40,7 +39,6 @@ from __future__ import annotations
 from repro.analysis import (  # noqa: F401
     contract,
     determinism,
-    fastpath,
     hotpath,
     obsrules,
     purity,

@@ -31,6 +31,7 @@ from repro.analysis.core import (
     SourceModule,
     Violation,
     all_rules,
+    cross_module_index,
     make_violation,
     rule,
 )
@@ -81,35 +82,43 @@ def _base_hooks(modules: Sequence[SourceModule]) -> Dict[str, Tuple[str, ...]]:
     return FALLBACK_HOOKS
 
 
-def _mechanism_classes(
-    module: SourceModule, modules: Sequence[SourceModule]
-) -> List[ast.ClassDef]:
-    """Classes in ``module`` that (transitively, by name) subclass Mechanism."""
+def _base_names(node: ast.ClassDef) -> Set[str]:
+    bases = {b.id for b in node.bases if isinstance(b, ast.Name)}
+    bases |= {b.attr for b in node.bases if isinstance(b, ast.Attribute)}
+    return bases
+
+
+def _mechanism_names(modules: Sequence[SourceModule]) -> Set[str]:
+    """Every class name that (transitively, by name) subclasses Mechanism.
+
+    A fixed point over every scanned module, so cross-file bases resolve.
+    """
     known: Set[str] = set(_BASE_CLASS_NAMES)
-    # Fixed point over every scanned module so cross-file bases resolve.
-    grew = True
     class_bases: List[Tuple[str, Set[str]]] = []
     for mod in modules:
         for node in ast.walk(mod.tree):
             if isinstance(node, ast.ClassDef):
-                bases = {b.id for b in node.bases if isinstance(b, ast.Name)}
-                bases |= {b.attr for b in node.bases
-                          if isinstance(b, ast.Attribute)}
-                class_bases.append((node.name, bases))
+                class_bases.append((node.name, _base_names(node)))
+    grew = True
     while grew:
         grew = False
         for name, bases in class_bases:
             if name not in known and bases & known:
                 known.add(name)
                 grew = True
-    found = []
-    for node in module.tree.body:
-        if isinstance(node, ast.ClassDef) and node.name != "Mechanism":
-            bases = {b.id for b in node.bases if isinstance(b, ast.Name)}
-            bases |= {b.attr for b in node.bases if isinstance(b, ast.Attribute)}
-            if bases & known:
-                found.append(node)
-    return found
+    return known
+
+
+def _mechanism_classes(
+    module: SourceModule, modules: Sequence[SourceModule]
+) -> List[ast.ClassDef]:
+    """Classes in ``module`` that (transitively, by name) subclass Mechanism."""
+    known = cross_module_index(modules, _mechanism_names)
+    return [
+        node for node in module.tree.body
+        if isinstance(node, ast.ClassDef) and node.name != "Mechanism"
+        and _base_names(node) & known
+    ]
 
 
 def _rule(rule_id: str) -> Rule:

@@ -35,7 +35,9 @@ import ast
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar, cast,
+)
 
 #: Packages (dotted, relative to ``repro``) that constitute the simulated
 #: path: code whose behaviour feeds a RunResult and therefore the
@@ -200,9 +202,9 @@ def _module_name(path: Path) -> Optional[str]:
 
 #: Cross-call parse cache: resolved path -> (mtime_ns, size, module).
 #: ``analyze_paths`` used to re-parse the whole tree on every call, which
-#: multiplied across the CLI's fixture-rejection loop and the SIM8xx
-#: verifier's repeated whole-tree anchoring; the cache makes a full run
-#: parse each file exactly once (``parse_count`` pins that in tests).
+#: multiplied across the CLI's fixture-rejection loop; the cache makes a
+#: full run parse each file exactly once (``parse_count`` pins that in
+#: tests).
 _PARSE_CACHE: Dict[str, Tuple[int, int, SourceModule]] = {}
 
 
@@ -259,6 +261,36 @@ def load_paths(paths: Sequence[Path]) -> Tuple[List[SourceModule], List[Violatio
 
 # -- running -------------------------------------------------------------------
 
+_T = TypeVar("_T")
+
+
+class ModuleSet(List[SourceModule]):
+    """The modules of one :func:`analyze_modules` call.
+
+    Cross-module rules read indexes of the whole set (every class's
+    bases, every ``bind()`` target) through :func:`cross_module_index`,
+    which builds each index once per set — once per call, not once per
+    module checked.  The indexes live and die with the set, so none
+    outlives the call.
+    """
+
+    def __init__(self, modules: Iterable[SourceModule]) -> None:
+        super().__init__(modules)
+        self.indexes: Dict[Callable[..., object], object] = {}
+
+
+def cross_module_index(
+    modules: Sequence[SourceModule],
+    build: Callable[[Sequence[SourceModule]], _T],
+) -> _T:
+    """``build(modules)``, built once per :func:`analyze_modules` call."""
+    if not isinstance(modules, ModuleSet):
+        return build(modules)
+    if build not in modules.indexes:
+        modules.indexes[build] = build(modules)
+    return cast(_T, modules.indexes[build])
+
+
 def _check_allow_reasons(module: SourceModule) -> List[Violation]:
     """SIM001: every allow comment must carry a justification."""
     found = []
@@ -283,14 +315,15 @@ def analyze_modules(
         prefixes = tuple(select)
         active = [r for r in active if r.rule_id.startswith(prefixes)
                   or r.name in prefixes]
+    corpus = ModuleSet(modules)
     violations: List[Violation] = []
-    for module in modules:
+    for module in corpus:
         violations.extend(_check_allow_reasons(module))
     for rule_obj in active:
-        for module in modules:
+        for module in corpus:
             if not module.in_package(rule_obj.packages):
                 continue
-            for violation in rule_obj.fn(module, modules):
+            for violation in rule_obj.fn(module, corpus):
                 if module.allowed(violation.rule, violation.line):
                     continue
                 violations.append(violation)

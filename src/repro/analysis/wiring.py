@@ -17,7 +17,13 @@ from __future__ import annotations
 import ast
 from typing import Dict, List, Sequence, Set, Tuple
 
-from repro.analysis.core import SourceModule, Violation, make_violation, rule
+from repro.analysis.core import (
+    SourceModule,
+    Violation,
+    cross_module_index,
+    make_violation,
+    rule,
+)
 from repro.analysis.contract import _rule
 
 _PACKAGES = ("",)  # whole tree
@@ -120,7 +126,7 @@ def _bound_attrs(modules: Sequence[SourceModule]) -> Set[str]:
 def check_unbound_port(
     module: SourceModule, modules: Sequence[SourceModule]
 ) -> List[Violation]:
-    bound = _bound_attrs(modules)
+    bound = cross_module_index(modules, _bound_attrs)
     found = []
     for cls in ast.walk(module.tree):
         if not isinstance(cls, ast.ClassDef):

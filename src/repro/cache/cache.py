@@ -192,9 +192,6 @@ class Cache(Component):
     def addr_of(self, block: int) -> int:
         return block << self.line_bits
 
-    def _set_index(self, block: int) -> int:
-        return block & self._set_mask
-
     # -- lookup without side effects ------------------------------------------
 
     def _find(self, block: int) -> int:

@@ -1,11 +1,11 @@
 """In-process memo of compiled generated code.
 
-The fast path generates Python source per machine shape (baked constants,
-inline replay blocks) and compiles it.  Runs of one shape in a process
+The fast path generates Python source per core configuration (baked
+core constants, inline hit blocks) and compiles it.  Runs in a process
 share one code object: :func:`load_or_compile` compiles each distinct
-source once.  A compile costs 3.8-4.7 ms for a fig10 shape (2-CPU host,
-Python 3.11), which is noise next to the simulation it serves, so
-nothing is cached on disk.
+source once.  A compile costs a few milliseconds (3.8-4.7 ms for a loop
+and its replay blocks on a 2-CPU host, Python 3.11), which is noise next
+to the simulation it serves, so nothing is cached on disk.
 """
 
 from __future__ import annotations

@@ -9,38 +9,45 @@ the "program" is the simulator itself and the hot linear sequence is the
     advance clock → tag-pipeline slot → port grant → tag match →
     LRU promote → stat bumps → hit latency
 
-:class:`TraceSpeculator.` *records* that sequence at construction — it walks
-the hierarchy once and compiles the chain into closures over the flat tag
-stores, resource state and stat counters (the analogue of ``speculate``
-blocks being injected ahead of the original code).  A due kernel event
-(MSHR release, eager-writeback drain, dead-block check) is not a reason
-to abort: the replay runs the kernel's ``run_until`` first — exactly the
-drain :meth:`~repro.cache.hierarchy.MemoryHierarchy.advance` would
-perform — and then re-runs the recorded sequence under two guards,
-evaluated *after* that drain so anything the events mutated is seen:
+The sequence is emitted as one fixed *hit block* per access kind (load,
+store, instruction fetch), with the same text for every machine.  What
+the block reads from the machine — the flat tag stores, resource state,
+stat counters, cache geometry, the mechanism hook, the memory image's
+writer and the prefetch queues — is a namespace binding
+(:func:`hit_bindings`), read at run time; a feature the machine lacks
+binds ``None`` (or ``()`` for an absent prefetch queue), so every machine
+binds the same names.  A due kernel event (MSHR release, eager-writeback
+drain, dead-block check) is not a reason to abort: the block runs the
+kernel's ``run_until`` first — exactly the drain
+:meth:`~repro.cache.hierarchy.MemoryHierarchy.advance` would perform — and
+then checks two guards, evaluated *after* that drain so anything the
+events mutated is seen:
 
 * **no queued prefetch** — a non-empty mechanism request queue means the
   hierarchy would drain traffic onto the buses before this access;
 * **the line is resident** — a tag mismatch is a miss, which belongs to
   the MSHR/bus/DRAM slow path.
 
-Any failed guard returns ``None`` — the abort — and the caller falls back
-to ``hierarchy.load`` / ``store`` / ``fetch_instruction``, which performs
-the identical work the long way.  A successful replay performs *exactly*
-the side effects of the slow path's hit case (same stat bumps, same LRU
+Each guard carries a ``# guard[<name>]`` marker comment on the line above
+it.  Any failed guard aborts, and the caller falls back to
+``hierarchy.load`` / ``store`` / ``fetch_instruction``, which performs the
+identical work the long way.  A successful replay performs *exactly* the
+side effects of the slow path's hit case (same stat bumps, same LRU
 rotation, same resource acquisitions, same mechanism ``on_access`` hook at
 the same point), so results are bit-identical with the fast path on or
-off; the golden-fingerprint tests in ``tests/test_fastpath.py`` pin that
-across every registered mechanism.
+off; ``tests/test_fastpath.py`` pins that across every registered
+mechanism and cache model, and shows that dropping any one guard makes
+some fast/slow pair diverge; ``tests/test_fastpath_verifier.py`` checks,
+machine by machine, that the guards are whole and read live state.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 
 from repro.cache.cache import DIRTY, PREFETCHED
 from repro.cpu import codecache
+from repro.kernel.resources import MultiPortResource
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cache.hierarchy import MemoryHierarchy
@@ -51,103 +58,84 @@ EVENT_DRAINS = 1
 ABORT_QUEUED_PREFETCH = 2
 ABORT_MISS = 3
 
+#: Prefetch-queue slots the hit block guards.  No registered mechanism
+#: owns more than two (CDPSP has two); a machine with more is refused
+#: when the block is bound, never run with a queue unguarded.
+QUEUE_SLOTS = 2
+
 ReplayFn = Callable[..., Optional[int]]
 
 
-# -- machine-readable emitter metadata -----------------------------------------
-#
-# The SIM8xx guard-completeness verifier (repro.analysis.fastpath) parses
-# the *emitted* source and proves, per machine shape, that every piece of
-# simulator state the generated code touches is covered.  These tables are
-# the proof obligations' vocabulary; they live here, next to the emitters,
-# so the two evolve in one diff.
+def hit_bindings(hierarchy: "MemoryHierarchy", kind: str,
+                 prefix: str = "") -> Dict[str, Any]:
+    """The namespace the ``kind`` hit block reads, bound to this machine.
 
-@dataclass(frozen=True)
-class GuardSpec:
-    """One guard the emitters bake into every replay sequence.
-
-    ``counter`` is the ``counts_`` slot the guard bumps when it fires
-    (the verifier checks the baked index), and ``protects`` names the
-    canonical states whose premise-read the guard re-validates at replay
-    time — state protected by no guard and not provably invariant is a
-    SIM801 violation.
+    ``kind`` is ``"load"``, ``"store"`` or ``"ifetch"``; ``prefix`` is
+    the one :func:`_emit_hit` was given.  ``counts_`` is left ``None`` for
+    the caller to fill with the live counter block.  Every machine binds
+    the same names in the same order, so the emitted text never varies.
     """
-
-    name: str
-    counter: int
-    protects: Tuple[str, ...]
-
-
-#: The guards, in the order the emitters lay them out: due kernel events
-#: are drained first, then the prefetch queues are checked, then the tag
-#: probe.  The verifier requires exactly this order — the queue and tag
-#: guards are only sound *after* the drain has run whatever the events
-#: would have mutated.
-GUARDS: Tuple[GuardSpec, ...] = (
-    GuardSpec("event-drain", EVENT_DRAINS, ("kernel.events", "kernel.clock")),
-    GuardSpec("queued-prefetch", ABORT_QUEUED_PREFETCH, ("mechanism.queue",)),
-    GuardSpec("resident", ABORT_MISS,
-              ("cache.tags", "cache.ready", "cache.touch", "cache.flags")),
-)
-
-#: Canonical simulator state per emitter binding name (prefixes such as
-#: ``ld_`` stripped; ``queue<N>`` bindings map to ``mechanism.queue`` by
-#: pattern).  A name the emitted source references that resolves to no
-#: entry here is *unaccounted state* — SIM801.
-STATE_OF_BINDING: Dict[str, str] = {
-    "tags": "cache.tags",
-    "tags_index": "cache.tags",
-    "ready_arr": "cache.ready",
-    "touch": "cache.touch",
-    "flags": "cache.flags",
-    "pipe": "cache.pipeline",
-    "ports": "cache.ports",
-    "ledger": "cache.ports",
-    "ledger_get": "cache.ports",
-    "st_kind": "cache.stat.kind",
-    "st_useful": "cache.stat.useful",
-    "st_outer": "hierarchy.stat",
-    "image_write": "image",
-    "hook": "mechanism.hook",
-    "sim": "kernel.clock",
-    "event_times": "kernel.events",
-    "run_until": "kernel.events",
-    "counts_": "speculation.counters",
-    # Bindings of the generated run loop (repro.cpu.ooo._emit_fast_loop).
-    "latency": "core.tables",
-    "fu_of": "core.tables",
-    "h_load": "hierarchy.slowpath",
-    "h_store": "hierarchy.slowpath",
-    "h_fetch": "hierarchy.slowpath",
-    "deque": "local",
-    "sampler_sample": "obs.sampler",
-}
-
-#: States the fast path may touch without a guard because it only touches
-#: them in the commit region, performing exactly the writes the slow
-#: path's hit case performs (the SIM802 sequence check pins that): stat
-#: bumps, resource ledgers, the write-through image, the mechanism hook,
-#: and the speculation counters (diagnostics, not part of any result).
-INVARIANT_STATES = frozenset({
-    "cache.ports", "cache.pipeline", "cache.stat.kind", "cache.stat.useful",
-    "hierarchy.stat", "image", "mechanism.hook", "speculation.counters",
-    "core.tables", "hierarchy.slowpath", "obs.sampler", "local",
-})
+    cache = hierarchy.l1i if kind == "ifetch" else hierarchy.l1d
+    if cache.pipeline.initiation_interval != 1:  # pragma: no cover - config guard
+        raise RuntimeError("fast path assumes a 1-cycle tag pipeline")
+    queues = hierarchy._mech_queues
+    if len(queues) > QUEUE_SLOTS:
+        raise RuntimeError(
+            f"fast path guards {QUEUE_SLOTS} prefetch queues; "
+            f"{hierarchy.mechanism!r} has {len(queues)}")
+    p = prefix
+    ports = cache.ports
+    bindings: Dict[str, Any] = {
+        "counts_": None,
+        "sim": hierarchy.sim,
+        "event_times": hierarchy.sim._times,
+        "run_until": hierarchy.sim.run_until,
+    }
+    for slot in range(QUEUE_SLOTS):
+        bindings[f"queue{slot}"] = queues[slot] if slot < len(queues) else ()
+    bindings.update({
+        f"{p}line_bits": cache.line_bits,
+        f"{p}set_mask": cache._set_mask,
+        f"{p}assoc": cache.assoc,
+        f"{p}tags": cache._tags,
+        f"{p}tags_index": cache._tags.index,
+        f"{p}ready_arr": cache._ready,
+        f"{p}touch": cache._touch,
+        f"{p}flags": cache._flags,
+        f"{p}pipe": cache.pipeline if cache.precise else None,
+        f"{p}ports": ports,
+        f"{p}n_ports": ports.n_ports,
+        f"{p}ledger": ports._ledger,
+        f"{p}ledger_get": ports._ledger.get,
+        f"{p}st_kind": cache.st_writes if kind == "store" else cache.st_reads,
+        f"{p}st_useful": cache.st_useful_prefetches,
+        f"{p}latency": cache.config.latency,
+    })
+    if kind == "store":
+        bindings[f"{p}st_outer"] = hierarchy.st_stores
+        bindings[f"{p}image_write"] = (hierarchy.image.write
+                                       if hierarchy.image is not None
+                                       else None)
+    elif kind == "load":
+        bindings[f"{p}st_outer"] = hierarchy.st_loads
+    if kind != "ifetch":
+        # Instruction fetch never reaches a mechanism hook (the
+        # INSTRUCTION_PC rule).
+        bindings[f"{p}hook"] = (cache.mechanism.on_access
+                                if cache.mechanism is not None else None)
+    return bindings
 
 
-def _guard_tag(spec: GuardSpec) -> str:
-    """The comment line tagging one emitted guard with what it protects."""
-    return f"# guard[{spec.name}] protects: {', '.join(spec.protects)}"
+def _emit_hit(kind: str, *, prefix: str, pc: str, addr: str, time: str,
+              value: str, on_abort: Callable[[], List[str]],
+              on_commit: Callable[[str], List[str]],
+              indent: str) -> List[str]:
+    """Emit the linear hit-replay source of one access kind.
 
-
-def _emit_hit(cache, is_write, is_ifetch, hierarchy, queued, *, prefix,
-              pc, addr, time, value, on_abort, on_commit, indent):
-    """Emit the linear hit-replay source for one cache.
-
-    Returns ``(lines, bindings)``: the statement lines (already indented by
-    ``indent``) and the names the generated code expects bound in its
-    namespace.  ``pc``/``addr``/``time``/``value`` are *expressions* pasted
-    into the source, so the same emitter serves two consumers:
+    Returns the statement lines, already indented by ``indent``; the
+    names they read are :func:`hit_bindings`'s.  ``pc``/``addr``/
+    ``time``/``value`` are *expressions* pasted into the source, so the
+    same emitter serves two consumers:
 
     * :class:`TraceSpeculator` wraps the body in a ``def`` (``on_abort``
       returns a ``return None``, ``on_commit`` a ``return``);
@@ -159,112 +147,78 @@ def _emit_hit(cache, is_write, is_ifetch, hierarchy, queued, *, prefix,
     Either way the emitted sequence is the same recorded trace, so the two
     consumers cannot drift apart.
     """
-    pipe = cache.pipeline
-    if pipe.initiation_interval != 1:  # pragma: no cover - config guard
-        raise RuntimeError("fast path assumes a 1-cycle tag pipeline")
-    ports = cache.ports
+    is_write = kind == "store"
+    is_ifetch = kind == "ifetch"
     p = prefix
     i0 = indent
     i1 = indent + "    "
     i2 = indent + "        "
-
-    bindings = {
-        "counts_": None,  # caller substitutes the live counter block
-        "sim": hierarchy.sim,
-        "event_times": hierarchy.sim._times,
-        "run_until": hierarchy.sim.run_until,
-        f"{p}tags": cache._tags,
-        f"{p}ready_arr": cache._ready,
-        f"{p}touch": cache._touch,
-        f"{p}flags": cache._flags,
-        f"{p}pipe": pipe,
-        f"{p}ports": ports,
-        f"{p}ledger": ports._ledger,
-        f"{p}ledger_get": ports._ledger.get,
-        f"{p}st_kind": cache.st_writes if is_write else cache.st_reads,
-        f"{p}st_useful": cache.st_useful_prefetches,
-    }
-    for qi, q in enumerate(queued):
-        bindings[f"queue{qi}"] = q
-
+    abort1 = [i1 + s for s in on_abort()]
+    abort2 = [i2 + s for s in on_abort()]
+    # Guards first, each pure: a failed guard leaves no trace beyond the
+    # drain the slow path would also have run.  A due kernel event (bucket
+    # time at or before the access cycle) is *drained*, not aborted on:
+    # advance() would run exactly this drain before the access proceeds.
     lines = [
-        # A due kernel event (bucket time at or before the access cycle) is
-        # *drained*, not aborted on: advance() would run exactly this drain
-        # before the access proceeds.  The queue and tag guards below run
-        # after it, so anything the events mutate is seen.
-        f"{i0}{_guard_tag(GUARDS[0])}",
+        f"{i0}# guard[event-drain]",
         f"{i0}if event_times and event_times[0] <= {time}:",
         f"{i1}run_until({time})",
         f"{i1}counts_[{EVENT_DRAINS}] += 1",
-    ]
-    # -- guards (pure: a failed guard leaves no trace beyond the drain the
-    # slow path would also have run) ------------------------------------------
-    for qi in range(len(queued)):
-        lines.append(f"{i0}{_guard_tag(GUARDS[1])}")
-        lines.append(f"{i0}if queue{qi}:")
-        lines.append(f"{i1}counts_[{ABORT_QUEUED_PREFETCH}] += 1")
-        lines += [i1 + s for s in on_abort()]
-    assoc = cache.assoc
-    lines += [
-        f"{i0}{p}block = {addr} >> {cache.line_bits}",
-        f"{i0}{p}base = ({p}block & {cache._set_mask}) * {assoc}",
-    ]
-    if assoc == 1:
-        # Direct-mapped: one compare decides residency, where a list.index
-        # miss would raise ValueError on every abort to the miss path.
-        lines += [
-            f"{i0}{p}slot = {p}base",
-            f"{i0}{_guard_tag(GUARDS[2])}",
-            f"{i0}if {p}tags[{p}base] != {p}block:",
-        ]
-    else:
-        bindings[f"{p}tags_index"] = cache._tags.index
-        lines += [
-            f"{i0}{_guard_tag(GUARDS[2])}",
-            f"{i0}try:",
-            f"{i1}{p}slot = {p}tags_index({p}block, {p}base, {p}base + {assoc})",
-            f"{i0}except ValueError:",
-        ]
-    lines += [
-        f"{i1}counts_[{ABORT_MISS}] += 1",
-        *[i1 + s for s in on_abort()],
-        # -- commit: replay the recorded sequence ------------------------------
+        f"{i0}# guard[queued-prefetch]",
+        f"{i0}if {' or '.join(f'queue{s}' for s in range(QUEUE_SLOTS))}:",
+        f"{i1}counts_[{ABORT_QUEUED_PREFETCH}] += 1",
+        *abort1,
+        f"{i0}{p}block = {addr} >> {p}line_bits",
+        f"{i0}{p}base = ({p}block & {p}set_mask) * {p}assoc",
+        f"{i0}{p}slot = {p}base",
+        # The MRU way decides most probes with one compare; past it, a
+        # direct-mapped set has missed, and a wider one scans the rest
+        # (a list.index miss raises ValueError, so only there).
+        f"{i0}# guard[resident]",
+        f"{i0}if {p}tags[{p}base] != {p}block:",
+        f"{i1}if {p}assoc == 1:",
+        f"{i2}counts_[{ABORT_MISS}] += 1",
+        *abort2,
+        f"{i1}try:",
+        f"{i2}{p}slot = {p}tags_index({p}block, {p}base + 1, {p}base + {p}assoc)",
+        f"{i1}except ValueError:",
+        f"{i2}counts_[{ABORT_MISS}] += 1",
+        *abort2,
+        # -- commit: the hit's writes, in Cache.access's order -----------------
         # advance(): nothing to drain, just drive the clock.
         f"{i0}if {time} > sim.now:",
         f"{i1}sim.now = {time}",
     ]
     if is_write:
-        bindings[f"{p}st_outer"] = hierarchy.st_stores
-        lines.append(f"{i0}{p}st_outer.value += 1")
-        if hierarchy.image is not None:
-            bindings[f"{p}image_write"] = hierarchy.image.write
-            lines.append(f"{i0}{p}image_write({addr}, {value})")
-    elif not is_ifetch:
-        bindings[f"{p}st_outer"] = hierarchy.st_loads
-        lines.append(f"{i0}{p}st_outer.value += 1")
-    if cache.precise:
-        # pipeline.acquire inlined (initiation interval is 1).
         lines += [
-            f"{i0}{p}next_start = {p}pipe._next_start",
-            f"{i0}{p}t = {time} if {p}next_start <= {time} else {p}next_start",
-            f"{i0}{p}pipe._next_start = {p}t + 1",
-            f"{i0}{p}pipe.accepts += 1",
+            f"{i0}{p}st_outer.value += 1",
+            f"{i0}if {p}image_write is not None:",
+            f"{i1}{p}image_write({addr}, {value})",
         ]
-    else:
-        lines.append(f"{i0}{p}t = {time}")
+    elif not is_ifetch:
+        lines.append(f"{i0}{p}st_outer.value += 1")
     lines += [
+        # pipeline.acquire inlined (initiation interval 1); an imprecise
+        # cache has no tag pipeline to pass.
+        f"{i0}if {p}pipe is None:",
+        f"{i1}{p}t = {time}",
+        f"{i0}else:",
+        f"{i1}{p}next_start = {p}pipe._next_start",
+        f"{i1}{p}t = {time} if {p}next_start <= {time} else {p}next_start",
+        f"{i1}{p}pipe._next_start = {p}t + 1",
+        f"{i1}{p}pipe.accepts += 1",
         # ports.acquire inlined: one ledger probe on the untouched-cycle
         # common case (_prune keeps the dict identity stable).
         f"{i0}{p}count = {p}ledger_get({p}t)",
         f"{i0}if {p}count is None:",
         f"{i1}{p}ledger[{p}t] = 1",
         f"{i0}else:",
-        f"{i1}while {p}count is not None and {p}count >= {ports.n_ports}:",
+        f"{i1}while {p}count is not None and {p}count >= {p}n_ports:",
         f"{i2}{p}t += 1",
         f"{i2}{p}count = {p}ledger_get({p}t)",
         f"{i1}{p}ledger[{p}t] = 1 if {p}count is None else {p}count + 1",
         f"{i0}{p}ports.grants += 1",
-        f"{i0}if len({p}ledger) > {ports._PRUNE_EVERY}:",
+        f"{i0}if len({p}ledger) > {MultiPortResource._PRUNE_EVERY}:",
         f"{i1}{p}ports._prune({p}t)",
         f"{i0}{p}st_kind.value += 1",
         # LRU promotion by slice rotation, as in Cache.access.
@@ -290,105 +244,74 @@ def _emit_hit(cache, is_write, is_ifetch, hierarchy, queued, *, prefix,
     lines += [
         f"{i0}{p}flags[{p}base] = {p}line_flags",
         f"{i0}{p}touch[{p}base] = {p}t",
-        f"{i0}{p}ready = {p}t + {cache.config.latency}",
+        f"{i0}{p}ready = {p}t + {p}latency",
         f"{i0}if {p}line_ready > {p}ready:",
         f"{i1}{p}ready = {p}line_ready",
     ]
-    if not is_ifetch and cache.mechanism is not None:
-        bindings[f"{p}hook"] = cache.mechanism.on_access
-        lines.append(
-            f"{i0}{p}hook({pc}, {p}block, True, bool({p}was_prefetched), {p}t)"
-        )
+    if not is_ifetch:
+        lines += [
+            f"{i0}if {p}hook is not None:",
+            f"{i1}{p}hook({pc}, {p}block, True, bool({p}was_prefetched), {p}t)",
+        ]
     lines.append(f"{i0}counts_[{COMMITS}] += 1")
     lines += [i0 + s for s in on_commit(f"{p}ready")]
-    return lines, bindings
+    return lines
 
 
-def emit_replay_source(hierarchy, kind):
-    """Emit one replay closure's full source for ``kind`` on ``hierarchy``.
+def _replay_source(kind: str) -> str:
+    """One replay closure's full source for ``kind``.
 
-    ``kind`` is ``"load"``, ``"store"`` or ``"ifetch"``.  Returns
-    ``(source, bindings)`` where ``source`` is a complete
-    ``def replay(pc, addr, time, value=None):`` definition and ``bindings``
-    maps every free name the source references to the live object it must
-    be bound to (``counts_`` is left ``None`` for the caller to fill).
-
-    This is the single emission path shared by :class:`TraceSpeculator`
-    (which compiles and executes the source) and the SIM8xx
-    guard-completeness verifier (:mod:`repro.analysis.fastpath`, which
-    parses it) — whatever the speculator runs is, by construction, exactly
-    what the verifier proves things about.
+    A complete ``def replay(pc, addr, time, value=None):`` definition
+    whose free names are :func:`hit_bindings`'s with no prefix.
     """
-    mech = hierarchy.mechanism
-    queued = tuple(q._queue for q in mech.iter_queues()) if mech else ()
-    cache = hierarchy.l1i if kind == "ifetch" else hierarchy.l1d
-    lines, bindings = _emit_hit(
-        cache,
-        is_write=(kind == "store"),
-        is_ifetch=(kind == "ifetch"),
-        hierarchy=hierarchy,
-        queued=queued,
-        prefix="",
-        pc="pc", addr="addr", time="time", value="value",
+    lines = _emit_hit(
+        kind, prefix="", pc="pc", addr="addr", time="time", value="value",
         on_abort=lambda: ["return None"],
         on_commit=lambda ready: [f"return {ready}"],
         indent="    ",
     )
-    source = "\n".join(["def replay(pc, addr, time, value=None):"] + lines)
-    return source, bindings
+    return "\n".join(["def replay(pc, addr, time, value=None):"] + lines)
 
 
-def emit_hit_inline(counts, hierarchy, kind, *, prefix, result,
-                    pc, addr, time, value="None", indent):
+def emit_hit_inline(kind: str, *, prefix: str, result: str, pc: str,
+                    addr: str, time: str, value: str = "None",
+                    indent: str) -> List[str]:
     """Emit an inline replay block for embedding in a generated loop.
 
     The block assigns the hit-ready cycle to ``result``, or leaves it
     ``None`` on a guard abort — the caller follows it with the slow-path
-    fallback (``if result is None: ...``).  ``counts`` is the live
-    speculation counter list (shared with the :class:`TraceSpeculator`
-    closures, so introspection sees inline and closure replays alike).
+    fallback (``if result is None: ...``).  Its free names are
+    :func:`hit_bindings`'s under ``prefix``.
     """
-    queued = (tuple(q._queue for q in hierarchy.mechanism.iter_queues())
-              if hierarchy.mechanism else ())
-    cache = hierarchy.l1i if kind == "ifetch" else hierarchy.l1d
-    lines, bindings = _emit_hit(
-        cache,
-        is_write=(kind == "store"),
-        is_ifetch=(kind == "ifetch"),
-        hierarchy=hierarchy,
-        queued=queued,
-        prefix=prefix,
-        pc=pc, addr=addr, time=time, value=value,
+    lines = _emit_hit(
+        kind, prefix=prefix, pc=pc, addr=addr, time=time, value=value,
         on_abort=lambda: ["break"],
         on_commit=lambda ready: [f"{result} = {ready}", "break"],
         indent=indent + "    ",
     )
-    bindings["counts_"] = counts
-    block = [f"{indent}{result} = None", f"{indent}while True:"]
-    block += lines
-    return block, bindings
+    return [f"{indent}{result} = None", f"{indent}while True:"] + lines
 
 
 class TraceSpeculator:
-    """Records the linear fetch→L1-hit sequence of one hierarchy and
-    replays it under guards.
+    """The speculation counters of one run, and replay closures over one
+    hierarchy.
 
     Construct one per run, after the hierarchy is fully wired (mechanism
-    attached, queues created): recording binds the live tag stores, the
+    attached, queues created): binding reads the live tag stores, the
     kernel's time heap and the mechanism queues, all of which the engine
     and cache maintain in place for exactly this reason.
     """
 
-    __slots__ = ("counts", "_hierarchy", "_compiled")
+    __slots__ = ("counts", "_hierarchy", "_replays")
 
     def __init__(self, hierarchy: "MemoryHierarchy") -> None:
         self.counts = [0, 0, 0, 0]
         self._hierarchy = hierarchy
-        #: The replay closures, compiled on first use: the generated run
-        #: loop embeds the same sequences inline (emit_hit_inline) and
-        #: never calls them, so eager compilation would tax every run to
-        #: serve only direct callers (tests, exploratory use).
-        self._compiled = None
+        #: The replay closures by kind, compiled on first use: the
+        #: generated run loop embeds the same blocks inline and never
+        #: calls them, so only direct callers (tests, exploratory use)
+        #: pay for them.
+        self._replays: Dict[str, ReplayFn] = {}
 
     # -- introspection -------------------------------------------------------
 
@@ -419,57 +342,23 @@ class TraceSpeculator:
 
     @property
     def replay_load(self) -> ReplayFn:
-        return self._closures()[0]
-
-    @property
-    def replay_store(self) -> ReplayFn:
-        return self._closures()[1]
+        return self._replay("load")
 
     @property
     def replay_ifetch(self) -> ReplayFn:
-        return self._closures()[2]
+        """Instruction fetch passes the PC as the address (the closures
+        share the ``(pc, addr, time, value=None)`` signature)."""
+        return self._replay("ifetch")
 
-    def _closures(self):
-        if self._compiled is None:
-            self._compiled = self._record(self._hierarchy)
-        return self._compiled
-
-    # -- recording -----------------------------------------------------------
-
-    def _record(self, hierarchy: "MemoryHierarchy") -> None:
-        """Walk the hierarchy once and compile the replay closures.
-
-        Everything a replay touches is bound here — no attribute chains
-        survive into the per-record path.  The bindings rely on three
-        stability guarantees: :meth:`Cache.reset` and the kernel's
-        ``_compact`` mutate their lists in place,
-        :meth:`MultiPortResource._prune` mutates its ledger dict in place,
-        and mechanism queues are created at construction and never replaced.
-
-        Each replay variant is *generated* as straight-line source and
-        compiled with :func:`exec` — the configuration-dependent branches
-        (write vs read, data vs instruction fetch, precise vs imprecise
-        timing, mechanism hook present or not, how many prefetch queues to
-        guard) are resolved here, at record time, so the per-call path
-        carries no dead conditionals.  This is the trace-speculation
-        analogue of emitting the speculated block: the recorded sequence
-        *is* the compiled function body.
-        """
-        def compile_hit(kind):
-            """Generate + compile the linear hit sequence for one kind."""
-            source, namespace = emit_replay_source(hierarchy, kind)
+    def _replay(self, kind: str) -> ReplayFn:
+        """The ``kind`` replay closure; one code object per kind across
+        every machine, since the source never varies."""
+        replay = self._replays.get(kind)
+        if replay is None:
+            namespace = hit_bindings(self._hierarchy, kind)
             namespace["counts_"] = self.counts
-            code = codecache.load_or_compile(source, "<repro.cpu.fastpath>")
+            code = codecache.load_or_compile(_replay_source(kind),
+                                             "<repro.cpu.fastpath>")
             exec(code, namespace)  # noqa: S102 - closed namespace, own source
-            return namespace["replay"]
-
-        # All three share the ``(pc, addr, time, value=None)`` signature so
-        # callers pay no adapter frame.  Instruction fetch passes the PC as
-        # the address and never reaches a mechanism hook (emit_replay_source
-        # drops the hook for the ifetch case, mirroring the INSTRUCTION_PC
-        # rule).
-        return (
-            compile_hit("load"),
-            compile_hit("store"),
-            compile_hit("ifetch"),
-        )
+            replay = self._replays[kind] = namespace["replay"]
+        return replay

@@ -32,7 +32,7 @@ from typing import Dict, Optional, Sequence
 from repro.cache.hierarchy import MemoryHierarchy
 from repro.core.config import CoreConfig
 from repro.cpu import codecache
-from repro.cpu.fastpath import TraceSpeculator, emit_hit_inline
+from repro.cpu.fastpath import TraceSpeculator, emit_hit_inline, hit_bindings
 from repro.hotpath import hotpath
 from repro.isa.instr import FU_LATENCY, FU_POOL, Op
 from repro.kernel.module import Component
@@ -410,13 +410,13 @@ class OoOCore(Component):
 
     def _compile_fast_loop(self, speculator: TraceSpeculator, sampler,
                            checkpoint=None, resume=None):
-        """Compile the generated pipeline walk for this core.
+        """Compile the generated pipeline walk and bind it to this core.
 
-        Emission (:meth:`_emit_fast_loop`) and compilation are split so the
-        SIM8xx guard-completeness verifier can obtain the exact source the
-        fast path will run without executing anything.  Code objects are
-        memoised by source (the only variation is baked constants), so
-        repeated runs of one machine shape in a process recompile nothing.
+        The source (:meth:`_emit_fast_loop`) depends only on the core's
+        configuration, the L1I line size and whether a sampler or a
+        checkpointer is armed, so every machine with one core
+        configuration runs one code object: :func:`codecache.load_or_compile`
+        compiles each distinct source once per process.
         """
         ckpt_every = checkpoint.every if checkpoint is not None else 0
         ckpt_cut = (self._checkpoint_cut(checkpoint, speculator)
@@ -438,13 +438,14 @@ class OoOCore(Component):
         re-localized in the preamble).  The source is :meth:`_slow_loop`
         translated statement for statement, with three substitutions:
 
-        * configuration constants (widths, queue sizes, line bits, the
-          mispredict penalty, the ring mask) are baked as literals;
-        * the three replay calls are replaced by the speculator's *inline*
-          hit blocks (:func:`repro.cpu.fastpath.emit_hit_inline`) — the same
-          recorded sequence the closures compile, embedded at the call site
-          so a committed replay costs no call frames at all, with the slow
-          hierarchy call as each block's ``None`` fallback;
+        * core configuration constants (widths, queue sizes, the L1I line
+          bits, the mispredict penalty, the ring mask) are baked as
+          literals;
+        * the three hierarchy calls are preceded by the fixed inline hit
+          blocks (:func:`repro.cpu.fastpath.emit_hit_inline`), the same
+          sequences the replay closures compile, embedded at the call
+          site so a committed replay costs no call frames at all, with
+          the slow hierarchy call as each block's ``None`` fallback;
         * when no sampler is attached the sampling check is omitted rather
           than guarded.
 
@@ -455,8 +456,11 @@ class OoOCore(Component):
         ``resume`` is the saved loop-state tuple; its record index is known
         at emit time, so the resumed thresholds are baked as literals.
 
-        Everything else — hierarchy calls, FU ledgers, stat objects — is
-        bound through the exec namespace, localized once in the preamble.
+        Everything the hit blocks read from the machine — tag stores,
+        cache geometry, resources, stats, hook, image writer, prefetch
+        queues (:func:`repro.cpu.fastpath.hit_bindings`) — and every other
+        object the loop calls is bound through the exec namespace,
+        localized once in the preamble.
         """
         hierarchy = self.hierarchy
         cfg = self.config
@@ -470,23 +474,24 @@ class OoOCore(Component):
             "h_fetch": hierarchy.fetch_instruction,
             "deque": deque,
         }
+        for kind, prefix in (("ifetch", "if_"), ("load", "ld_"),
+                             ("store", "st_")):
+            bind.update(hit_bindings(hierarchy, kind, prefix))
+        bind["counts_"] = counts
         load_op = int(Op.LOAD)
         store_op = int(Op.STORE)
         branch_op = int(Op.BRANCH)
 
-        ifetch_block, b = emit_hit_inline(
-            counts, hierarchy, "ifetch", prefix="if_", result="line_ready",
+        ifetch_block = emit_hit_inline(
+            "ifetch", prefix="if_", result="line_ready",
             pc="pc", addr="pc", time="fetch_cycle", indent=" " * 12)
-        bind.update(b)
-        load_block, b = emit_hit_inline(
-            counts, hierarchy, "load", prefix="ld_", result="complete",
+        load_block = emit_hit_inline(
+            "load", prefix="ld_", result="complete",
             pc="pc", addr="addr", time="start", indent=" " * 12)
-        bind.update(b)
-        store_block, b = emit_hit_inline(
-            counts, hierarchy, "store", prefix="st_", result="store_done",
+        store_block = emit_hit_inline(
+            "store", prefix="st_", result="store_done",
             pc="pc", addr="addr", time="commit", value="extra",
             indent=" " * 12)
-        bind.update(b)
         # A sampler with a falsy interval never fires (the interpreted loop
         # maps it to the _NO_SAMPLE sentinel); omit the check entirely.
         sampling = sampler is not None and sampler.interval

@@ -96,7 +96,6 @@ from repro.exec.faults import (
 )
 from repro.exec.fleet import KIND_QUARANTINE, Fleet, FleetSnapshot
 from repro.exec.journal import (
-    KIND_ENQUEUE,
     KIND_INTERRUPTED,
     KIND_REQUEUE,
     SweepJournal,
@@ -283,7 +282,6 @@ class Executor:
         self,
         jobs: Optional[int] = None,
         store: Optional[ResultStore] = None,
-        telemetry: Optional[Telemetry] = None,
         progress: Optional[ProgressFn] = None,
         policy: Optional[RetryPolicy] = None,
         journal_dir: Optional[Union[str, Path]] = None,
@@ -294,7 +292,7 @@ class Executor:
     ) -> None:
         self.jobs = max(1, jobs if jobs is not None else (os.cpu_count() or 1))
         self.store = store
-        self.telemetry = telemetry if telemetry is not None else Telemetry()
+        self.telemetry = Telemetry()
         self.progress = progress
         self.policy = policy if policy is not None else RetryPolicy()
         #: Where multi-spec batches keep their sweep queues (given a
@@ -414,9 +412,9 @@ class Executor:
                 snap = FleetSnapshot()
             self._journal = SweepJournal(fleet.queue_path, seq=snap.lines)
             try:
-                _enqueue(self._journal, {key: spec.describe()
-                                         for key, spec in unique.items()
-                                         if key not in snap.enqueued})
+                self._journal.enqueue({key: spec.describe()
+                                       for key, spec in unique.items()
+                                       if key not in snap.enqueued})
                 yield snap
             finally:
                 self._journal = None
@@ -565,14 +563,13 @@ class Executor:
         from repro.exec.worker import POLL_SECONDS, Supervisor, Worker
 
         private = self._journal is None
-        journal = (self._journal if self._journal is not None else
-                   SweepJournal(Path(tempfile.mkdtemp(prefix="repro-jobs-"))
-                                / "queue.jsonl"))
+        root = (self._journal.path.parent if self._journal is not None
+                else Path(tempfile.mkdtemp(prefix="repro-jobs-")))
+        fleet = Fleet(root, max_leases=self.policy.max_leases)
         by_hash = {spec.content_hash: spec for spec in specs}
         waiting = {key: spec.describe() for key, spec in by_hash.items()}
         if private:
-            _enqueue(journal, waiting)
-        fleet = Fleet(journal.path.parent, max_leases=self.policy.max_leases)
+            fleet.enqueue(waiting)
         store = (self.store if self.store is not None
                  else ResultStore(fleet.root / "store"))
         total = len(specs)
@@ -760,10 +757,3 @@ class Executor:
                 grid.add(result)
         self._sweep_memo[key] = grid
         return grid
-
-
-def _enqueue(journal: SweepJournal,
-             payloads: Mapping[str, Dict[str, Any]]) -> None:
-    """Append one claimable ``enqueue`` record per spec payload."""
-    for key, payload in payloads.items():
-        journal.append(KIND_ENQUEUE, spec=key, payload=payload)

@@ -389,20 +389,22 @@ class Fleet:
         ``deadline`` (absolute wall-clock seconds) travels with each
         appended record; pending work past it resolves as a
         ``kind="timeout"`` hole instead of being simulated.
+
+        The batch lands as one write and one ``fsync``
+        (:func:`repro.exec.journal.append_records`): a failed write
+        leaves none of its records.
         """
-        appended: List[str] = []
+        timing: Dict[str, float] = (
+            {} if deadline is None else {"deadline": deadline})
         with self._locked():
             snap = self.snapshot()
-            for spec, payload in payloads.items():
-                if spec in snap.enqueued:
-                    continue
-                if deadline is None:
-                    _append(self.queue_path, KIND_ENQUEUE, spec=spec,
-                            payload=payload)
-                else:
-                    _append(self.queue_path, KIND_ENQUEUE, spec=spec,
-                            payload=payload, deadline=deadline)
-                appended.append(spec)
+            appended = [spec for spec in payloads if spec not in snap.enqueued]
+            if appended:
+                journal.append_records(self.queue_path, [
+                    journal.versioned(KIND_ENQUEUE, spec=spec,
+                                      payload=payloads[spec], **timing)
+                    for spec in appended
+                ])
         return appended
 
     def requeue(self, payloads: Dict[str, Dict[str, Any]]) -> List[str]:

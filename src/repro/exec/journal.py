@@ -23,7 +23,8 @@ every log but the ledger carry a version ``v`` and a ``kind``
   serialise and a crash corrupts at most the final line.  An
   ``OSError`` mid-write (a full disk) truncates the file back to its
   pre-append size before re-raising, so no unterminated tear survives
-  to swallow the next record.
+  to swallow the next record.  :func:`append_records` writes a batch
+  the same way: one ``write`` + ``fsync``, rolled back whole.
 * :func:`replay` decodes each line on its own: a torn line, a
   non-UTF-8 byte, a non-object or a record with a newer ``v`` costs
   that line only, and the numbers of the skipped lines are returned.
@@ -45,9 +46,10 @@ store runs on a fleet queue of its own,
 ``<cache>/journal/<sweep_id[:16]>/queue.jsonl``, and that queue is the
 sweep's write-ahead log.  The driver appends one ``enqueue`` per unique
 spec (carrying the spec payload, so ``--jobs N`` workers can claim it),
-then each spec's resolution as it lands: ``done`` (the result is in the
-store) or ``failed`` (every attempt was exhausted; the record carries
-the whole :class:`~repro.exec.policy.FailedRun`, a timeout keeping
+all in one write, then each spec's resolution as it lands: ``done``
+(the result is in the store) or ``failed`` (every attempt was
+exhausted; the record carries the whole
+:class:`~repro.exec.policy.FailedRun`, a timeout keeping
 ``failure.kind``).  Under ``--jobs N`` the fleet's workers append the
 resolutions they produce, and the driver only those it serves from its
 memo or the store.  A resolved spec that must run again is reopened
@@ -79,8 +81,8 @@ import os
 from contextlib import contextmanager
 from pathlib import Path
 from typing import (
-    Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
-    Union,
+    Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional,
+    Sequence, Tuple, Union,
 )
 
 try:
@@ -127,20 +129,37 @@ def append_record(path: Union[str, Path], record: Dict[str, Any],
     ``tear`` names a log fault the caller's schedule decided on —
     ``"disk-full"`` or ``"corrupt-journal"`` (see the module docs).
     """
-    line = json.dumps(record, sort_keys=True).encode("utf-8")
-    assert b"\n" not in line  # one record is always exactly one line
+    line = _encode(record)
     if tear == "corrupt-journal":
         line = line[: len(line) - len(line) // 2]
+    _append(path, line + b"\n", disk_full=tear == "disk-full")
+
+
+def append_records(path: Union[str, Path],
+                   records: Sequence[Dict[str, Any]]) -> None:
+    """Durably append ``records``, one line each, in one ``write`` and
+    one ``fsync``: a failed write rolls back the whole batch."""
+    _append(path, b"".join(_encode(record) + b"\n" for record in records))
+
+
+def _encode(record: Dict[str, Any]) -> bytes:
+    line = json.dumps(record, sort_keys=True).encode("utf-8")
+    assert b"\n" not in line  # one record is always exactly one line
+    return line
+
+
+def _append(path: Union[str, Path], data: bytes,
+            disk_full: bool = False) -> None:
     with locked(path) as fd:
         start = os.fstat(fd).st_size
         try:
-            if tear == "disk-full":
-                os.write(fd, line[: max(1, len(line) // 2)])
+            if disk_full:
+                os.write(fd, data[: max(1, (len(data) - 1) // 2)])
                 raise OSError(errno.ENOSPC, "injected disk-full (chaos) "
                               f"appending to {Path(path).name}")
-            data = memoryview(line + b"\n")
-            while data:
-                data = data[os.write(fd, data):]
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
             os.fsync(fd)
         except OSError:
             _truncate(fd, start)
@@ -264,7 +283,8 @@ def sweep_identity(
 class SweepJournal:
     """The driver's appender to one sweep queue.
 
-    :meth:`append` is the driver's single write path.  Its sequence
+    :meth:`enqueue` appends the batch's specs in one write and
+    :meth:`append` every record after them.  Each line's sequence
     number is the ``attempt`` of the deterministic ``corrupt-journal``
     fault schedule (:func:`repro.exec.faults.fires`), so chaos tests
     can tear specific writes; only :data:`TEARABLE_KINDS` are torn.
@@ -284,6 +304,20 @@ class SweepJournal:
         append_record(self.path, versioned(kind, **fields),
                       "corrupt-journal" if torn else None)
         self._seq = seq
+
+    def enqueue(self, payloads: Mapping[str, Dict[str, Any]]) -> None:
+        """Append one claimable ``enqueue`` per spec payload, all in one
+        write (:func:`append_records`); the sequence moves past them.
+
+        The driver holds its sweep's lock, so no other submitter appends
+        here meanwhile and no fleet transaction is needed.
+        """
+        if payloads:
+            append_records(self.path, [
+                versioned(KIND_ENQUEUE, spec=key, payload=payload)
+                for key, payload in payloads.items()
+            ])
+            self._seq += len(payloads)
 
     def done(self, spec_hash: str, source: str, seconds: float = 0.0) -> None:
         self.append(KIND_DONE, spec=spec_hash, source=source,

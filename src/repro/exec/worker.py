@@ -132,14 +132,12 @@ class Worker:
         fleet: Fleet,
         store: ResultStore,
         worker_id: str,
-        poll: float = POLL_SECONDS,
         checkpoint_every: int = 0,
         policy: Optional[RetryPolicy] = None,
     ) -> None:
         self.fleet = fleet
         self.store = store
         self.worker_id = worker_id
-        self.poll = poll
         self.checkpoint_every = max(0, int(checkpoint_every))
         self.policy = policy if policy is not None else RetryPolicy()
         self.completed = 0
@@ -283,7 +281,7 @@ class Worker:
                     if (not seen_work and idle_timeout is not None
                             and time.monotonic() - idle_since > idle_timeout):
                         return 0
-            time.sleep(self.poll)
+            time.sleep(POLL_SECONDS)
         return 0
 
     # -- internals ------------------------------------------------------------

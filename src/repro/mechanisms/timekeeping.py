@@ -75,9 +75,6 @@ class TimekeepingPrefetcher(Mechanism):
     def corr_capacity(self) -> int:
         return self.CORR_BYTES // 8
 
-    def _quantize(self, time: int) -> int:
-        return (time // self.REFRESH) * self.REFRESH
-
     # -- learning -----------------------------------------------------------------
 
     def on_refill(

@@ -56,9 +56,6 @@ FIXTURE_RULES = {
     "per_iteration_frame.py": "SIM703",
     "unhoisted_subscript.py": "SIM704",
     "self_call_in_loop.py": "SIM705",
-    "unguarded_state.py": "SIM801",
-    "replay_out_of_order.py": "SIM802",
-    "stale_constant.py": "SIM803",
 }
 
 

@@ -159,6 +159,28 @@ def test_journal_round_trips_lifecycle(tmp_path):
         assert json.loads(line)["v"] == 1
 
 
+def test_sweep_enqueue_is_one_fsync_and_advances_the_sequence(
+        tmp_path, monkeypatch):
+    fleet, journal = _queue(tmp_path)
+    hashes = [f"{i:064x}" for i in range(36)]
+    synced = []
+    real_fsync = os.fsync
+
+    def counting_fsync(fd):
+        synced.append(fd)
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", counting_fsync)
+    journal.enqueue({key: {"benchmark": "swim"} for key in hashes})
+    assert len(synced) == 1
+    assert list(fleet.snapshot().enqueued) == hashes
+    # The next record takes the schedule slot after the enqueued lines,
+    # as it did when each enqueue was its own append.
+    assert journal._seq == 36
+    journal.enqueue({})
+    assert len(synced) == 1 and journal._seq == 36
+
+
 def test_missing_queue_snapshots_as_empty(tmp_path):
     snap = Fleet(tmp_path / "absent").snapshot()
     assert not snap.enqueued and not snap.done and not snap.failures

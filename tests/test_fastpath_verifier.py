@@ -1,273 +1,348 @@
-"""SIM8xx guard-completeness verifier: proofs about the *emitted* fast path.
+"""Guard structure of the emitted fast path, machine by machine.
 
-The headline property: for every machine shape the emitters can produce,
-deleting ANY single guard from the emitted source is caught as SIM801.
-The golden replay tests show the fast path agrees with the slow path on
-the traces they run; these tests show the guard structure that makes the
-agreement *necessary* cannot silently erode.
+Every machine runs the same fixed hit blocks (:mod:`repro.cpu.fastpath`),
+so what can go wrong per machine is the binding: a guard reading a copy of
+a tag store or prefetch queue instead of the live one, a queue left out of
+the guarded slots, a name the block reads left unbound.  For each machine
+(the bare baseline, every registered mechanism, and SimpleScalar-style
+imprecise variants) and each artifact (the load, store and ifetch hit
+blocks and the generated run loop) these tests check that
+
+* the source carries the three guards (event drain, queued prefetch,
+  residency) in that order, each a marked ``if`` that aborts (the event
+  drain: that drains), with nothing but locals and the speculation
+  counters written ahead of the last one;
+* every name the source reads is bound, and the guards read the machine's
+  live event heap, prefetch queues and L1 tag store;
+* cutting any one guard is noticed: by the structure check, and for the
+  hit blocks by replaying the mutant on a state built to trip the guard,
+  where it must act differently from the intact block.
+
+The fast==slow fingerprints in ``tests/test_fastpath.py`` show the fast
+path agrees with the slow one on the traces they run; these tests show,
+machine by machine, the guard structure that makes the agreement
+necessary.
 """
 
 import ast
-import os
-import subprocess
-import sys
-from pathlib import Path
+import builtins
+import re
 
 import pytest
 
-from repro.analysis.fastpath import (
-    ArtifactShape,
-    iter_guard_mutations,
-    iter_tree_artifacts,
-    shape_of,
-    verify_source,
-)
+from repro.core.config import baseline_config
 from repro.core.simulation import build_machine
-from repro.cpu import codecache
 from repro.cpu.fastpath import (
-    GUARDS,
-    STATE_OF_BINDING,
-    emit_replay_source,
+    ABORT_MISS,
+    ABORT_QUEUED_PREFETCH,
+    EVENT_DRAINS,
+    QUEUE_SLOTS,
+    _replay_source,
+    hit_bindings,
 )
-from repro.mechanisms.registry import create
+from repro.mechanisms.base import PrefetchRequest
+from repro.mechanisms.registry import ALL_MECHANISMS, EXTENSIONS, create
 from repro.workloads.image import MemoryImage
 
-#: (label, source, artifacts) for every shape the emitters produce —
-#: computed once; building ~17 machines per parametrized test would
-#: dominate the suite's runtime.
-ARTIFACTS = list(iter_tree_artifacts())
-LABELS = [label for label, _, _ in ARTIFACTS]
+_IMPRECISE = baseline_config().with_simplescalar_cache()
+
+#: The machines by label: ``(config, mechanism name)``.
+MACHINES = {
+    "baseline": (None, None),
+    **{name: (None, name) for name in ALL_MECHANISMS + EXTENSIONS},
+    "baseline-imprecise": (_IMPRECISE, None),
+    "TK-imprecise": (_IMPRECISE, "TK"),
+}
+KINDS = ("load", "store", "ifetch", "loop")
+LABELS = [f"{machine}/{kind}" for machine in MACHINES for kind in KINDS]
+
+#: The loop's inline hit blocks: their binding prefix and L1 by kind.
+_LOOP_BLOCKS = (("if_", "ifetch"), ("ld_", "load"), ("st_", "store"))
+
+_ORDER = ("event-drain", "queued-prefetch", "resident")
+_MARKER = re.compile(r"^( *)# guard\[(?P<name>[\w-]+)\]$")
 
 
-# -- the verifier accepts what the emitters produce ----------------------------
+def _machine(machine):
+    config, mechanism = MACHINES[machine]
+    return build_machine(config, create(mechanism) if mechanism else None,
+                         MemoryImage())
+
+
+def _artifact(machine, kind):
+    """``(hierarchy, source, namespace, blocks)`` of ``kind`` on a fresh
+    ``machine``: the emitted source, the names it is bound to and its
+    number of hit blocks."""
+    core, hierarchy = _machine(machine)
+    if kind == "loop":
+        source, bind = core._emit_fast_loop([0, 0, 0, 0], None)
+        return (hierarchy, source,
+                {f"g_{name}": obj for name, obj in bind.items()}, 3)
+    namespace = hit_bindings(hierarchy, kind)
+    namespace["counts_"] = [0, 0, 0, 0]
+    return hierarchy, _replay_source(kind), namespace, 1
+
+
+# -- the checks ----------------------------------------------------------------
+
+def _guard_problems(source, blocks):
+    """What is wrong with the guards of ``source``, which should hold
+    ``blocks`` hit blocks; empty when every block is whole."""
+    try:
+        tree = ast.parse(source)
+    except SyntaxError as exc:
+        return [f"does not parse: {exc}"]
+    marks = []
+    for number, text in enumerate(source.split("\n"), 1):
+        mark = _MARKER.match(text)
+        if mark is not None:
+            marks.append((number, mark["name"]))
+    names = [name for _, name in marks]
+    if names != list(_ORDER) * blocks:
+        return [f"guards {names}, expected {blocks} x {list(_ORDER)}"]
+    statements = {node.lineno: node for node in ast.walk(tree)
+                  if isinstance(node, ast.stmt)}
+    problems = []
+    for first in range(0, len(marks), len(_ORDER)):
+        for number, name in marks[first:first + len(_ORDER)]:
+            guard = statements.get(number + 1)
+            if not isinstance(guard, ast.If):
+                problems.append(f"line {number}: {name} marks no guard")
+                continue
+            body = [node for stmt in guard.body for node in ast.walk(stmt)]
+            if name == "event-drain":
+                acts = any(isinstance(node, ast.Call)
+                           and isinstance(node.func, ast.Name)
+                           and node.func.id == "run_until" for node in body)
+            else:
+                acts = any(isinstance(node, (ast.Return, ast.Break))
+                           for node in body)
+            if not acts:
+                problems.append(f"line {number}: the {name} guard never "
+                                f"{'drains' if name == 'event-drain' else 'aborts'}")
+        if problems:
+            continue
+        # Ahead of the last guard only locals and counters may change.
+        start = marks[first][0]
+        end = statements[marks[first + len(_ORDER) - 1][0] + 1].end_lineno
+        for node in ast.walk(tree):
+            if not start <= getattr(node, "lineno", 0) <= end:
+                continue
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AugAssign)
+                       else [])
+            for target in targets:
+                if isinstance(target, ast.Name) or (
+                        isinstance(target, ast.Subscript)
+                        and isinstance(target.value, ast.Name)
+                        and target.value.id == "counts_"):
+                    continue
+                problems.append(f"line {node.lineno}: writes "
+                                f"{ast.unparse(target)} before the last guard")
+    return problems
+
+
+def _unbound_names(source, namespace):
+    """Names ``source`` reads that neither it nor ``namespace`` binds."""
+    tree = ast.parse(source)
+    bound = set(namespace) | set(dir(builtins))
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            (read if isinstance(node.ctx, ast.Load) else bound).add(node.id)
+        elif isinstance(node, ast.arg):
+            bound.add(node.arg)
+        elif isinstance(node, ast.FunctionDef):
+            bound.add(node.name)
+    return sorted(read - bound)
+
+
+def _stale_bindings(hierarchy, kind, namespace):
+    """Guard inputs in ``namespace`` that are not ``hierarchy``'s live
+    state: the event heap, the prefetch queues and the L1 tag store."""
+    g = "g_" if kind == "loop" else ""
+    blocks = _LOOP_BLOCKS if kind == "loop" else (("", kind),)
+    queues = hierarchy._mech_queues
+    live = {
+        "event_times": hierarchy.sim._times,
+        "run_until": hierarchy.sim,
+        **{f"queue{slot}": queues[slot] if slot < len(queues) else ()
+           for slot in range(QUEUE_SLOTS)},
+    }
+    for prefix, block_kind in blocks:
+        cache = hierarchy.l1i if block_kind == "ifetch" else hierarchy.l1d
+        live[f"{prefix}tags"] = cache._tags
+        live[f"{prefix}tags_index"] = cache._tags
+    stale = []
+    for name, state in live.items():
+        bound = namespace[g + name]
+        if name.endswith(("run_until", "tags_index")):
+            bound = bound.__self__
+        if bound is not state:
+            stale.append(name)
+    return stale
+
+
+def _without_guard(source, name, keep_marker=False):
+    """``source`` with every ``name`` guard's ``if`` and body cut out (and
+    its marker, unless ``keep_marker``)."""
+    lines = source.split("\n")
+    kept, i = [], 0
+    while i < len(lines):
+        mark = _MARKER.match(lines[i])
+        if mark is None or mark["name"] != name:
+            kept.append(lines[i])
+            i += 1
+            continue
+        if keep_marker:
+            kept.append(lines[i])
+        body = mark.group(1) + " "
+        i += 2
+        while i < len(lines) and lines[i].startswith(body):
+            i += 1
+    return "\n".join(kept)
+
+
+# -- tripping a guard ----------------------------------------------------------
+
+_PC, _ADDR = 0x100, 0x4000
+#: A cycle by which the test line's miss, and all it set off, is done.
+_SETTLED = 100_000
+
+
+def _trip(machine, kind, guard, source, slot=0):
+    """Replay ``source`` once on a fresh ``machine`` in a state that trips
+    ``guard`` (for the queue guard: a request in queue ``slot``); return
+    ``(aborted, counters, events fired)``."""
+    _, hierarchy = _machine(machine)
+    fired = []
+    if guard != "resident":
+        # The line is resident and nothing else is pending, so the
+        # tripped guard alone stands between the replay and a commit.
+        if kind == "load":
+            hierarchy.load(_PC, _ADDR, 10)
+        elif kind == "store":
+            hierarchy.store(_PC, _ADDR, 7, 10)
+        else:
+            hierarchy.fetch_instruction(_ADDR, 10)
+        hierarchy.advance(_SETTLED)
+    if guard == "queued-prefetch":
+        hierarchy._mech_queues[slot].append(PrefetchRequest(0x8000, _SETTLED))
+    elif guard == "event-drain":
+        hierarchy.sim.schedule(_SETTLED, fired.append, "due")
+    namespace = hit_bindings(hierarchy, kind)
+    counts = namespace["counts_"] = [0, 0, 0, 0]
+    exec(compile(source, "<mutant>", "exec"), namespace)  # noqa: S102
+    ready = namespace["replay"](_PC, _ADDR, _SETTLED, 7)
+    return ready is None, counts, fired
+
+
+#: What the intact block does in each guard's tripping state.
+_TRIPPED = {
+    "event-drain": lambda aborted, counts, fired: (
+        not aborted and counts[EVENT_DRAINS] == 1 and fired == ["due"]),
+    "queued-prefetch": lambda aborted, counts, fired: (
+        aborted and counts[ABORT_QUEUED_PREFETCH] == 1),
+    "resident": lambda aborted, counts, fired: (
+        aborted and counts[ABORT_MISS] == 1),
+}
+
+
+def _slots(machine, guard):
+    """The queue slots to trip ``guard`` through on ``machine``; none
+    for the queue guard on a machine without prefetch queues."""
+    if guard != "queued-prefetch":
+        return [0]
+    return list(range(len(_machine(machine)[1]._mech_queues)))
+
+
+# -- every machine, every artifact ---------------------------------------------
 
 @pytest.mark.parametrize("label", LABELS)
 def test_emitted_source_verifies_clean(label):
-    _, source, artifacts = next(a for a in ARTIFACTS if a[0] == label)
-    assert verify_source(source, artifacts) == []
+    machine, kind = label.rsplit("/", 1)
+    hierarchy, source, namespace, blocks = _artifact(machine, kind)
+    assert _guard_problems(source, blocks) == []
+    assert _unbound_names(source, namespace) == []
+    assert _stale_bindings(hierarchy, kind, namespace) == []
 
 
 def test_all_registered_shapes_are_covered():
-    # Three closures + the run loop per machine; at least the baseline,
-    # every mechanism, and the imprecise variants must appear.
+    # The three hit blocks and the run loop of the bare baseline, every
+    # mechanism and the imprecise variants; each kind one text for all.
     machines = {label.rsplit("/", 1)[0] for label in LABELS}
-    assert "baseline" in machines
-    assert "baseline-imprecise" in machines
-    assert {"GHB", "TK", "TKVC", "SB"} <= machines
+    assert machines == {"baseline", "baseline-imprecise", "TK-imprecise",
+                        *ALL_MECHANISMS, *EXTENSIONS}
     for machine in machines:
         kinds = {label.rsplit("/", 1)[1] for label in LABELS
                  if label.rsplit("/", 1)[0] == machine}
-        assert kinds == {"load", "store", "ifetch", "loop"}
+        assert kinds == set(KINDS)
+    for kind in KINDS:
+        assert len({_artifact(m, kind)[1] for m in machines}) == 1, kind
 
 
-# -- THE mutation test: every guard, every shape -------------------------------
+# -- THE mutation test: every guard, every machine -----------------------------
 
 @pytest.mark.parametrize("label", LABELS)
 def test_dropping_any_guard_is_flagged(label):
-    """Delete each guard from the emitted source; SIM801 must fire."""
-    _, source, artifacts = next(a for a in ARTIFACTS if a[0] == label)
-    mutations = list(iter_guard_mutations(source))
-    assert mutations, f"{label}: no guards found to mutate"
-    # Every emitted artifact carries an event drain and a residency probe.
-    names = {name for name, _ in mutations}
-    assert {"event-drain", "resident"} <= names
-    for guard, mutated in mutations:
-        ast.parse(mutated)  # the mutant must stay syntactically valid
-        findings = verify_source(mutated, artifacts)
-        assert any(rule == "SIM801" for rule, _, _ in findings), (
-            f"{label}: dropping the {guard} guard went undetected"
-        )
+    """Cut each guard from the emitted source: the structure check must
+    flag it, and a hit block's mutant must act differently from the
+    intact block wherever the guard can trip on this machine."""
+    machine, kind = label.rsplit("/", 1)
+    _, source, _, blocks = _artifact(machine, kind)
+    for guard in _ORDER:
+        for keep_marker in (False, True):
+            mutant = _without_guard(source, guard, keep_marker)
+            assert mutant != source
+            ast.parse(mutant)  # the mutant must stay syntactically valid
+            assert _guard_problems(mutant, blocks), (
+                f"{label}: cutting the {guard} guard went unflagged")
+        if kind == "loop":
+            continue
+        mutant = _without_guard(source, guard)
+        for slot in _slots(machine, guard):
+            intact = _trip(machine, kind, guard, source, slot)
+            assert _TRIPPED[guard](*intact), (label, guard, slot, intact)
+            assert _trip(machine, kind, guard, mutant, slot) != intact, (
+                f"{label}: without the {guard} guard slot {slot} still "
+                "acts as guarded")
 
 
 def test_queue_guard_mutations_exist_for_prefetchers():
-    label = "GHB/load"
-    _, source, artifacts = next(a for a in ARTIFACTS if a[0] == label)
-    names = [name for name, _ in iter_guard_mutations(source)]
-    assert "queued-prefetch" in names
+    # Every queue a registered mechanism owns sits in a guarded slot, so
+    # the queue guard can trip on every prefetcher (twice on CDPSP).
+    prefetchers = {}
+    for name in ALL_MECHANISMS + EXTENSIONS:
+        mechanism = create(name)
+        _, hierarchy = build_machine(None, mechanism, MemoryImage())
+        bindings = hit_bindings(hierarchy, "load")
+        owned = ([queue._queue for queue in mechanism.iter_queues()]
+                 if mechanism is not None else [])
+        guarded = [bindings[f"queue{slot}"] for slot in range(QUEUE_SLOTS)]
+        assert len(owned) <= QUEUE_SLOTS, name
+        assert all(g is q for g, q in zip(guarded, owned)), name
+        assert guarded[len(owned):] == [()] * (QUEUE_SLOTS - len(owned)), name
+        if owned:
+            prefetchers[name] = len(owned)
+    assert prefetchers["GHB"] == 1 and prefetchers["CDPSP"] == 2
 
-
-# -- targeted synthetic breakage ----------------------------------------------
-
-def _baseline_load():
-    return next(a for a in ARTIFACTS if a[0] == "baseline/load")
-
-
-def test_reordered_commit_writes_fire_sim802():
-    _, source, artifacts = _baseline_load()
-    mutated = source.replace(
-        "    flags[base] = line_flags\n    touch[base] = t\n",
-        "    touch[base] = t\n    flags[base] = line_flags\n",
-    )
-    assert mutated != source
-    assert {rule for rule, _, _ in verify_source(mutated, artifacts)} \
-        == {"SIM802"}
-
-
-def test_dropped_commit_write_fires_sim802():
-    _, source, artifacts = _baseline_load()
-    mutated = source.replace("    touch[base] = t\n", "")
-    assert mutated != source
-    findings = verify_source(mutated, artifacts)
-    assert any(rule == "SIM802" for rule, _, _ in findings)
-
-
-def test_stale_baked_constant_fires_sim803():
-    _, source, artifacts = _baseline_load()
-    for needle, patch in (
-        ("addr >> 5", "addr >> 6"),          # line bits
-        ("count >= 4", "count >= 2"),        # port count
-        ("> 8192", "> 16"),                  # ledger prune threshold
-    ):
-        mutated = source.replace(needle, patch)
-        assert mutated != source, needle
-        assert {rule for rule, _, _ in verify_source(mutated, artifacts)} \
-            == {"SIM803"}, needle
-
-
-def test_dirty_marking_in_load_replay_fires_sim803():
-    _, source, artifacts = _baseline_load()
-    mutated = source.replace(
-        "    flags[base] = line_flags\n",
-        "    line_flags |= 1\n    flags[base] = line_flags\n", 1,
-    )
-    findings = verify_source(mutated, artifacts)
-    assert {rule for rule, _, _ in findings} == {"SIM803"}
-
-
-def test_store_replay_without_dirty_marking_fires_sim803():
-    _, source, artifacts = next(
-        a for a in ARTIFACTS if a[0] == "baseline/store"
-    )
-    mutated = source.replace(" |= 1\n", " |= 0 + 1\n")
-    assert mutated != source
-    findings = verify_source(mutated, artifacts)
-    assert any(rule == "SIM803" for rule, _, _ in findings)
-
-
-def test_early_state_write_fires_sim801():
-    _, source, artifacts = _baseline_load()
-    mutated = source.replace(
-        "    block = addr >> 5\n",
-        "    block = addr >> 5\n    touch[0] = time\n", 1,
-    )
-    findings = verify_source(mutated, artifacts)
-    assert any(
-        rule == "SIM801" and "before the last abort point" in message
-        for rule, _, message in findings
-    )
-
-
-def test_unknown_binding_fires_sim801():
-    _, source, artifacts = _baseline_load()
-    mutated = source.replace(
-        "    counts_[0] += 1\n",
-        "    mystery.value += 1\n    counts_[0] += 1\n", 1,
-    )
-    findings = verify_source(mutated, artifacts)
-    assert any(
-        rule == "SIM801" and "mystery" in message
-        for rule, _, message in findings
-    )
-
-
-def test_emitter_metadata_is_coherent():
-    # Guard specs protect disjoint, non-empty state sets, and every
-    # canonical state referenced by a binding is either protected by some
-    # guard or declared invariant.
-    from repro.cpu.fastpath import INVARIANT_STATES
-
-    protected = set()
-    for spec in GUARDS:
-        assert spec.protects
-        protected.update(spec.protects)
-    for state in STATE_OF_BINDING.values():
-        assert state in protected or state in INVARIANT_STATES \
-            or state == "speculation.counters", state
-
-
-# -- shape extraction ----------------------------------------------------------
 
 def test_shape_of_reflects_the_machine():
     # TK is an L1-level prefetcher: its hook hangs off l1d, so the store
-    # shape must carry both the hook and the prefetch queue.  (L2-level
-    # mechanisms like GHB leave l1d.mechanism None — no hook baked.)
+    # block binds both the hook and the prefetch queue.  (L2-level
+    # mechanisms like GHB leave l1d.mechanism None: the hook binds None.)
     _, hierarchy = build_machine(None, create("TK"), MemoryImage())
-    shape = shape_of(hierarchy, "store")
-    assert shape.write and shape.image and shape.hook
-    assert shape.queues == len(hierarchy._mech_queues) > 0
+    store = hit_bindings(hierarchy, "store")
+    assert store["hook"] == hierarchy.l1d.mechanism.on_access
+    assert store["image_write"] == hierarchy.image.write
+    assert store["queue0"] is hierarchy._mech_queues[0]
+    assert store["assoc"] == hierarchy.l1d.assoc
+    assert store["pipe"] is hierarchy.l1d.pipeline
     _, l2_machine = build_machine(None, create("GHB"), MemoryImage())
-    assert not shape_of(l2_machine, "store").hook
-    assert shape.assoc == hierarchy.l1d.assoc
-    ifetch = shape_of(hierarchy, "ifetch")
-    assert not ifetch.hook and not ifetch.write
-    assert ifetch.line_bits == hierarchy.l1i.line_bits
-
-
-def test_verify_rejects_unparseable_source():
-    shape = shape_of(build_machine(None, None, MemoryImage())[1], "load")
-    findings = verify_source("def replay(:\n", {"": shape})
-    assert any(rule == "SIM801" for rule, _, _ in findings)
-
-
-# -- the code memo: one code object per source, compiled once ------------------
-
-def test_codecache_compiles_each_source_once(monkeypatch):
-    compiled = []
-    real_compile = compile
-
-    def counting_compile(source, filename, mode):
-        compiled.append(source)
-        return real_compile(source, filename, mode)
-
-    monkeypatch.setattr("builtins.compile", counting_compile)
-    source = "def f():\n    return 41\n"
-    codecache._MEMO.pop(source, None)
-    first = codecache.load_or_compile(source, "<test>")
-    assert codecache.load_or_compile(source, "<test>") is first
-    assert compiled == [source]
-    namespace = {}
-    exec(first, namespace)
-    assert namespace["f"]() == 41
-
-
-def test_speculator_shares_one_code_object_per_source():
-    _, hierarchy = build_machine(None, None, MemoryImage())
-    source, _ = emit_replay_source(hierarchy, "load")
-    code = codecache.load_or_compile(source, "<repro.cpu.fastpath>")
-    assert codecache._MEMO[source] is code
-    _, other = build_machine(None, None, MemoryImage())
-    again, _ = emit_replay_source(other, "load")
-    assert again == source
-    assert codecache.load_or_compile(again, "<repro.cpu.fastpath>") is code
-
-
-def test_simulation_writes_no_code_to_disk(tmp_path):
-    """Generated code lives in the process only: a fresh interpreter's
-    fast-path run leaves its workload under the cache root and nothing
-    else."""
-    env = dict(os.environ, REPRO_CACHE_DIR=str(tmp_path),
-               PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
-    proc = subprocess.run(
-        [sys.executable, "-m", "repro", "run", "swim", "GHB", "--n", "1500",
-         "--no-cache"], capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr[-2000:]
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["workloads"]
-
-
-# -- the standalone marker ----------------------------------------------------
-
-def test_marker_shape_round_trip():
-    from repro.analysis.fastpath import _marker_shape
-
-    text = (
-        "# sim-fastpath: kind=store queues=2 hook=1 precise=0 image=1 "
-        "line_bits=6 set_mask=255 assoc=4 n_ports=2 latency=3 "
-        "prune_every=128\n"
-    )
-    shape = _marker_shape(text)
-    assert shape == ArtifactShape(
-        kind="store", queues=2, hook=True, write=True, image=True,
-        precise=False, line_bits=6, set_mask=255, assoc=4, n_ports=2,
-        latency=3, prune_every=128,
-    )
-    assert _marker_shape("# no marker here\n") is None
+    assert hit_bindings(l2_machine, "store")["hook"] is None
+    ifetch = hit_bindings(hierarchy, "ifetch")
+    assert "hook" not in ifetch and "image_write" not in ifetch
+    assert ifetch["line_bits"] == hierarchy.l1i.line_bits
+    _, imprecise = build_machine(_IMPRECISE, None)
+    assert hit_bindings(imprecise, "load")["pipe"] is None
+    assert hit_bindings(imprecise, "store")["image_write"] is None

@@ -107,6 +107,17 @@ def test_package_imports_load_no_simulator(tmp_path, statement):
     assert _simulator(modules) == []
 
 
+def test_simlint_loads_nothing_it_lints(tmp_path):
+    """simlint reads source only: a whole-tree run imports no ``repro``
+    module beyond the analyzer and the lazy-export helper."""
+    modules, _, _ = _probe(tmp_path, "repro.analysis")
+    assert [
+        name for name in modules
+        if name.startswith("repro.") and name != "repro.lazy"
+        and name.split(".")[1] != "analysis"
+    ] == []
+
+
 def test_server_and_fleet_load_no_asyncio(tmp_path):
     sock = tmp_path / "serve.sock"
     out = tmp_path / "server-modules.json"

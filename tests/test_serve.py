@@ -148,6 +148,58 @@ def _payloads(*hashes):
     return {h: {"benchmark": "swim", "fake": h} for h in hashes}
 
 
+def test_enqueue_appends_a_batch_with_one_fsync(tmp_path, monkeypatch):
+    fleet = Fleet(tmp_path)
+    hashes = [f"{i:064x}" for i in range(36)]
+    synced = []
+    real_fsync = os.fsync
+
+    def counting_fsync(fd):
+        synced.append(fd)
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", counting_fsync)
+    assert fleet.enqueue(_payloads(*hashes)) == hashes
+    assert len(synced) == 1
+    assert list(fleet.snapshot().enqueued) == hashes
+
+
+#: ``python -c _CUT_BATCH ROOT LIMIT``: enqueue 36 specs with the file
+#: size limit at LIMIT bytes; print the errno of the failed write.
+_CUT_BATCH = """\
+import resource, signal, sys
+from repro.exec.fleet import Fleet
+root, limit = sys.argv[1], int(sys.argv[2])
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+fleet = Fleet(root)
+resource.setrlimit(resource.RLIMIT_FSIZE,
+                   (limit, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+try:
+    fleet.enqueue({f"{i:064x}": {"benchmark": "swim", "pad": "x" * 200}
+                   for i in range(1, 37)})
+except OSError as exc:
+    print(exc.errno)
+"""
+
+
+def test_a_cut_enqueue_batch_leaves_none_of_its_records(tmp_path):
+    import errno
+
+    fleet = Fleet(tmp_path)
+    first = "0" * 64
+    fleet.enqueue(_payloads(first))
+    size = fleet.queue_path.stat().st_size
+    # Room for a few of the batch's records, not for all 36.
+    proc = subprocess.run(
+        [sys.executable, "-c", _CUT_BATCH, str(tmp_path), str(size + 1000)],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(REPO / "src")))
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.split() == [str(errno.EFBIG)]
+    assert fleet.queue_path.stat().st_size == size
+    assert list(fleet.snapshot().enqueued) == [first]
+
+
 def test_lease_lifecycle_and_exactly_one_claimant(tmp_path):
     fleet = Fleet(tmp_path, ttl=30.0)
     assert fleet.enqueue(_payloads("a" * 64, "b" * 64)) == \
